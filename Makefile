@@ -1,4 +1,4 @@
-.PHONY: build test lint selfcheck hotcheck verify bench bench-netsim bench-netsim-event bench-smoke scorecard scorecard-q31 scorecard-degraded timeline critpath bench-overhead campaign campaign-smoke
+.PHONY: build test lint selfcheck hotcheck verify bench bench-netsim bench-netsim-event bench-model bench-smoke scorecard scorecard-q31 scorecard-degraded timeline critpath bench-overhead campaign campaign-smoke
 
 build:
 	go build ./...
@@ -54,6 +54,16 @@ bench-netsim:
 #   go run ./cmd/benchreport compare -threshold 2.0 BENCH_netsim-event.json BENCH_netsim-event-local.json
 bench-netsim-event:
 	go run ./cmd/benchreport run -label netsim-event-local -bench 'EventLoop|EngineScale' -pkg ./internal/netsim -count 3
+
+# bench-model reruns the Algorithm 1 model benchmarks (the waterfill on
+# the q=11 and q=37 low-depth and Hamiltonian forests, and the single-link
+# worst case at q=11) and writes BENCH_model-local.json for comparison
+# against the committed baseline. The wide threshold absorbs runner drift
+# while still failing if the interned kernel's order-of-magnitude speedup
+# evaporates:
+#   go run ./cmd/benchreport compare -threshold 2.0 BENCH_model.json BENCH_model-local.json
+bench-model:
+	go run ./cmd/benchreport run -label model-local -bench 'Waterfill|WorstCaseLink' -pkg . -count 5
 
 # bench-smoke is the CI-sized variant: one iteration per benchmark, just
 # enough to prove the pipeline (go test -bench → parser → snapshot)

@@ -19,7 +19,6 @@ import (
 	"polarfly/internal/er"
 	"polarfly/internal/netsim"
 	"polarfly/internal/singer"
-	"polarfly/internal/trees"
 	"polarfly/internal/workload"
 )
 
@@ -196,27 +195,55 @@ func BenchmarkHostBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkWaterfill measures the Algorithm 1 model itself on the q=11
-// low-depth forest.
-func BenchmarkWaterfill(b *testing.B) {
-	pg, err := er.New(11)
+// modelEmbeddings builds the low-depth and Hamiltonian embeddings of q,
+// the forests the Algorithm 1 model benchmarks evaluate.
+func modelEmbeddings(b *testing.B, q int) []*core.Embedding {
+	b.Helper()
+	inst, err := core.NewInstance(q)
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := er.NewLayout(pg, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	forest, err := trees.LowDepthForest(l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := bandwidth.ForForest(forest, 1.0)
-		if r.Aggregate < 5.5-1e-9 {
-			b.Fatal("bandwidth below bound")
+	var out []*core.Embedding
+	for _, kind := range []core.EmbeddingKind{core.LowDepth, core.Hamiltonian} {
+		e, err := inst.Embed(kind)
+		if err != nil {
+			b.Fatal(err)
 		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// BenchmarkWaterfill measures the Algorithm 1 model itself on the
+// low-depth and Hamiltonian forests at q=11 and at the planning order
+// q=37. Run it with make bench-model.
+func BenchmarkWaterfill(b *testing.B) {
+	for _, q := range []int{11, 37} {
+		for _, e := range modelEmbeddings(b, q) {
+			b.Run(fmt.Sprintf("q=%d/%v", q, e.Kind), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					r := bandwidth.ForForest(e.Forest, 1.0)
+					if r.Aggregate != e.Model.Aggregate {
+						b.Fatal("aggregate changed")
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWorstCaseLink measures the single-link worst-case search on the
+// q=11 low-depth and Hamiltonian embeddings, the set-up of the degraded
+// scorecard and the critical-path sweep's faulted points.
+func BenchmarkWorstCaseLink(b *testing.B) {
+	for _, e := range modelEmbeddings(b, 11) {
+		b.Run(e.Kind.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, deg, err := core.WorstCaseLink(e); err != nil || deg == nil {
+					b.Fatalf("worst case: deg=%v err=%v", deg, err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,8 +6,10 @@
 package bandwidth
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"polarfly/internal/graph"
@@ -30,7 +32,8 @@ type Result struct {
 // of trees embedded in a network with per-link bandwidth linkB. Each tree
 // is given by its edge list; the network topology itself is implicit (only
 // links used by at least one tree matter, since unused links never
-// constrain anything).
+// constrain anything). It is the uniform-capacity case of
+// WaterfillHeterogeneous.
 //
 // The bottleneck link — the one minimising remaining-bandwidth/congestion —
 // fixes the bandwidth of every tree crossing it; those trees' bandwidth is
@@ -40,107 +43,7 @@ func Waterfill(forest [][]graph.Edge, linkB float64) Result {
 	if linkB <= 0 {
 		panic("bandwidth: link bandwidth must be positive")
 	}
-	r := Result{PerTree: make([]float64, len(forest))}
-
-	// Initialisation (lines 1-3).
-	avail := make(map[graph.Edge]float64)
-	congestion := make(map[graph.Edge]int)
-	for _, es := range forest {
-		for _, e := range es {
-			avail[e] = linkB
-			congestion[e]++
-		}
-	}
-	for _, c := range congestion {
-		if c > r.MaxCongestion {
-			r.MaxCongestion = c
-		}
-	}
-
-	active := make([]bool, len(forest))
-	remaining := 0
-	for i, es := range forest {
-		if len(es) > 0 {
-			active[i] = true
-			remaining++
-		}
-	}
-
-	// Main loop (lines 4-12). Candidate links are scanned in sorted order
-	// so the argmin breaks ties identically on every run; the final Result
-	// is tie-independent (property-tested), but intermediate state must
-	// not leak map iteration order.
-	edges := sortedEdges(congestion)
-	for remaining > 0 {
-		// Line 5: bottleneck link e_min = argmin L(e)/C(e) over links still
-		// carrying at least one active tree.
-		var emin graph.Edge
-		best := math.Inf(1)
-		found := false
-		for _, e := range edges {
-			c := congestion[e]
-			if c <= 0 {
-				continue
-			}
-			if share := avail[e] / float64(c); share < best {
-				best = share
-				emin = e
-				found = true
-			}
-		}
-		if !found {
-			panic("bandwidth: active trees remain but no congested link found")
-		}
-		share := avail[emin] / float64(congestion[emin])
-
-		// Lines 6-11: every active tree crossing e_min is assigned the
-		// share and retired.
-		for i, es := range forest {
-			if !active[i] || !containsEdge(es, emin) {
-				continue
-			}
-			r.PerTree[i] = share
-			for _, e := range es {
-				avail[e] -= share
-				congestion[e]--
-			}
-			active[i] = false
-			remaining--
-		}
-		// Line 12: remove e_min from consideration.
-		delete(avail, emin)
-		delete(congestion, emin)
-	}
-
-	for _, b := range r.PerTree {
-		r.Aggregate += b
-	}
-	return r
-}
-
-// sortedEdges returns the keys of congestion ordered by (U, V), the
-// deterministic scan order for bottleneck selection.
-func sortedEdges(congestion map[graph.Edge]int) []graph.Edge {
-	out := make([]graph.Edge, 0, len(congestion))
-	for e := range congestion {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
-
-func containsEdge(es []graph.Edge, e graph.Edge) bool {
-	for _, x := range es {
-		if x == e {
-			return true
-		}
-	}
-	return false
+	return WaterfillHeterogeneous(forest, nil, linkB)
 }
 
 // WaterfillHeterogeneous runs Algorithm 1 with per-link capacities instead
@@ -156,67 +59,156 @@ func WaterfillHeterogeneous(forest [][]graph.Edge, caps map[graph.Edge]float64, 
 			panic(fmt.Sprintf("bandwidth: non-positive capacity for link %v", e))
 		}
 	}
-	r := Result{PerTree: make([]float64, len(forest))}
-	avail := make(map[graph.Edge]float64)
-	congestion := make(map[graph.Edge]int)
+	x := newIndex(forest)
+	avail := make([]float64, len(x.edges))
+	for id, e := range x.edges {
+		avail[id] = defaultB
+		if c, ok := caps[e]; ok {
+			avail[id] = c
+		}
+	}
+	return x.waterfill(avail)
+}
+
+// index is a forest interned onto dense edge ids, the layout Algorithm 1
+// runs on. An edge id is a position in edges, the distinct links in (U, V)
+// order. Every listed edge is one occurrence, duplicates included.
+type index struct {
+	edges []graph.Edge
+	// Tree i's edge ids, one per occurrence: treeEdges[treeOff[i]:treeOff[i+1]].
+	treeOff, treeEdges []int32
+	// Edge k's crossing trees in ascending order, one per occurrence:
+	// edgeTrees[edgeOff[k]:edgeOff[k+1]].
+	edgeOff, edgeTrees []int32
+}
+
+// occurrence is one listed edge of one tree.
+type occurrence struct {
+	e    graph.Edge
+	tree int32
+}
+
+// byEdgeThenTree orders occurrences by (U, V, tree).
+func byEdgeThenTree(a, b occurrence) int {
+	if c := cmp.Compare(a.e.U, b.e.U); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.e.V, b.e.V); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.tree, b.tree)
+}
+
+func newIndex(forest [][]graph.Edge) *index {
+	x := &index{treeOff: make([]int32, len(forest)+1)}
+	lo, hi := math.MaxInt, math.MinInt
+	for i, es := range forest {
+		x.treeOff[i+1] = x.treeOff[i] + int32(len(es))
+		for _, e := range es {
+			lo, hi = min(lo, e.U), max(hi, e.U)
+		}
+	}
+	// Order the occurrences by (U, V, tree). With dense vertex ids a
+	// counting sort buckets them by U in linear time and only each small
+	// bucket needs a comparison sort; sparse ids share one bucket.
+	span, key := 0, func(graph.Edge) int { return 0 }
+	if d := hi - lo; d >= 0 && d < 4*int(x.treeOff[len(forest)]) {
+		span, key = d, func(e graph.Edge) int { return e.U - lo }
+	}
+	bucket := make([]int, span+2)
 	for _, es := range forest {
 		for _, e := range es {
-			if c, ok := caps[e]; ok {
-				avail[e] = c
-			} else {
-				avail[e] = defaultB
-			}
-			congestion[e]++
+			bucket[key(e)+1]++
 		}
 	}
-	for _, c := range congestion {
-		if c > r.MaxCongestion {
-			r.MaxCongestion = c
-		}
+	for k := 1; k < len(bucket); k++ {
+		bucket[k] += bucket[k-1]
 	}
-	active := make([]bool, len(forest))
-	remaining := 0
+	occ := make([]occurrence, x.treeOff[len(forest)])
+	next := slices.Clone(bucket)
 	for i, es := range forest {
-		if len(es) > 0 {
+		for _, e := range es {
+			occ[next[key(e)]] = occurrence{e, int32(i)}
+			next[key(e)]++
+		}
+	}
+	for k := 0; k <= span; k++ {
+		slices.SortFunc(occ[bucket[k]:bucket[k+1]], byEdgeThenTree)
+	}
+	x.treeEdges = make([]int32, len(occ))
+	x.edgeTrees = make([]int32, len(occ))
+	pos := slices.Clone(x.treeOff[:len(forest)])
+	for j, o := range occ {
+		if j == 0 || o.e != occ[j-1].e {
+			x.edges = append(x.edges, o.e)
+			x.edgeOff = append(x.edgeOff, int32(j))
+		}
+		x.edgeTrees[j] = o.tree
+		x.treeEdges[pos[o.tree]] = int32(len(x.edges) - 1)
+		pos[o.tree]++
+	}
+	x.edgeOff = append(x.edgeOff, int32(len(occ)))
+	return x
+}
+
+// waterfill runs Algorithm 1 from the initial per-edge capacities avail,
+// which it consumes.
+func (x *index) waterfill(avail []float64) Result {
+	r := Result{PerTree: make([]float64, len(x.treeOff)-1)}
+
+	// Initialisation (lines 1-3): C(e) counts every occurrence.
+	cong := make([]int32, len(x.edges))
+	for id := range cong {
+		cong[id] = x.edgeOff[id+1] - x.edgeOff[id]
+		r.MaxCongestion = max(r.MaxCongestion, int(cong[id]))
+	}
+	active := make([]bool, len(r.PerTree))
+	remaining := 0
+	for i := range active {
+		if x.treeOff[i+1] > x.treeOff[i] {
 			active[i] = true
 			remaining++
 		}
 	}
-	edges := sortedEdges(congestion)
+
+	// Main loop (lines 4-12).
 	for remaining > 0 {
-		var emin graph.Edge
-		best := math.Inf(1)
-		found := false
-		for _, e := range edges {
-			c := congestion[e]
+		// Line 5: bottleneck link e_min = argmin L(e)/C(e) over links still
+		// carrying at least one active tree. The scan runs in (U, V) order
+		// with a strict <, so the first minimum wins on every run; the
+		// final Result is tie-independent (property-tested).
+		emin, share := -1, math.Inf(1)
+		for id, c := range cong {
 			if c <= 0 {
 				continue
 			}
-			if share := avail[e] / float64(c); share < best {
-				best = share
-				emin = e
-				found = true
+			if s := avail[id] / float64(c); s < share {
+				emin, share = id, s
 			}
 		}
-		if !found {
+		if emin < 0 {
 			panic("bandwidth: active trees remain but no congested link found")
 		}
-		share := avail[emin] / float64(congestion[emin])
-		for i, es := range forest {
-			if !active[i] || !containsEdge(es, emin) {
+
+		// Lines 6-11: every active tree crossing e_min is assigned the
+		// share and retired, in ascending tree order. Every subtraction in
+		// a round is the same share, so each link sees the same sequence
+		// of float operations whatever the order. Retiring them all drops
+		// C(e_min) to zero, which removes e_min from the scan (line 12).
+		for _, ti := range x.edgeTrees[x.edgeOff[emin]:x.edgeOff[emin+1]] {
+			if !active[ti] {
 				continue
 			}
-			r.PerTree[i] = share
-			for _, e := range es {
-				avail[e] -= share
-				congestion[e]--
+			r.PerTree[ti] = share
+			for _, id := range x.treeEdges[x.treeOff[ti]:x.treeOff[ti+1]] {
+				avail[id] -= share
+				cong[id]--
 			}
-			active[i] = false
+			active[ti] = false
 			remaining--
 		}
-		delete(avail, emin)
-		delete(congestion, emin)
 	}
+
 	for _, b := range r.PerTree {
 		r.Aggregate += b
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"polarfly/internal/bandwidth"
 	"polarfly/internal/graph"
@@ -10,16 +12,14 @@ import (
 )
 
 // TreesUsingLink returns the indices of forest trees whose edge set
-// contains the undirected link (u, v).
+// contains the undirected link (u, v). It panics on a self-loop (u == v);
+// an endpoint outside a tree's vertex range matches no edge of that tree.
 func TreesUsingLink(forest []*trees.Tree, u, v int) []int {
 	e := graph.NewEdge(u, v)
 	var out []int
 	for i, t := range forest {
-		for _, te := range t.Edges() {
-			if te == e {
-				out = append(out, i)
-				break
-			}
+		if e.U >= 0 && e.V < len(t.Parent) && (t.Parent[e.U] == e.V || t.Parent[e.V] == e.U) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -92,40 +92,98 @@ func SubsetEmbedding(e *Embedding, indices []int) (*Embedding, error) {
 // surviving model aggregate, then by link order (deterministic). The
 // returned embedding is the degraded survivor set; it is nil when the
 // worst failure kills every tree (the single-tree case).
+//
+// A link's failure kills exactly the trees crossing it, so the survivors'
+// model depends only on that dead-tree set. Many links share one set (on
+// the paper's forests at most T(T+1)/2 sets cover all q(q+1)²/2 links), so
+// each set is priced once, and only sets of the maximal size are priced.
 func WorstCaseLink(e *Embedding) ([2]int, *Embedding, error) {
-	cong := trees.Congestion(e.Forest)
-	links := make([]graph.Edge, 0, len(cong))
-	for l := range cong {
-		links = append(links, l)
+	type crossing struct {
+		l    graph.Edge
+		tree int
 	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].U != links[j].U {
-			return links[i].U < links[j].U
+	var occ []crossing
+	for i, t := range e.Forest {
+		for _, l := range t.Edges() {
+			occ = append(occ, crossing{l, i})
 		}
-		return links[i].V < links[j].V
-	})
-	if len(links) == 0 {
+	}
+	if len(occ) == 0 {
 		return [2]int{}, nil, fmt.Errorf("core: embedding has no links")
 	}
-	var worst [2]int
-	var worstDeg *Embedding
-	worstLost := -1
-	worstBW := 0.0
-	for _, l := range links {
-		deg, err := Degrade(e, [][2]int{{l.U, l.V}})
-		lost := len(e.Forest)
-		bw := 0.0
-		if err == nil {
-			lost = len(e.Forest) - len(deg.Forest)
-			bw = deg.Model.Aggregate
+	slices.SortFunc(occ, func(a, b crossing) int {
+		if c := cmp.Compare(a.l.U, b.l.U); c != 0 {
+			return c
 		}
-		if lost > worstLost || (lost == worstLost && bw < worstBW) {
-			worstLost, worstBW = lost, bw
-			worst = [2]int{l.U, l.V}
-			worstDeg = deg
+		if c := cmp.Compare(a.l.V, b.l.V); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.tree, b.tree)
+	})
+	// Group the crossings into links in (U, V) order, each with its
+	// ascending, deduplicated dead-tree set dead[start[k]:start[k+1]].
+	var links []graph.Edge
+	var start, dead []int
+	maxLost := 0
+	for j, c := range occ {
+		if j == 0 || c.l != occ[j-1].l {
+			links = append(links, c.l)
+			start = append(start, len(dead))
+		} else if c.tree == occ[j-1].tree {
+			continue
+		}
+		dead = append(dead, c.tree)
+		maxLost = max(maxLost, len(dead)-start[len(start)-1])
+	}
+	start = append(start, len(dead))
+
+	// Only links losing maxLost trees can win; among them the first with
+	// the strictly lowest surviving aggregate does.
+	worst := -1
+	worstBW := 0.0
+	priced := make(map[string]float64)
+	var key []byte
+	for k := range links {
+		d := dead[start[k]:start[k+1]]
+		if len(d) != maxLost {
+			continue
+		}
+		key = key[:0]
+		for _, ti := range d {
+			key = binary.AppendUvarint(key, uint64(ti))
+		}
+		bw, ok := priced[string(key)]
+		if !ok {
+			bw = survivorAggregate(e, d)
+			priced[string(key)] = bw
+		}
+		if worst < 0 || bw < worstBW {
+			worst, worstBW = k, bw
 		}
 	}
-	return worst, worstDeg, nil
+	link := [2]int{links[worst].U, links[worst].V}
+	deg, err := Degrade(e, [][2]int{link})
+	if err != nil {
+		return link, nil, nil // the worst failure kills every tree
+	}
+	return link, deg, nil
+}
+
+// survivorAggregate is the model aggregate of the forest without the
+// trees in dead (ascending indices), or 0 when no tree survives.
+func survivorAggregate(e *Embedding, dead []int) float64 {
+	var surviving []*trees.Tree
+	for i, t := range e.Forest {
+		if len(dead) > 0 && dead[0] == i {
+			dead = dead[1:]
+			continue
+		}
+		surviving = append(surviving, t)
+	}
+	if len(surviving) == 0 {
+		return 0
+	}
+	return bandwidth.ForForest(surviving, e.linkB()).Aggregate
 }
 
 // FailureToleranceRow records how many trees a worst-case single-link

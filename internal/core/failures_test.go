@@ -3,10 +3,14 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"polarfly/internal/faults"
+	"polarfly/internal/graph"
 	"polarfly/internal/netsim"
+	"polarfly/internal/trees"
 	"polarfly/internal/workload"
 )
 
@@ -37,6 +41,34 @@ func TestTreesUsingLink(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTreesUsingLinkContract pins the edge cases of the parent-array
+// membership test: a self-loop panics (graph.NewEdge), an endpoint outside
+// the vertex range matches no tree instead of indexing out of bounds, and
+// either endpoint order names the same link.
+func TestTreesUsingLinkContract(t *testing.T) {
+	in := instance(t, 3)
+	e, err := in.Embed(LowDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := in.N()
+	for _, l := range [][2]int{{-1, 0}, {0, -1}, {0, n}, {n, n + 1}, {-5, n + 3}} {
+		if got := TreesUsingLink(e.Forest, l[0], l[1]); len(got) != 0 {
+			t.Errorf("out-of-range link %v used by trees %v, want none", l, got)
+		}
+	}
+	edge := e.Forest[0].Edges()[0]
+	if a, b := TreesUsingLink(e.Forest, edge.U, edge.V), TreesUsingLink(e.Forest, edge.V, edge.U); !reflect.DeepEqual(a, b) || len(a) == 0 {
+		t.Errorf("link %v: trees %v vs reversed %v", edge, a, b)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("self-loop did not panic")
+		}
+	}()
+	TreesUsingLink(e.Forest, 2, 2)
 }
 
 func TestDegradeDropsAffectedTreesOnly(t *testing.T) {
@@ -350,5 +382,70 @@ func TestFailureTolerance(t *testing.T) {
 	}
 	if byKind[Hamiltonian].WorstCaseRemainingBW != 2.0 { // 3 trees − 1
 		t.Errorf("hamiltonian remaining BW %f, want 2", byKind[Hamiltonian].WorstCaseRemainingBW)
+	}
+}
+
+// bruteForceWorstCaseLink is the per-link reference for WorstCaseLink:
+// Degrade every used link in (U, V) order and keep the strictly worse one.
+func bruteForceWorstCaseLink(e *Embedding) ([2]int, *Embedding) {
+	var links []graph.Edge
+	for l := range trees.Congestion(e.Forest) {
+		links = append(links, l)
+	}
+	sort.Slice(links, func(i, j int) bool {
+		if links[i].U != links[j].U {
+			return links[i].U < links[j].U
+		}
+		return links[i].V < links[j].V
+	})
+	var worst [2]int
+	var worstDeg *Embedding
+	worstLost := -1
+	worstBW := 0.0
+	for _, l := range links {
+		deg, err := Degrade(e, [][2]int{{l.U, l.V}})
+		lost := len(e.Forest)
+		bw := 0.0
+		if err == nil {
+			lost = len(e.Forest) - len(deg.Forest)
+			bw = deg.Model.Aggregate
+		}
+		if lost > worstLost || (lost == worstLost && bw < worstBW) {
+			worstLost, worstBW = lost, bw
+			worst = [2]int{l.U, l.V}
+			worstDeg = deg
+		}
+	}
+	return worst, worstDeg
+}
+
+// TestWorstCaseLinkMatchesBruteForce: pricing each dead-tree set once
+// picks the same link and returns the same degraded embedding as
+// degrading every link, on every embedding for q ∈ {3, 5, 7, 11}, at unit
+// and repriced link bandwidth.
+func TestWorstCaseLinkMatchesBruteForce(t *testing.T) {
+	for _, q := range []int{3, 5, 7, 11} {
+		in := instance(t, q)
+		for _, kind := range []EmbeddingKind{SingleTree, LowDepth, Hamiltonian, DepthTwo} {
+			e, err := in.Embed(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e3, err := e.WithLinkBandwidth(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, emb := range []*Embedding{e, e3} {
+				link, deg, err := WorstCaseLink(emb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLink, wantDeg := bruteForceWorstCaseLink(emb)
+				if link != wantLink || !reflect.DeepEqual(deg, wantDeg) {
+					t.Errorf("q=%d %v B=%g: worst link %v (%+v), brute force %v (%+v)",
+						q, kind, emb.LinkB, link, deg, wantLink, wantDeg)
+				}
+			}
+		}
 	}
 }
