@@ -18,14 +18,16 @@ selfcheck:
 	./scripts/selfcheck.sh
 
 # hotcheck cross-checks the static hotalloc proof against measured
-# allocations: reruns the q=11 cycle-loop AND event-loop benchmarks and
-# asserts every BenchmarkCycleLoop/BenchmarkEventLoop variant stays at or
-# below 1 allocs/op. Fails when the static "allocation-free" verdict and
-# the measured numbers disagree — in either direction (a regression, or
-# a vacuous proof), and when either loop lacks a measured witness.
+# allocations: reruns the q=11 benchmarks of the one advance loop under
+# both wake policies (BenchmarkCycleLoop visits every link, BenchmarkEventLoop
+# only woken ones) and asserts every variant stays at or below 1
+# allocs/op. Fails when the static "allocation-free" verdict and the
+# measured numbers disagree — in either direction (a regression, or a
+# vacuous proof), and when either policy lacks a measured witness (both
+# are the hotcheck -bench default).
 hotcheck:
 	go run ./cmd/benchreport run -label hotcheck -bench 'CycleLoop|EventLoop' -pkg ./internal/netsim -count 3
-	go run ./cmd/benchreport hotcheck -bench BenchmarkCycleLoop,BenchmarkEventLoop -root . BENCH_hotcheck.json
+	go run ./cmd/benchreport hotcheck -root . BENCH_hotcheck.json
 
 # verify is the pre-commit gate: gofmt + vet + build + repolint (with
 # fixture selfcheck) + race-enabled tests for the concurrency-bearing
@@ -46,11 +48,12 @@ bench:
 bench-netsim:
 	go run ./cmd/benchreport run -label netsim-local -bench HotLoop -pkg ./internal/netsim -count 5
 
-# bench-netsim-event reruns the event-engine benchmarks (the q=11 event
-# loop and the q=31 cycle-vs-event scale point) and writes
+# bench-netsim-event reruns the wake-set policy benchmarks (the q=11
+# event-policy loop and the q=31 cycle-vs-event scale point) and writes
 # BENCH_netsim-event-local.json for comparison against the committed
 # baseline. The wide threshold absorbs runner drift while still failing
-# if the event engine's order-of-magnitude advantage at q=31 evaporates:
+# if the wake-set policy's order-of-magnitude advantage at q=31
+# evaporates:
 #   go run ./cmd/benchreport compare -threshold 2.0 BENCH_netsim-event.json BENCH_netsim-event-local.json
 bench-netsim-event:
 	go run ./cmd/benchreport run -label netsim-event-local -bench 'EventLoop|EngineScale' -pkg ./internal/netsim -count 3

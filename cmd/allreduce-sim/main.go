@@ -88,9 +88,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tsWindows := fs.Int("ts-windows", 64, "telemetry ring capacity per resolution level (with -ts-out)")
 	critpathOut := fs.String("critpath-out", "", "reconstruct each embedding's causal critical path from the trace stream and write the markdown blame report to this file")
 	progress := fs.Bool("progress", false, "print a heartbeat with simulated cycles/s and an ETA to stderr while simulations run (stdout is unchanged)")
-	engineName := fs.String("engine", "cycle", "netsim advance engine: cycle (reference per-cycle loop) or event (cycle-skipping; byte-identical output, required at q=127 scale)")
+	engineName := fs.String("engine", "cycle", "netsim wake policy: cycle (visit every link every cycle; faster when most links are busy) or event (visit woken links, skip idle cycles; faster when most links idle, required at q=127 scale); output is byte-identical")
 	embeddings := fs.String("embeddings", "", "comma-separated embedding kinds to run in the comparison (low-depth, hamiltonian, single-tree); empty runs the full sweep")
-	maxSimBytes := fs.Int64("max-sim-bytes", 0, "fail if any run's simulator arena footprint exceeds this many bytes (0 disables; the footprint is deterministic, see netsim.ArenaFootprint)")
+	maxSimBytes := fs.Int64("max-sim-bytes", 0, "fail if any completed run's simulator arena footprint exceeds this many bytes, on every path that simulates (0 disables; the footprint is deterministic, see netsim.ArenaFootprint)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -164,12 +164,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *sweep {
-		return runSweep(*q, *m, *latency, *vc, *parallel, *seed, engine, stdout, stderr)
+		return runSweep(*q, *m, *latency, *vc, *parallel, *seed, engine, *maxSimBytes, stdout, stderr)
 	}
 	if *failLinks != "" || *faultSeed != 0 || *faultPlan != "" || *failRouters != "" || *chaosSeed != 0 {
 		return runFaults(*q, *m, *latency, *vc, *parallel, *seed,
 			*failLinks, *failRouters, *failAt, *faultSeed, *chaosSeed, *faultPlan, *traceOut, *metricsOut,
-			*tsOut, *sampleEvery, *tsWindows, *critpathOut, engine, meter, stdout, stderr)
+			*tsOut, *sampleEvery, *tsWindows, *critpathOut, engine, *maxSimBytes, meter, stdout, stderr)
 	}
 
 	cfg := netsim.Config{LinkLatency: *latency, VCDepth: *vc, Engine: engine}
@@ -246,9 +246,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *maxSimBytes > 0 {
 		for _, r := range rows {
 			fmt.Fprintf(stdout, "arena: %-12v %d bytes (ceiling %d)\n", r.Kind, r.Arena.TotalBytes, *maxSimBytes)
-			if r.Arena.TotalBytes > *maxSimBytes {
-				return fail(fmt.Errorf("%v arena footprint %d bytes exceeds -max-sim-bytes %d",
-					r.Kind, r.Arena.TotalBytes, *maxSimBytes))
+			if err := arenaCeiling(r.Kind.String(), r.Arena, *maxSimBytes); err != nil {
+				return fail(err)
 			}
 		}
 	}
@@ -425,7 +424,7 @@ func writeCritPaths(path string, order []core.EmbeddingKind, builders map[core.E
 
 // progressMeterSampleEvery is the sampling stride the -progress tap uses
 // when no telemetry sampler is attached: coarse enough to stay invisible
-// in the cycle loop, fine enough for a live rate.
+// in the advance loop, fine enough for a live rate.
 const progressMeterSampleEvery = 1024
 
 // progressMeter aggregates simulated-cycle progress across concurrently
@@ -629,7 +628,7 @@ func treeLinks(e *core.Embedding) [][2]int {
 // (rows render to strings inside the jobs and print afterwards in
 // embedding order), so -parallel N output is byte-identical to serial.
 func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers string, at int, fseed, chaosSeed int64, planPath, traceOut, metricsOut string,
-	tsOut string, sampleEvery, tsWindows int, critpathOut string, engine netsim.Engine, meter *progressMeter, stdout, stderr io.Writer) int {
+	tsOut string, sampleEvery, tsWindows int, critpathOut string, engine netsim.Engine, maxSimBytes int64, meter *progressMeter, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "allreduce-sim:", err)
 		return 1
@@ -812,6 +811,9 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		if err != nil {
 			return row, fmt.Errorf("%v: %w", job.kind, err)
 		}
+		if err := arenaCeiling(job.kind.String(), res.Arena, maxSimBytes); err != nil {
+			return row, err
+		}
 
 		outputs := "ok"
 		for v := range res.Outputs {
@@ -907,6 +909,15 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 	return 0
 }
 
+// arenaCeiling enforces -max-sim-bytes on one completed run: an error
+// naming the run when its arena footprint exceeds a positive ceiling.
+func arenaCeiling(run string, a netsim.ArenaFootprint, ceiling int64) error {
+	if ceiling > 0 && a.TotalBytes > ceiling {
+		return fmt.Errorf("%s arena footprint %d bytes exceeds -max-sim-bytes %d", run, a.TotalBytes, ceiling)
+	}
+	return nil
+}
+
 // sweepKinds is the fixed iteration order for winner selection, so ties
 // resolve identically on every run.
 var sweepKinds = []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
@@ -918,7 +929,7 @@ var sweepKinds = []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamil
 // so they run on a parrun pool; rows are rendered to strings inside the
 // jobs and printed afterwards in m order, keeping stdout byte-identical
 // to the serial sweep.
-func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engine, stdout, stderr io.Writer) int {
+func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engine, maxSimBytes int64, stdout, stderr io.Writer) int {
 	cfg := netsim.Config{LinkLatency: latency, VCDepth: vc, Engine: engine}
 	var ms []int
 	for m := 8; m <= maxM; m *= 4 {
@@ -935,6 +946,9 @@ func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engi
 		// error: the largest-magnitude relative error across embeddings.
 		worstErr := 0.0
 		for _, r := range rows {
+			if err := arenaCeiling(fmt.Sprintf("%v m=%d", r.Kind, m), r.Arena, maxSimBytes); err != nil {
+				return "", err
+			}
 			cycles[r.Kind] = r.Cycles
 			if e := r.UtilRelErr; math.Abs(e) > math.Abs(worstErr) {
 				worstErr = e

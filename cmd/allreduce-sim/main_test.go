@@ -88,3 +88,35 @@ func TestRunBadFlag(t *testing.T) {
 		t.Errorf("exit code %d for unknown flag, want 2", code)
 	}
 }
+
+// TestMaxSimBytesEveryPath checks that -max-sim-bytes gates every path
+// that simulates, not just the comparison table: a 1-byte ceiling fails
+// the fault and sweep paths too, and a generous one passes them.
+func TestMaxSimBytesEveryPath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"comparison", nil},
+		{"fault", []string{"-fault-seed", "7"}},
+		{"sweep", []string{"-sweep"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := func(ceiling string) []string {
+				return append([]string{"-q", "3", "-m", "256", "-max-sim-bytes", ceiling}, tc.args...)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(args("1"), &stdout, &stderr); code != 1 {
+				t.Fatalf("1-byte ceiling: exit code %d, want 1\nstderr: %s", code, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "exceeds -max-sim-bytes 1") {
+				t.Errorf("1-byte ceiling: stderr does not name the ceiling: %s", stderr.String())
+			}
+			stdout.Reset()
+			stderr.Reset()
+			if code := run(args("1000000000"), &stdout, &stderr); code != 0 {
+				t.Fatalf("1 GB ceiling: exit code %d, want 0\nstderr: %s", code, stderr.String())
+			}
+		})
+	}
+}

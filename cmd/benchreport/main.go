@@ -29,7 +29,8 @@
 //	                                                # sampling cost against the 5% budget
 //	benchreport hotcheck BENCH_main.json            # assert the hotalloc analyzer's static
 //	                                                # allocation-free proof agrees with the
-//	                                                # measured BenchmarkCycleLoop allocs/op
+//	                                                # measured BenchmarkCycleLoop and
+//	                                                # BenchmarkEventLoop allocs/op
 //
 // Snapshots are written to BENCH_<label>.json (schema polarfly-bench/v1,
 // see internal/perf); timeline sweeps go to TIMELINE_<label>.json with the
@@ -58,11 +59,11 @@ import (
 )
 
 // engineFlag registers the shared -engine flag: every simulation-backed
-// subcommand can run on either netsim advance engine, and because the
-// engines are differentially tested byte-identical the snapshots do not
-// record the choice.
+// subcommand can run the netsim advance loop under either wake policy,
+// and because the policies are differentially tested byte-identical the
+// snapshots do not record the choice.
 func engineFlag(fs *flag.FlagSet) *string {
-	return fs.String("engine", "cycle", "netsim advance engine: cycle or event (byte-identical output)")
+	return fs.String("engine", "cycle", "netsim wake policy: cycle (visit every link every cycle) or event (visit woken links, skip idle cycles); byte-identical output")
 }
 
 func main() {
@@ -121,6 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
+// defaultHotBench names the hotcheck witnesses: the one //lint:hotpath
+// advance loop timed under each wake policy.
+const defaultHotBench = "BenchmarkCycleLoop,BenchmarkEventLoop"
+
 // cmdHotcheck closes the loop between the hotalloc analyzer and the
 // benchmark record: the static claim "everything reachable from the
 // //lint:hotpath roots is allocation-free" must agree with the measured
@@ -129,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func cmdHotcheck(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchreport hotcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	benchPrefix := fs.String("bench", "BenchmarkCycleLoop", "comma-separated benchmark name prefixes measuring the hot path; every prefix needs a measured witness")
+	benchPrefix := fs.String("bench", defaultHotBench, "comma-separated benchmark name prefixes measuring the hot path; every prefix needs a measured witness")
 	maxAllocs := fs.Float64("max", perf.DefaultHotAllocBudget, "maximum measured allocs/op consistent with the static claim")
 	root := fs.String("root", ".", "module root for the static analysis")
 	if err := fs.Parse(args); err != nil {

@@ -429,12 +429,22 @@ const cycleLoopFixture = `goos: linux
 pkg: polarfly/internal/netsim
 BenchmarkCycleLoop/q=11/single-8 	 3	 110000000 ns/op	 0 B/op	 0 allocs/op
 BenchmarkCycleLoop/q=11/lowdepth-8 	 3	 205000000 ns/op	 0 B/op	 0 allocs/op
+BenchmarkEventLoop/q=11/single-8 	 3	 180000000 ns/op	 0 B/op	 0 allocs/op
 PASS
 `
 
 const cycleLoopRegressedFixture = `goos: linux
 pkg: polarfly/internal/netsim
 BenchmarkCycleLoop/q=11/single-8 	 3	 110000000 ns/op	 4096 B/op	 128 allocs/op
+BenchmarkEventLoop/q=11/single-8 	 3	 180000000 ns/op	 0 B/op	 0 allocs/op
+PASS
+`
+
+// cycleOnlyFixture has a clean visit-all witness but none for the
+// wake-set policy.
+const cycleOnlyFixture = `goos: linux
+pkg: polarfly/internal/netsim
+BenchmarkCycleLoop/q=11/single-8 	 3	 110000000 ns/op	 0 B/op	 0 allocs/op
 PASS
 `
 
@@ -526,5 +536,26 @@ func Step(n int) []int {
 	}
 	if !strings.Contains(stderr, "FAIL static") {
 		t.Errorf("missing static failure report:\n%s", stderr)
+	}
+}
+
+// TestHotcheckDefaultWitnesses pins the -bench default: both wake policies
+// of the advance loop need a measured witness, so a snapshot with only
+// BenchmarkCycleLoop fails on the missing BenchmarkEventLoop, and an
+// explicit -bench narrows the gate back to one prefix.
+func TestHotcheckDefaultWitnesses(t *testing.T) {
+	dir := t.TempDir()
+	root := hotcheckModule(t)
+	in := writeFixture(t, dir, "bench.txt", cycleOnlyFixture)
+	if code, _, stderr := runCLI(t, "run", "-in", in, "-label", "cycleonly", "-out", dir); code != 0 {
+		t.Fatal(stderr)
+	}
+	snap := filepath.Join(dir, "BENCH_cycleonly.json")
+	code, _, stderr := runCLI(t, "hotcheck", "-root", root, snap)
+	if code != 1 || !strings.Contains(stderr, "no benchmark named BenchmarkEventLoop") {
+		t.Fatalf("default hotcheck without an event-policy witness: exit %d, stderr:\n%s", code, stderr)
+	}
+	if code, stdout, stderr := runCLI(t, "hotcheck", "-bench", "BenchmarkCycleLoop", "-root", root, snap); code != 0 {
+		t.Fatalf("-bench BenchmarkCycleLoop: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // HotAlloc statically proves allocation freedom for every function
-// reachable from the //lint:hotpath roots (the netsim cycle loop and the
+// reachable from the //lint:hotpath roots (the netsim advance loop and the
 // per-sample telemetry path). It walks the cross-package call graph from
 // the roots, models lint:cold-guarded branches and failure exits as cold,
 // and flags every allocation-inducing construct on the remaining hot

@@ -342,7 +342,7 @@ func (m *Module) HotFuncs() map[*types.Func]hotVia {
 }
 
 // hotTrace renders the reachability chain from a root to fn, e.g.
-// "cycleLoop → advanceLinks → push".
+// "advance → deliver → push".
 func (m *Module) hotTrace(fn *types.Func) string {
 	hot := m.HotFuncs()
 	var names []string

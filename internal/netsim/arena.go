@@ -6,10 +6,12 @@ import "unsafe"
 // allocations — the arenas sized at construction time that bound a run's
 // memory: per-(job, node) tree state, the flow blocks with their VC
 // receive buffers, the link records with their pipeline rings, the
-// shared output matrix, and (under EngineEvent) the wake-set machinery.
-// The numbers are computed from structure counts and capacities, so both
-// engines report identical footprints for identical specs and the q=127
-// smoke can gate on a deterministic ceiling instead of process RSS.
+// shared output matrix, and (under EngineEvent) the wake sets. The
+// numbers are computed from structure counts and capacities, so both
+// Engine policies report identical footprints for identical specs apart
+// from EventBytes, and the q=127 smoke can gate on a deterministic
+// ceiling instead of process RSS. The visit-all policy (EngineCycle)
+// allocates nothing beyond the shared arenas.
 type ArenaFootprint struct {
 	// Links and Flows count directed links and registered flow streams
 	// (recovery re-issues included).
@@ -31,8 +33,9 @@ type ArenaFootprint struct {
 	PipelineBytes int64
 	// OutputBytes is the shared n×m result matrix.
 	OutputBytes int64
-	// EventBytes is the event engine's wake sets, timing wheel, and
-	// retirement queues; zero under EngineCycle.
+	// EventBytes is the wake-set policy's state: the timing wheel, the
+	// arbitration, retirement and occupancy sets, and the drain buffer;
+	// zero under EngineCycle.
 	EventBytes int64
 	// TotalBytes sums every component above.
 	TotalBytes int64
@@ -43,19 +46,15 @@ func (b *linkSet) bytes() int64 {
 	return int64(len(b.l0)+len(b.l1)+len(b.l2)) * 8
 }
 
-// footprint sizes the event-engine state machine.
+// footprint sizes the wake-set policy's state.
 func (ev *evState) footprint() int64 {
-	setSz := int64(unsafe.Sizeof(linkSet{}))
 	total := int64(unsafe.Sizeof(evState{}))
 	for i := range ev.wheel {
-		total += setSz + ev.wheel[i].bytes()
+		total += int64(unsafe.Sizeof(linkSet{})) + ev.wheel[i].bytes()
 	}
 	total += int64(len(ev.wheelDue)) * 8
-	total += ev.arb[0].bytes() + ev.arb[1].bytes() + ev.occ.bytes()
-	total += int64(len(ev.scratch)) * 4
-	ptr := int64(unsafe.Sizeof(uintptr(0)))
-	total += int64(cap(ev.conNow)+cap(ev.conNext)) * ptr
-	total += int64(len(ev.engineStamp)) * 8
+	total += ev.cur.bytes() + ev.nxt.bytes() + ev.conNow.bytes() + ev.conNext.bytes() + ev.occ.bytes()
+	total += int64(len(ev.scratch)) * int64(unsafe.Sizeof(uintptr(0)))
 	return total
 }
 

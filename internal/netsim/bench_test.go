@@ -79,11 +79,12 @@ func BenchmarkSimulator(b *testing.B) {
 // arbitration and stalls are exercised.
 func hotLoopCfg() Config { return Config{LinkLatency: 5, VCDepth: 8} }
 
-// BenchmarkHotLoop isolates the cycle-loop cost at the largest swept
-// design point (q=11, N=133) with a vector long enough that steady-state
-// streaming dominates pipeline fill. One iteration is one full Allreduce;
-// ns/op and allocs/op are the regression-gated signals (see
-// BENCH_netsim.json for the committed pre-optimization baseline).
+// BenchmarkHotLoop times one full Allreduce (construction, advance loop
+// and finalization) on the visit-all policy at the largest swept design
+// point (q=11, N=133), with a vector long enough that steady-state
+// streaming dominates pipeline fill. ns/op and allocs/op are the
+// regression-gated signals (see BENCH_netsim.json for the committed
+// pre-optimization baseline).
 func BenchmarkHotLoop(b *testing.B) {
 	for _, kind := range []string{"single", "lowdepth", "hamiltonian"} {
 		spec := benchSpec(b, 11, 8192, kind)
@@ -101,107 +102,72 @@ func BenchmarkHotLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleLoop times the cycle loop alone: simulator construction
-// and result finalization run outside the timer, so allocs/op measures
-// exactly what the hotalloc analyzer proves about cycleLoop's call graph.
-// The benchreport hotcheck gate asserts this stays ≤ 1 alloc/op on the
-// fault-free path.
+// benchAdvance times the advance loop alone under one policy: simulator
+// construction and result finalization run outside the timer, so
+// allocs/op measures exactly what the hotalloc analyzer proves about
+// advance's call graph. It reports the simulated cycles.
+func benchAdvance(b *testing.B, spec Spec, cfg Config) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := newSim(spec, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		now, err := s.advance()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.finalize(now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Cycles), "simcycles")
+		b.StartTimer()
+	}
+}
+
+// BenchmarkCycleLoop times the advance loop on the visit-all policy
+// (EngineCycle) at the q=11 hot-loop points. The benchreport hotcheck
+// gate asserts it stays ≤ 1 alloc/op, the measured witness for that
+// policy of the one //lint:hotpath root.
 func BenchmarkCycleLoop(b *testing.B) {
 	for _, kind := range []string{"single", "lowdepth", "hamiltonian"} {
 		spec := benchSpec(b, 11, 8192, kind)
 		b.Run("q=11/"+kind, func(b *testing.B) {
-			cfg := hotLoopCfg()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := newSim(spec, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				now, err := s.cycleLoop()
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.finalize(now); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
+			benchAdvance(b, spec, hotLoopCfg())
 		})
 	}
 }
 
-// BenchmarkEventLoop times the event-driven loop alone at the same q=11
-// points as BenchmarkCycleLoop — construction and finalization outside
-// the timer — so allocs/op measures exactly what the hotalloc analyzer
-// proves about eventLoop's call graph. The benchreport hotcheck gate
-// asserts this stays ≤ 1 alloc/op alongside the cycle-loop witness.
+// BenchmarkEventLoop times the advance loop on the wake-set policy
+// (EngineEvent) at the same q=11 points as BenchmarkCycleLoop; hotcheck
+// gates it at ≤ 1 alloc/op as the witness for the other policy.
 func BenchmarkEventLoop(b *testing.B) {
 	for _, kind := range []string{"single", "lowdepth", "hamiltonian"} {
 		spec := benchSpec(b, 11, 8192, kind)
 		b.Run("q=11/"+kind, func(b *testing.B) {
 			cfg := hotLoopCfg()
 			cfg.Engine = EngineEvent
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := newSim(spec, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				now, err := s.eventLoop()
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.finalize(now); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
+			benchAdvance(b, spec, cfg)
 		})
 	}
 }
 
 // BenchmarkEngineScale is the committed cycle-vs-event headline point:
 // q=31 (N=993) Hamiltonian with deep pipelines and one short flow per
-// directed link, so most links idle most cycles. The cycle loop still
-// visits every link every cycle; the event loop only wakes the active
-// ones. The committed BENCH_netsim-event.json records both subbenches,
-// and CI's compare gate fails if the event engine's advantage evaporates.
+// directed link, so most links idle most cycles. The visit-all policy
+// still visits every link every cycle; the wake-set policy only the
+// active ones. The committed BENCH_netsim-event.json records both
+// subbenches, and CI's compare gate fails if the wake-set policy's
+// advantage evaporates.
 func BenchmarkEngineScale(b *testing.B) {
 	spec := benchSpec(b, 31, 4096, "hamiltonian")
 	for _, engine := range []Engine{EngineCycle, EngineEvent} {
 		b.Run("q=31/engine="+engine.String(), func(b *testing.B) {
-			cfg := Config{LinkLatency: 10, VCDepth: 16, Engine: engine}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, err := newSim(spec, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				var now int
-				if engine == EngineEvent {
-					now, err = s.eventLoop()
-				} else {
-					now, err = s.cycleLoop()
-				}
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.finalize(now)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Cycles), "simcycles")
-				b.StartTimer()
-			}
+			benchAdvance(b, spec, Config{LinkLatency: 10, VCDepth: 16, Engine: engine})
 		})
 	}
 }

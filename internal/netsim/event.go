@@ -1,24 +1,25 @@
 package netsim
 
-// The event engine (Config.Engine == EngineEvent) reproduces the cycle
-// loop's semantics while skipping cycles in which nothing can change. It
-// rests on one observation about the reference loop: a link that has no
-// deliverable flit, no sendable flow and no retiring credit contributes
-// nothing to a cycle — scanning it is pure overhead. The engine therefore
-// maintains, per upcoming cycle, a *superset* of the links that can act
-// (spurious wakes are harmless; missed wakes are bugs), processes exactly
-// those links in ascending link-id order through the same per-cycle phase
-// sequence as the cycle loop, and advances `now` directly to the next
-// cycle with any scheduled work. DESIGN.md §7h derives why the wake rules
-// below cannot miss a congestion or fault edge; the differential harness
-// in engine_diff_test.go checks byte-identity against the cycle loop.
+// The wake-set policy (Config.Engine == EngineEvent) runs the advance
+// loop's phases over the links and flows that may act this cycle instead
+// of over all of them, and skips cycles in which nothing can change. It
+// rests on one observation about the per-cycle semantics: a link that
+// has no deliverable flit, no sendable flow and no retiring credit
+// contributes nothing to a cycle — scanning it is pure overhead. The
+// state below is, per upcoming cycle, a *superset* of the links that can
+// act (spurious wakes are harmless; missed wakes are bugs), drained in
+// ascending link-id order so every phase visits links in the visit-all
+// order. DESIGN.md §7h derives why the wake rules cannot miss a
+// congestion or fault edge; the differential harness in
+// engine_diff_test.go checks both policies byte for byte against the
+// reference loop in reference_test.go.
 //
 // Fault-plan runs never skip: fault windows open and close on absolute
 // cycles, detection deadlines expire on absolute cycles, and degraded
-// token buckets refill fractionally every cycle, so the engine falls back
-// to processing each cycle in turn (still touching only woken links in
-// arbitration). Faulted scorecards run at small q, where that costs
-// little; the large-N points this engine exists for are fault-free.
+// token buckets refill fractionally every cycle, so the policy processes
+// each cycle in turn (still visiting only woken links). Faulted
+// scorecards run at small q, where that costs little; the large-N points
+// this policy exists for are fault-free.
 
 // evInf is the "no constraint" sentinel for the incremental minima and
 // horizon terms.
@@ -41,9 +42,9 @@ func ntz64(x uint64) int { return int(deBruijn64tab[(x&-x)*deBruijn64>>58]) }
 // linkSet is a three-level bitmap over link ids: a membership word layer
 // plus two summary layers, so draining costs O(members + occupied words)
 // rather than O(universe), insertions deduplicate for free, and iteration
-// is naturally in ascending link-id order — the property that keeps event
-// processing byte-identical to the cycle loop's in-order link scan. All
-// storage is fixed at construction; the hot loop never allocates.
+// is naturally in ascending link-id order — the property that keeps the
+// wake-set policy byte-identical to the visit-all link scan. All storage
+// is fixed at construction; the hot loop never allocates.
 type linkSet struct {
 	l0, l1, l2 []uint64
 	n          int // members
@@ -71,10 +72,10 @@ func (b *linkSet) add(id int32) {
 	b.n++
 }
 
-// drainTo empties the set into dst in ascending id order and returns the
-// member count. dst must have room for every member (the callers size it
-// to the link universe).
-func (b *linkSet) drainTo(dst []int32) int {
+// drainTo empties the set into dst in ascending id order, as the links
+// the ids index, and returns the member count. dst must have room for
+// every member (the callers size it to the link universe).
+func (b *linkSet) drainTo(dst, links []*link) int {
 	if b.n == 0 {
 		return 0
 	}
@@ -96,7 +97,7 @@ func (b *linkSet) drainTo(dst []int32) int {
 				x0 := b.l0[i0]
 				b.l0[i0] = 0
 				for x0 != 0 {
-					dst[k] = int32(i0<<6 + ntz64(x0))
+					dst[k] = links[i0<<6+ntz64(x0)]
 					k++
 					x0 &= x0 - 1
 				}
@@ -107,10 +108,12 @@ func (b *linkSet) drainTo(dst []int32) int {
 	return k
 }
 
-// evState is the event engine's wake bookkeeping. Everything here is a
+// evState is the wake-set policy's bookkeeping. Everything here is a
 // conservative schedule — membership means "may act", never "will act" —
 // so correctness only requires that every state change enqueues the wakes
-// its consequences need.
+// its consequences need. Every set is a linkSet over link ids, so all
+// storage is fixed at construction: recovery re-issues reuse existing
+// links and never grow it.
 type evState struct {
 	// wheel[due % len(wheel)] holds the links with pipeline arrivals due
 	// at cycle `due`; len(wheel) == LinkLatency+1, and a slot is fully
@@ -121,37 +124,23 @@ type evState struct {
 	wheel    []linkSet
 	wheelDue []int
 
-	// arb[0]/arb[1] alternate between "this cycle's arbitration set" and
-	// "the set being assembled for the next cycle"; eventLoop swaps them
-	// each processed cycle.
-	arb [2]linkSet
+	// cur/nxt are the links to arbitrate this processed cycle / the next
+	// one; conNow/conNext the links whose flows may release credit this
+	// cycle / the next one. turn swaps each pair.
+	cur, nxt        linkSet
+	conNow, conNext linkSet
 
 	// occ collects links whose buffer occupancy changed this cycle, for
 	// the peak/trace occupancy pass.
 	occ linkSet
 
-	// scratch receives bitmap drains (delivery, arbitration, occupancy —
-	// strictly sequential, so one buffer serves all three).
-	scratch []int32
-
-	// conNow/conNext are the flows whose consumed counter may advance
-	// this cycle / next cycle (deduplicated via flow.consumeMark, so
-	// length is bounded by the live-flow census the capacity matches).
-	conNow, conNext []*flow
-	nNow, nNext     int
+	// scratch receives bitmap drains (one phase at a time, so one buffer
+	// serves them all).
+	scratch []*link
 
 	// rootNext forces the next cycle to be processed because some root
 	// engine still holds computable flits (budget or rate limited).
 	rootNext bool
-
-	// bufTotal is the incrementally maintained Σ link.curBuf, replacing
-	// the cycle loop's per-cycle summation for the global peak.
-	bufTotal int
-
-	// engineStamp[v] is the last cycle engineUsed[v] was touched; the
-	// stamp replaces the cycle loop's O(n) per-cycle reset. Allocated
-	// only when EngineRate > 0 (the counters are unread otherwise).
-	engineStamp []int
 }
 
 func (s *sim) initEvent() {
@@ -160,22 +149,15 @@ func (s *sim) initEvent() {
 	ev := &evState{
 		wheel:    make([]linkSet, w),
 		wheelDue: make([]int, w),
-		scratch:  make([]int32, nl),
+		cur:      newLinkSet(nl),
+		nxt:      newLinkSet(nl),
+		conNow:   newLinkSet(nl),
+		conNext:  newLinkSet(nl),
+		occ:      newLinkSet(nl),
+		scratch:  make([]*link, nl),
 	}
 	for i := range ev.wheel {
 		ev.wheel[i] = newLinkSet(nl)
-	}
-	ev.arb[0] = newLinkSet(nl)
-	ev.arb[1] = newLinkSet(nl)
-	ev.occ = newLinkSet(nl)
-	nf := 0
-	for _, l := range s.links {
-		nf += len(l.flows)
-	}
-	ev.conNow = make([]*flow, nf)
-	ev.conNext = make([]*flow, nf)
-	if s.cfg.EngineRate > 0 {
-		ev.engineStamp = make([]int, s.n)
 	}
 	s.ev = ev
 	// Seed cycle 1: every flow with data at rest (leaf reduce streams;
@@ -183,8 +165,8 @@ func (s *sim) initEvent() {
 	// engines are scanned on the first processed cycle.
 	for _, l := range s.links {
 		for _, f := range l.flows {
-			if f.sent < f.m && s.senderReadyFast(f) > f.sent {
-				ev.arb[1].add(l.id)
+			if f.sent < f.m && s.senderReady(f) > f.sent {
+				ev.nxt.add(l.id)
 				break
 			}
 		}
@@ -192,53 +174,29 @@ func (s *sim) initEvent() {
 	ev.rootNext = s.spec.Op != OpBroadcast
 }
 
-// senderReadyFast is senderReady computed from the incremental minima —
-// O(1) instead of an O(degree) child scan. The two must agree exactly;
-// the differential harness compares engines end to end, and the census
-// maintenance sites (deliverLinkEv, arbitrateLinkEv) are the only
-// writers.
-func (s *sim) senderReadyFast(f *flow) int {
-	nt := f.snd
-	if f.phase == phaseReduce {
-		if len(nt.redIn) == 0 || nt.redMin >= f.m {
-			return f.m
-		}
-		return nt.redMin
-	}
-	if nt.bcastIn == nil {
-		return nt.rootComputed
-	}
-	return nt.bcastIn.arrived
+// turn opens a processed cycle: the sets assembled for it become current,
+// and the next ones start empty (the current sets were drained by the
+// previous processed cycle).
+func (ev *evState) turn() {
+	ev.cur, ev.nxt = ev.nxt, ev.cur
+	ev.conNow, ev.conNext = ev.conNext, ev.conNow
+	ev.rootNext = false
 }
 
-// addConsumeNow queues a retirement check for flow f at the current
-// cycle; addConsumeNext for the following cycle. consumeMark stores the
-// queued-for cycle, so each flow appears at most once per target cycle
-// and list length stays bounded by the live-flow census.
-func (s *sim) addConsumeNow(f *flow, now int) {
+// due drains the wheel slot of cycle now: the links with pipeline
+// arrivals this cycle, ascending.
+func (s *sim) due(now int) []*link {
 	ev := s.ev
-	if f.consumeMark == now {
-		return
+	slot := now % len(ev.wheel)
+	if ws := &ev.wheel[slot]; ws.n > 0 && ev.wheelDue[slot] == now {
+		return s.drain(ws)
 	}
-	f.consumeMark = now
-	if ev.nNow == len(ev.conNow) {
-		panic("netsim: internal: consume-now list overflow")
-	}
-	ev.conNow[ev.nNow] = f
-	ev.nNow++
+	return nil
 }
 
-func (s *sim) addConsumeNext(f *flow, now int) {
-	ev := s.ev
-	if f.consumeMark == now+1 {
-		return
-	}
-	f.consumeMark = now + 1
-	if ev.nNext == len(ev.conNext) {
-		panic("netsim: internal: consume-next list overflow")
-	}
-	ev.conNext[ev.nNext] = f
-	ev.nNext++
+// drain empties wake set b into the scratch buffer, ascending.
+func (s *sim) drain(b *linkSet) []*link {
+	return s.ev.scratch[:b.drainTo(s.ev.scratch, s.links)]
 }
 
 // wheelAdd schedules link l for the delivery pass of cycle `due`.
@@ -248,39 +206,20 @@ func (ev *evState) wheelAdd(due int, id int32) {
 	ev.wheelDue[slot] = due
 }
 
-// engineUsedEv reads router v's engine budget for this cycle under the
-// stamp discipline; engineUseEv charges one slot. Only called when
-// EngineRate > 0 (matching the cycle loop, whose counters are unread
-// otherwise).
-func (s *sim) engineUsedEv(v, now int) int {
-	if s.ev.engineStamp[v] != now {
-		return 0
-	}
-	return s.engineUsed[v]
-}
-
-func (s *sim) engineUseEv(v, now int) {
-	if s.ev.engineStamp[v] != now {
-		s.ev.engineStamp[v] = now
-		s.engineUsed[v] = 0
-	}
-	s.engineUsed[v]++
-}
-
 // nextEventCycle returns the next cycle that must be processed after
 // `now`. Fault-plan runs advance one cycle at a time (window edges,
 // detection deadlines and token refills are per-cycle phenomena);
 // otherwise the horizon is the earliest of: pending next-cycle work
 // (arbitration wakes, credit retirements, root-engine budget), the
 // earliest scheduled pipeline arrival, the next telemetry boundary, and
-// the progress-timeout deadline — the cycle at which the reference loop
-// would abort, so the diagnostic fires at the identical cycle.
-func (s *sim) nextEventCycle(now, lastProgress int, nxt *linkSet) int {
+// the progress-timeout deadline — the cycle at which the per-cycle
+// semantics abort, so the diagnostic fires at the identical cycle.
+func (s *sim) nextEventCycle(now, lastProgress int) int {
 	if s.faultsOn {
 		return now + 1
 	}
 	ev := s.ev
-	if ev.rootNext || nxt.n > 0 || ev.nNext > 0 {
+	if ev.rootNext || ev.nxt.n > 0 || ev.conNext.n > 0 {
 		return now + 1
 	}
 	next := lastProgress + s.cfg.ProgressTimeout + 1
@@ -298,455 +237,16 @@ func (s *sim) nextEventCycle(now, lastProgress int, nxt *linkSet) int {
 	return next
 }
 
-// eventLoop is the event-driven counterpart of cycleLoop: identical phase
-// order per processed cycle, restricted to woken links, with idle spans
-// skipped outright. Returns the same cycle count, errors, traces and
-// telemetry as the reference loop on every input.
-//
-//lint:hotpath event-driven advance loop; allocation here scales with active links × processed cycles
-func (s *sim) eventLoop() (int, error) {
-	ev := s.ev
-	if ev == nil {
-		panic("netsim: internal: eventLoop without initEvent")
-	}
-	linkBW := s.cfg.LinkBandwidth
-	if linkBW == 0 {
-		linkBW = 1
-	}
-	now := 0
-	lastProgress := 0
-	cur, nxt := &ev.arb[0], &ev.arb[1]
-	for s.pending > 0 {
-		now = s.nextEventCycle(now, lastProgress, nxt)
-		progressed := false
-		cur, nxt = nxt, cur
-		ev.conNow, ev.conNext = ev.conNext, ev.conNow
-		ev.nNow, ev.nNext = ev.nNext, 0
-		ev.rootNext = false
-
-		// 0. Fault plan transitions (fault runs process every cycle).
-		if s.faultsOn {
-			s.applyFaults(now)
-		}
-
-		// 1. Deliver flits due this cycle, from the wheel slot.
-		slot := now % len(ev.wheel)
-		if ws := &ev.wheel[slot]; ws.n > 0 && ev.wheelDue[slot] == now {
-			cnt := ws.drainTo(ev.scratch)
-			for i := 0; i < cnt; i++ {
-				if s.deliverLinkEv(s.links[ev.scratch[i]], now, cur) {
-					progressed = true
-				}
-			}
-		}
-
-		// 1b. Loss detection and recovery; re-issued streams and purged
-		//     buffers invalidate the wake schedule, so recovery rewakes
-		//     every populated link.
-		if s.faultsOn && !s.cfg.DisableRecovery {
-			recovered, err := s.detectAndRecover(now)
-			if err != nil {
-				return 0, err
-			}
-			if recovered {
-				progressed = true
-				s.rewakeEv(cur)
-			}
-		}
-
-		// 2. Root reduction engines (every live job — O(jobs), with the
-		//    readiness test O(1) via the incremental minima).
-		before := s.pending
-		s.rootComputeEv(now, cur)
-		if s.pending != before {
-			progressed = true
-		}
-
-		// 3. Credit release for the flows whose retirement frontier may
-		//    have moved (queued by the sends/computes/arrivals that move
-		//    it). Freed credit wakes the link for this cycle's
-		//    arbitration, exactly as the cycle loop's phase order allows.
-		for i := 0; i < ev.nNow; i++ {
-			s.consumeFlowEv(ev.conNow[i], cur)
-		}
-		ev.nNow = 0
-
-		// 4. Link arbitration over the woken set, ascending link id. The
-		//    degraded token buckets refill for every link first, as the
-		//    cycle loop does at the top of each link's scan.
-		if s.faultsOn {
-			for _, l := range s.links {
-				if l.degraded {
-					l.degBudget += l.degRate
-					if burst := maxf(1, l.degRate); l.degBudget > burst {
-						l.degBudget = burst
-					}
-				}
-			}
-		}
-		cnt := cur.drainTo(ev.scratch)
-		for i := 0; i < cnt; i++ {
-			if s.arbitrateLinkEv(s.links[ev.scratch[i]], now, linkBW, nxt) {
-				progressed = true
-			}
-		}
-
-		// 5. Occupancy pass over the links whose buffers changed.
-		cnt = ev.occ.drainTo(ev.scratch)
-		for i := 0; i < cnt; i++ {
-			l := s.links[ev.scratch[i]]
-			lb := l.curBuf
-			if lb > l.peakBuf {
-				l.peakBuf = lb
-			}
-			if lb != l.lastBuf {
-				l.lastBuf = lb
-				s.emit(TraceEvent{Cycle: now, Kind: TraceBufferOccupancy,
-					Tree: -1, Phase: -1, From: l.from, To: l.to, Flit: -1, Value: int64(lb), Job: -1})
-			}
-		}
-		if ev.bufTotal > s.result.PeakBufferFlits {
-			s.result.PeakBufferFlits = ev.bufTotal
-		}
-
-		// 6. Telemetry sample boundary (the horizon includes nextSample,
-		//    so boundary cycles are always processed).
-		if s.sampling && now >= s.nextSample {
-			s.sampleNow(now, false)
-			s.nextSample = now + s.cfg.SampleEvery
-		}
-
-		// 7. Progress accounting: skipped cycles change nothing, so they
-		//    are idle by construction and the deadlock diagnostic fires at
-		//    the same cycle as the reference loop.
-		if progressed {
-			lastProgress = now
-		} else if idle := now - lastProgress; idle > s.cfg.ProgressTimeout {
-			return 0, s.progressError(now, idle)
-		}
-	}
-	return now, nil
-}
-
-// deliverLinkEv is the cycle loop's delivery block for one link, plus the
-// wake consequences of each accepted arrival: a reduce arrival feeds the
-// receiver's parent stream (and the root engine, scanned every processed
-// cycle); a broadcast arrival feeds the receiver's child streams and may
-// retire its own buffer entry.
-func (s *sim) deliverLinkEv(l *link, now int, cur *linkSet) bool {
-	ev := s.ev
-	progressed := false
-	for l.pipeHead < len(l.pipeline) && l.pipeline[l.pipeHead].arrive <= now {
-		fl := l.pipeline[l.pipeHead]
-		l.pipeHead++
-		f := fl.f
-		if f.lost {
-			s.result.DroppedFlits++
-			l.dropped++
-			s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
-				From: f.from, To: f.to, Flit: -1, Value: fl.val, Job: f.j.idx})
-			continue
-		}
-		f.push(fl.val)
-		l.curBuf++
-		ev.bufTotal++
-		ev.occ.add(l.id)
-		s.result.DeliveredFlits++
-		k := f.arrived
-		f.arrived++
-		nt := f.rcv
-		if f.phase == phaseReduce && k == nt.redMin {
-			// Census maintenance: f sat at the minimum and moved up one.
-			nt.redMinCnt--
-			if nt.redMinCnt == 0 {
-				nt.redMin++
-				c := 0
-				for _, cf := range nt.redIn {
-					if cf.arrived == nt.redMin {
-						c++
-					}
-				}
-				nt.redMinCnt = c
-			}
-		}
-		if s.faultsOn && f.sentAtLen() > 0 {
-			f.popSentAt()
-		}
-		if s.traced {
-			s.emit(TraceEvent{Cycle: now, Kind: TraceArrive, Tree: f.tree, Phase: f.phase,
-				From: f.from, To: f.to, Flit: k, Value: fl.val, Job: f.j.idx})
-		}
-		if f.phase == phaseBcast {
-			s.outputs[f.to][f.j.goff+k] = fl.val
-			nt.delivered++
-			if s.sampling {
-				s.delivered++
-			}
-			s.pending--
-			f.j.remaining--
-			s.checkJobDone(f.j, now)
-			for _, of := range nt.bcastOut {
-				cur.add(of.ln.id)
-			}
-			s.addConsumeNow(f, now)
-		} else if nt.redOut != nil {
-			cur.add(nt.redOut.ln.id)
-		}
-		progressed = true
-	}
-	if l.pipeHead == len(l.pipeline) && l.pipeHead > 0 {
-		l.pipeline = l.pipeline[:0]
-		l.pipeHead = 0
-	}
-	return progressed
-}
-
-// rootComputeEv is rootCompute with the O(degree) readiness scan replaced
-// by the incremental minimum, plus the wake consequences of each computed
-// flit: new broadcast data for the root's child streams, and retirement
-// of the root's child reduce buffers this same cycle. rootNext keeps the
-// next cycle scheduled while any engine still holds computable flits.
-func (s *sim) rootComputeEv(now int, cur *linkSet) {
-	if s.spec.Op == OpBroadcast {
-		return
-	}
-	ev := s.ev
-	perJob := s.cfg.LinkBandwidth
-	if perJob == 0 {
-		perJob = 1
-	}
-	for _, j := range s.jobs {
-		if j.dead || j.done {
-			continue
-		}
-		root := s.spec.Forest[j.tree].Root
-		if s.faultsOn && s.stalled[root] {
-			continue // faulted runs process every cycle; no wake needed
-		}
-		nt := &j.nodes[root]
-		mt := j.m
-		for slot := 0; slot < perJob; slot++ {
-			if nt.rootComputed >= mt {
-				break
-			}
-			if s.cfg.EngineRate > 0 && s.engineUsedEv(root, now) >= s.cfg.EngineRate {
-				break
-			}
-			k := nt.rootComputed
-			if len(nt.redIn) > 0 && nt.redMin <= k {
-				break
-			}
-			v := nt.seg[k]
-			for _, cf := range nt.redIn {
-				v += cf.at(k)
-			}
-			nt.rootResult[k] = v
-			nt.rootComputed++
-			if nt.rootComputed == mt {
-				s.result.TreeReduceDone[j.tree] = now
-			}
-			nt.delivered++
-			if s.sampling {
-				s.delivered++
-			}
-			if s.cfg.EngineRate > 0 {
-				s.engineUseEv(root, now)
-			}
-			s.pending--
-			j.remaining--
-			if s.traced {
-				s.emit(TraceEvent{Cycle: now, Kind: TraceRootCompute, Tree: j.tree,
-					From: root, To: root, Flit: k, Value: v, Job: j.idx})
-			}
-			s.checkJobDone(j, now)
-			for _, of := range nt.bcastOut {
-				cur.add(of.ln.id)
-			}
-			for _, cf := range nt.redIn {
-				s.addConsumeNow(cf, now)
-			}
-		}
-		if !j.done && nt.rootComputed < mt &&
-			(len(nt.redIn) == 0 || nt.redMin > nt.rootComputed) {
-			ev.rootNext = true
-		}
-	}
-}
-
-// consumeFlowEv is updateConsumed's per-flow body. Freed credit wakes the
-// flow's link for this cycle's arbitration — the cycle loop releases
-// credit in phase 3 and arbitrates in phase 4, so a same-cycle send on
-// the freed window is reference behaviour, not an anticipation.
-func (s *sim) consumeFlowEv(f *flow, cur *linkSet) {
-	if f.consumed >= f.m {
-		return
-	}
-	if s.faultsOn && f.j.dead {
-		// A recovery purge already released this stream's buffered flits
-		// and removed it from its link; the queued reference must not
-		// release them twice.
-		return
-	}
-	nt := f.rcv
-	var c int
-	if f.phase == phaseReduce {
-		if nt.redOut != nil {
-			c = nt.redOut.sent
-		} else {
-			c = nt.rootComputed
-		}
-	} else {
-		c = f.arrived
-		if nt.bcastMin < c {
-			c = nt.bcastMin
-		}
-	}
-	if c > f.consumed {
-		l := f.ln
-		l.curBuf -= c - f.consumed
-		s.ev.bufTotal -= c - f.consumed
-		s.ev.occ.add(l.id)
-		f.consumed = c
-		f.dropTo(c)
-		if f.sent < f.m {
-			cur.add(l.id)
-		}
-	}
-}
-
-// arbitrateLinkEv is the cycle loop's arbitration scan for one link (same
-// round-robin restart discipline, same stall/engine/fault gates), plus
-// the wake consequences of each send: the scheduled arrival enters the
-// wheel, and the sender's own receive buffers may retire next cycle. The
-// closing data-present scan re-arms the link for the next cycle whenever
-// any stream still has data to move — this single rule is what keeps
-// stalled, metered and rate-limited streams scanned (and their stall
-// telemetry counted) every cycle, exactly like the reference loop.
-func (s *sim) arbitrateLinkEv(l *link, now, linkBW int, nxt *linkSet) bool {
-	ev := s.ev
-	nf := len(l.flows)
-	sentThisCycle := 0
-	for i := 0; i < nf && sentThisCycle < linkBW; i++ {
-		if l.degraded && l.degBudget < 1 {
-			break // metered out this cycle
-		}
-		f := l.flows[(l.rr+i)%nf]
-		if f.sent >= f.m {
-			continue // stream finished
-		}
-		if s.senderReadyFast(f) <= f.sent {
-			continue // nothing to send yet
-		}
-		if f.sent-f.consumed >= s.cfg.VCDepth {
-			s.noteStall(l, f, now)
-			continue // no credit
-		}
-		if f.phase == phaseReduce && s.faultsOn && s.stalled[f.from] &&
-			len(f.snd.redIn) > 0 {
-			continue // combining engine frozen by an engine-stall fault
-		}
-		if f.phase == phaseReduce && s.cfg.EngineRate > 0 {
-			if len(f.snd.redIn) > 0 {
-				if s.engineUsedEv(f.from, now) >= s.cfg.EngineRate {
-					continue
-				}
-				s.engineUseEv(f.from, now)
-			}
-		}
-		val := s.flitValue(f, f.sent)
-		k := f.sent
-		f.sent++
-		if f.phase == phaseBcast {
-			snd := f.snd
-			if k == snd.bcastMin {
-				// Census maintenance: f sat at the minimum and moved up.
-				snd.bcastMinCnt--
-				if snd.bcastMinCnt == 0 {
-					snd.bcastMin++
-					c := 0
-					for _, of := range snd.bcastOut {
-						if of.sent == snd.bcastMin {
-							c++
-						}
-					}
-					snd.bcastMinCnt = c
-				}
-			}
-		}
-		if s.faultsOn {
-			f.pushSentAt(now, s.cfg.VCDepth)
-		}
-		s.result.FlitsSent++
-		if s.sampling && f.phase == phaseReduce {
-			s.reduceFlits++
-		}
-		if s.traced {
-			s.emit(TraceEvent{Cycle: now, Kind: TraceSend, Tree: f.tree, Phase: f.phase,
-				From: f.from, To: f.to, Flit: k, Value: val, Job: f.j.idx})
-		}
-		if l.failed {
-			f.lost = true
-			s.result.DroppedFlits++
-			l.dropped++
-			s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
-				From: f.from, To: f.to, Flit: k, Value: val, Job: f.j.idx})
-		} else {
-			l.pipePush(inflight{f: f, val: val, arrive: now + s.cfg.LinkLatency})
-			ev.wheelAdd(now+s.cfg.LinkLatency, l.id)
-		}
-		if f.phase == phaseReduce {
-			for _, cf := range f.snd.redIn {
-				s.addConsumeNext(cf, now)
-			}
-		} else if f.snd.bcastIn != nil {
-			s.addConsumeNext(f.snd.bcastIn, now)
-		}
-		if l.degraded {
-			l.degBudget--
-		}
-		l.rr = (l.rr + i + 1) % nf
-		sentThisCycle++
-		// Restart the round-robin scan so fairness is preserved across
-		// the remaining budget.
-		i = -1
-		nf = len(l.flows)
-	}
-	l.flits += sentThisCycle
-	if sentThisCycle > 0 {
-		l.busyCycles++
-	}
-	for _, f := range l.flows {
-		if f.sent < f.m && s.senderReadyFast(f) > f.sent {
-			nxt.add(l.id)
-			break
-		}
-	}
-	return sentThisCycle > 0
-}
-
-// rewakeEv re-arms the schedule after a recovery round: purges and
+// rewake re-arms the schedule after a recovery round: purges and
 // re-issues move data between streams wholesale, so every populated link
-// goes back into this cycle's arbitration set (the cycle loop arbitrates
-// re-issued streams in their creation cycle) and the root engines are
-// rescanned. Re-issues can also push the live-flow census past the
-// retirement lists' capacity; both lists grow here, preserving queued
-// entries. Cold: only reachable on fault-plan runs.
-func (s *sim) rewakeEv(cur *linkSet) {
-	ev := s.ev
-	nf := 0
+// goes back into this cycle's arbitration set (re-issued streams
+// arbitrate in their creation cycle) and the root engines are rescanned.
+// Cold: only reachable on fault-plan runs.
+func (s *sim) rewake() {
 	for _, l := range s.links {
 		if len(l.flows) > 0 {
-			cur.add(l.id)
+			s.ev.cur.add(l.id)
 		}
-		nf += len(l.flows)
 	}
-	if nf > len(ev.conNow) {
-		grown := make([]*flow, nf)
-		copy(grown, ev.conNow[:ev.nNow])
-		ev.conNow = grown
-		grown = make([]*flow, nf)
-		copy(grown, ev.conNext[:ev.nNext])
-		ev.conNext = grown
-	}
-	ev.rootNext = true
+	s.ev.rootNext = true
 }

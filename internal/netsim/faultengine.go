@@ -380,10 +380,10 @@ func (s *sim) detectAndRecover(now int) (bool, error) {
 				kept = append(kept, f)
 			} else {
 				if s.ev != nil && f.bufLen() > 0 {
-					s.ev.bufTotal -= f.bufLen()
 					s.ev.occ.add(l.id)
 				}
 				l.curBuf -= f.bufLen()
+				s.bufTotal -= f.bufLen()
 			}
 		}
 		if len(kept) != len(l.flows) {

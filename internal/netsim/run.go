@@ -30,7 +30,7 @@ type sim struct {
 
 	// linkMap resolves directed (from,to) → link during construction only;
 	// it is released at freeze time in favour of the CSR row index, so the
-	// cycle loop and recovery path never touch a map.
+	// advance loop and recovery path never touch a map.
 	linkMap map[[2]int]*link
 	links   []*link // links in deterministic (from, to) order
 	// rowStart[v] is the index of node v's first outgoing link in links
@@ -42,9 +42,11 @@ type sim struct {
 	frozen   bool   // link set frozen; recovery may not add links
 	jobs     []*job // initial jobs (one per tree) + recovery re-issues
 	pending  int    // flit deliveries still outstanding (all jobs, all nodes)
+	bufTotal int    // Σ link.curBuf, maintained on push and retire
 
-	// ev is the event-engine state (wake sets, timing wheel, retirement
-	// queues); nil under EngineCycle.
+	// ev is the wake-set policy's state (wake sets, timing wheel,
+	// retirement queues); nil under EngineCycle, whose phases visit every
+	// link and flow instead.
 	ev *evState
 
 	// traced is cfg.Trace != nil, hoisted so hot-loop emit sites skip
@@ -52,7 +54,7 @@ type sim struct {
 	traced bool
 
 	// Telemetry sampling state (see sample.go); sampling is cfg.Sample !=
-	// nil, hoisted like traced so the unsampled cycle loop never branches
+	// nil, hoisted like traced so the unsampled advance loop never branches
 	// into frame assembly. The scratch frame is the only allocation.
 	// lint:cold
 	sampling      bool
@@ -73,7 +75,7 @@ type sim struct {
 	outputs [][]int64
 
 	// engineUsed[v] counts reduction flits produced by router v this
-	// cycle, compared against cfg.EngineRate when it is non-zero.
+	// cycle; charged, read and reset only when cfg.EngineRate is non-zero.
 	engineUsed []int
 
 	// Fault-engine state; zero-valued and untouched on fault-free runs.
@@ -89,7 +91,7 @@ type sim struct {
 
 // linkAt resolves a directed link through the CSR row index; nil when the
 // pair carries no flow. Valid only after freeze. O(log degree), used by
-// the fault/recovery paths only — never by the advance loops.
+// the fault/recovery paths only — never by the advance loop.
 func (s *sim) linkAt(from, to int) *link {
 	lo, hi := int(s.rowStart[from]), int(s.rowStart[from+1])
 	for lo < hi {
@@ -182,7 +184,7 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 		s.checkJobDone(s.jobs[i], 0) // zero-split or trivially-complete trees
 	}
 
-	// Freeze a deterministic link order for the cycle loop.
+	// Freeze a deterministic link order for the advance loop.
 	keys := make([][2]int, 0, len(s.linkMap))
 	for k := range s.linkMap {
 		keys = append(keys, k)
@@ -230,7 +232,7 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 // addFlow registers a flow with its directed link. After the link set is
 // frozen (recovery re-issues), the link must already exist — surviving
 // trees only use links their initial flows created — and is resolved
-// through the dense index table instead of the construction map.
+// through the CSR row index (linkAt) instead of the construction map.
 func (s *sim) addFlow(f *flow) *flow {
 	var l *link
 	if s.frozen {
@@ -330,11 +332,10 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 		s.pending += nt.target - nt.delivered
 		j.remaining += nt.target - nt.delivered
 	}
-	// Seed the event engine's incremental minima (see nodeTree): every
-	// in-stream starts at arrived == 0 and every out-stream at sent == 0,
-	// so the census is len at minimum 0; empty sets take the sentinel the
-	// fast paths expect. Harmless under EngineCycle, which never reads
-	// these fields, and recovery re-issues pass through here too.
+	// Seed the incremental minima (see nodeTree): every in-stream starts
+	// at arrived == 0 and every out-stream at sent == 0, so the census is
+	// len at minimum 0; an empty broadcast fan-out takes the sentinel the
+	// credit release expects. Recovery re-issues pass through here too.
 	for v := 0; v < s.n; v++ {
 		nt := &j.nodes[v]
 		nt.redMinCnt = len(nt.redIn)
@@ -349,15 +350,13 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 }
 
 // reduceReady returns how many reduced flits node nt could emit so far:
-// bounded by the slowest child stream (its own input is always available).
+// bounded by the slowest child stream (its own input is always
+// available), read from the redMin census.
 func (nt *nodeTree) reduceReady(m int) int {
-	ready := m
-	for _, cf := range nt.redIn {
-		if cf.arrived < ready {
-			ready = cf.arrived
-		}
+	if len(nt.redIn) == 0 || nt.redMin >= m {
+		return m
 	}
-	return ready
+	return nt.redMin
 }
 
 // senderReady returns how many flits the sender of f has available to
@@ -389,113 +388,6 @@ func (s *sim) flitValue(f *flow, k int) int64 {
 		return nt.rootResult[k]
 	}
 	return nt.bcastIn.at(k)
-}
-
-// updateConsumed advances every flow's consumed counter (credit release)
-// from the receiver's progress, and trims buffers.
-func (s *sim) updateConsumed() {
-	for _, l := range s.links {
-		for _, f := range l.flows {
-			if f.consumed >= f.m {
-				continue // stream fully retired
-			}
-			nt := f.rcv
-			var c int
-			if f.phase == phaseReduce {
-				if nt.redOut != nil {
-					// A reduced flit k is retired from each child buffer
-					// when the combined flit k departs toward the parent.
-					c = nt.redOut.sent
-				} else {
-					// Root: retired when the reduction engine computes it.
-					c = nt.rootComputed
-				}
-			} else {
-				// Broadcast buffer at v is retired when flit k has been
-				// forwarded to all of v's children (leaves retire on
-				// arrival; local delivery copies the value eagerly).
-				c = f.arrived
-				for _, of := range nt.bcastOut {
-					if of.sent < c {
-						c = of.sent
-					}
-				}
-			}
-			if c > f.consumed {
-				l.curBuf -= c - f.consumed
-				f.consumed = c
-				f.dropTo(c)
-			}
-		}
-	}
-}
-
-// rootCompute advances every root reduction engine by at most one flit per
-// job per cycle (link rate), recording the final value and delivering it
-// locally.
-func (s *sim) rootCompute(now int) {
-	if s.spec.Op == OpBroadcast {
-		return // roots already hold their source data
-	}
-	// The reduction engine runs at link rate: up to LinkBandwidth flits
-	// per job per cycle (§5.1), unless EngineRate caps total output.
-	perJob := s.cfg.LinkBandwidth
-	if perJob == 0 {
-		perJob = 1
-	}
-	for _, j := range s.jobs {
-		if j.dead || j.done {
-			continue
-		}
-		root := s.spec.Forest[j.tree].Root
-		if s.faultsOn && s.stalled[root] {
-			continue
-		}
-		nt := &j.nodes[root]
-		mt := j.m
-		for slot := 0; slot < perJob; slot++ {
-			if nt.rootComputed >= mt {
-				break
-			}
-			if s.cfg.EngineRate > 0 && s.engineUsed[root] >= s.cfg.EngineRate {
-				break
-			}
-			k := nt.rootComputed
-			ready := true
-			for _, cf := range nt.redIn {
-				if cf.arrived <= k {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				break
-			}
-			v := nt.seg[k]
-			for _, cf := range nt.redIn {
-				v += cf.at(k)
-			}
-			// rootResult aliases s.outputs[root][goff:goff+mt], so this one
-			// write is both the engine output and the local delivery.
-			nt.rootResult[k] = v
-			nt.rootComputed++
-			if nt.rootComputed == mt {
-				s.result.TreeReduceDone[j.tree] = now
-			}
-			nt.delivered++
-			if s.sampling {
-				s.delivered++
-			}
-			s.engineUsed[root]++
-			s.pending--
-			j.remaining--
-			if s.traced {
-				s.emit(TraceEvent{Cycle: now, Kind: TraceRootCompute, Tree: j.tree,
-					From: root, To: root, Flit: k, Value: v, Job: j.idx})
-			}
-			s.checkJobDone(j, now)
-		}
-	}
 }
 
 // noteStall records a credit stall: the stream has a flit ready but its
@@ -531,34 +423,40 @@ func (s *sim) checkJobDone(j *job, now int) {
 }
 
 func (s *sim) run() (*Result, error) {
-	var now int
-	var err error
-	if s.cfg.Engine == EngineEvent {
-		now, err = s.eventLoop()
-	} else {
-		now, err = s.cycleLoop()
-	}
+	now, err := s.advance()
 	if err != nil {
 		return nil, err
 	}
 	return s.finalize(now)
 }
 
-// cycleLoop advances the simulation one cycle at a time until every flit
-// is delivered, returning the cycle count. This is the simulator's hot
-// path: everything reachable from here must stay allocation-free outside
-// the cold tracing/sampling/fault branches.
+// advance runs the per-cycle phase sequence — fault transitions, deliver,
+// recover, root compute, credit release, arbitrate, occupancy, sample,
+// progress — until every flit is delivered, returning the cycle count.
+// Config.Engine only chooses what the phases visit: every link and flow
+// in every cycle (EngineCycle), or the links and flows in the wake sets,
+// with idle cycles skipped (EngineEvent). Both policies therefore
+// produce the same results, traces and frames. This is the simulator's
+// hot path: everything reachable from here must stay allocation-free
+// outside the cold tracing/sampling/fault branches.
 //
-//lint:hotpath per-cycle simulation loop; allocation here scales with cycles × links
-func (s *sim) cycleLoop() (int, error) {
-	now := 0
-	idle := 0
+//lint:hotpath per-cycle advance loop; allocation here scales with processed cycles × visited links
+func (s *sim) advance() (int, error) {
+	ev := s.ev // nil under EngineCycle: phases visit everything
+	now, lastProgress := 0, 0
 	for s.pending > 0 {
-		now++
-		progressed := false
-		for i := range s.engineUsed {
-			s.engineUsed[i] = 0
+		if ev != nil {
+			now = s.nextEventCycle(now, lastProgress)
+			ev.turn()
+		} else {
+			now++
 		}
+		if s.cfg.EngineRate > 0 {
+			for v := range s.engineUsed {
+				s.engineUsed[v] = 0
+			}
+		}
+		progressed := false
 
 		// 0. Fault plan transitions: fail/heal links, start/stop
 		//    degradation windows and engine stalls.
@@ -567,52 +465,11 @@ func (s *sim) cycleLoop() (int, error) {
 		}
 
 		// 1. Deliver flits whose pipeline delay expires this cycle.
-		for _, l := range s.links {
-			for l.pipeHead < len(l.pipeline) && l.pipeline[l.pipeHead].arrive <= now {
-				fl := l.pipeline[l.pipeHead]
-				l.pipeHead++
-				f := fl.f
-				if f.lost {
-					// The stream already dropped an earlier flit: this one
-					// is out of sequence and must not land at the wrong
-					// prefix index. Discard; recovery re-issues the range.
-					s.result.DroppedFlits++
-					l.dropped++
-					s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
-						From: f.from, To: f.to, Flit: -1, Value: fl.val, Job: f.j.idx})
-					continue
-				}
-				f.push(fl.val)
-				l.curBuf++
-				s.result.DeliveredFlits++
-				k := f.arrived
-				f.arrived++
-				if s.faultsOn && f.sentAtLen() > 0 {
-					f.popSentAt()
-				}
-				if s.traced {
-					s.emit(TraceEvent{Cycle: now, Kind: TraceArrive, Tree: f.tree, Phase: f.phase,
-						From: f.from, To: f.to, Flit: k, Value: fl.val, Job: f.j.idx})
-				}
-				if f.phase == phaseBcast {
-					// Local delivery on arrival.
-					nt := f.rcv
-					s.outputs[f.to][f.j.goff+k] = fl.val
-					nt.delivered++
-					if s.sampling {
-						s.delivered++
-					}
-					s.pending--
-					f.j.remaining--
-					s.checkJobDone(f.j, now)
-				}
-				progressed = true
-			}
-			if l.pipeHead == len(l.pipeline) && l.pipeHead > 0 {
-				l.pipeline = l.pipeline[:0]
-				l.pipeHead = 0
-			}
+		links := s.links
+		if ev != nil {
+			links = s.due(now)
 		}
+		progressed = s.deliver(links, now) || progressed
 
 		// 1b. Loss detection and recovery: virtual channels whose oldest
 		//     outstanding flit is overdue identify failed links; the trees
@@ -624,146 +481,424 @@ func (s *sim) cycleLoop() (int, error) {
 			}
 			if recovered {
 				progressed = true
+				if ev != nil {
+					s.rewake()
+				}
 			}
 		}
 
 		// 2. Root reduction engines run at link rate.
-		before := s.pending
-		s.rootCompute(now)
-		if s.pending != before {
-			progressed = true
-		}
+		progressed = s.computeRoots(now) || progressed
 
 		// 3. Credit release from receiver progress.
-		s.updateConsumed()
+		links = s.links
+		if ev != nil {
+			links = s.drain(&ev.conNow)
+		}
+		s.release(links)
 
 		// 4. Link arbitration: LinkBandwidth flits per directed link per
 		//    cycle (default 1), round-robin over virtual channels with
-		//    data and credit.
-		linkBW := s.cfg.LinkBandwidth
-		if linkBW == 0 {
-			linkBW = 1
-		}
-		for _, l := range s.links {
-			if l.degraded {
-				// Token bucket: refill at the degraded rate, burst capped
-				// so idle cycles cannot bank unbounded credit.
-				l.degBudget += l.degRate
-				if burst := maxf(1, l.degRate); l.degBudget > burst {
-					l.degBudget = burst
-				}
-			}
-			nf := len(l.flows)
-			sentThisCycle := 0
-			for i := 0; i < nf && sentThisCycle < linkBW; i++ {
-				if l.degraded && l.degBudget < 1 {
-					break // metered out this cycle
-				}
-				f := l.flows[(l.rr+i)%nf]
-				if f.sent >= f.m {
-					continue // stream finished
-				}
-				if s.senderReady(f) <= f.sent {
-					continue // nothing to send yet
-				}
-				if f.sent-f.consumed >= s.cfg.VCDepth {
-					s.noteStall(l, f, now)
-					continue // no credit
-				}
-				if f.phase == phaseReduce && s.faultsOn && s.stalled[f.from] &&
-					len(f.snd.redIn) > 0 {
-					continue // combining engine frozen by an engine-stall fault
-				}
-				if f.phase == phaseReduce && s.cfg.EngineRate > 0 {
-					// A non-leaf sender combines child flits as it
-					// transmits — that production consumes engine slots.
-					if len(f.snd.redIn) > 0 {
-						if s.engineUsed[f.from] >= s.cfg.EngineRate {
-							continue
-						}
-						s.engineUsed[f.from]++
+		//    data and credit. Degraded links refill their token buckets
+		//    first, whether or not they are visited.
+		if s.faultsOn {
+			for _, l := range s.links {
+				if l.degraded {
+					// Token bucket: refill at the degraded rate, burst
+					// capped so idle cycles cannot bank unbounded credit.
+					l.degBudget += l.degRate
+					if burst := maxf(1, l.degRate); l.degBudget > burst {
+						l.degBudget = burst
 					}
 				}
-				val := s.flitValue(f, f.sent)
-				f.sent++
-				if s.faultsOn {
-					f.pushSentAt(now, s.cfg.VCDepth)
-				}
-				s.result.FlitsSent++
-				if s.sampling && f.phase == phaseReduce {
-					s.reduceFlits++
-				}
-				if s.traced {
-					s.emit(TraceEvent{Cycle: now, Kind: TraceSend, Tree: f.tree, Phase: f.phase,
-						From: f.from, To: f.to, Flit: f.sent - 1, Value: val, Job: f.j.idx})
-				}
-				if l.failed {
-					// The physical layer fails silently: the sender spends
-					// its cycle, the flit evaporates, the stream is broken.
-					f.lost = true
-					s.result.DroppedFlits++
-					l.dropped++
-					s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
-						From: f.from, To: f.to, Flit: f.sent - 1, Value: val, Job: f.j.idx})
-				} else {
-					l.pipePush(inflight{f: f, val: val, arrive: now + s.cfg.LinkLatency})
-				}
-				if l.degraded {
-					l.degBudget--
-				}
-				l.rr = (l.rr + i + 1) % nf
-				sentThisCycle++
-				progressed = true
-				// Restart the round-robin scan so fairness is preserved
-				// across the remaining budget.
-				i = -1
-				nf = len(l.flows)
 			}
-			l.flits += sentThisCycle
-			if sentThisCycle > 0 {
-				l.busyCycles++
-			}
+		}
+		links = s.links
+		if ev != nil {
+			links = s.drain(&ev.cur)
+		}
+		progressed = s.arbitrate(links, now) || progressed
+
+		// 5. Track peak buffering (globally and per link) and publish
+		//    occupancy changes to the trace.
+		links = s.links
+		if ev != nil {
+			links = s.drain(&ev.occ)
+		}
+		s.noteOccupancy(links, now)
+		if s.bufTotal > s.result.PeakBufferFlits {
+			s.result.PeakBufferFlits = s.bufTotal
 		}
 
-		// Track peak buffering (globally and per link) for the
-		// resource-requirement discussion, and publish occupancy changes
-		// to the trace. Occupancy is maintained incrementally on push and
-		// retire, so this pass reads one counter per link.
-		buffered := 0
-		for _, l := range s.links {
-			lb := l.curBuf
-			buffered += lb
-			if lb > l.peakBuf {
-				l.peakBuf = lb
-			}
-			if lb != l.lastBuf {
-				l.lastBuf = lb
-				s.emit(TraceEvent{Cycle: now, Kind: TraceBufferOccupancy,
-					Tree: -1, Phase: -1, From: l.from, To: l.to, Flit: -1, Value: int64(lb), Job: -1})
-			}
-		}
-		if buffered > s.result.PeakBufferFlits {
-			s.result.PeakBufferFlits = buffered
-		}
-
-		// Telemetry sample boundary: hand the cumulative counters to the
-		// hook. Cold unless sampling is enabled, and O(links) only at
-		// boundary cycles.
+		// 6. Telemetry sample boundary: hand the cumulative counters to the
+		//    hook. Cold unless sampling is enabled, and O(links) only at
+		//    boundary cycles (which the skip horizon never jumps).
 		if s.sampling && now >= s.nextSample {
 			s.sampleNow(now, false)
 			s.nextSample = now + s.cfg.SampleEvery
 		}
 
+		// 7. Progress accounting: skipped cycles change nothing, so they
+		//    count as idle and the deadlock diagnostic fires at the same
+		//    cycle under both policies.
 		if progressed {
-			idle = 0
-		} else {
-			idle++
-			if idle > s.cfg.ProgressTimeout {
-				return 0, s.progressError(now, idle)
-			}
+			lastProgress = now
+		} else if idle := now - lastProgress; idle > s.cfg.ProgressTimeout {
+			return 0, s.progressError(now, idle)
 		}
 	}
 	return now, nil
+}
+
+// deliver accepts the flits on the given links whose pipeline delay
+// expires at now. Under the wake-set policy each accepted arrival also
+// wakes what it feeds: a reduce arrival the receiver's parent stream (the
+// root engines run every processed cycle), a broadcast arrival the
+// receiver's child streams and its own buffer retirement.
+func (s *sim) deliver(links []*link, now int) bool {
+	ev := s.ev
+	progressed := false
+	for _, l := range links {
+		for l.pipeHead < len(l.pipeline) && l.pipeline[l.pipeHead].arrive <= now {
+			fl := l.pipeline[l.pipeHead]
+			l.pipeHead++
+			f := fl.f
+			if f.lost {
+				// The stream already dropped an earlier flit: this one is out
+				// of sequence and must not land at the wrong prefix index.
+				// Discard; recovery re-issues the range.
+				s.result.DroppedFlits++
+				l.dropped++
+				s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
+					From: f.from, To: f.to, Flit: -1, Value: fl.val, Job: f.j.idx})
+				continue
+			}
+			progressed = true
+			f.push(fl.val)
+			l.curBuf++
+			s.bufTotal++
+			s.result.DeliveredFlits++
+			k := f.arrived
+			f.arrived++
+			nt := f.rcv
+			if s.faultsOn && f.sentAtLen() > 0 {
+				f.popSentAt()
+			}
+			if s.traced {
+				s.emit(TraceEvent{Cycle: now, Kind: TraceArrive, Tree: f.tree, Phase: f.phase,
+					From: f.from, To: f.to, Flit: k, Value: fl.val, Job: f.j.idx})
+			}
+			if f.phase == phaseBcast {
+				// Local delivery on arrival.
+				s.outputs[f.to][f.j.goff+k] = fl.val
+				nt.delivered++
+				if s.sampling {
+					s.delivered++
+				}
+				s.pending--
+				f.j.remaining--
+				s.checkJobDone(f.j, now)
+			} else if k == nt.redMin {
+				// Census upkeep: f sat at the minimum and moved up one.
+				nt.redMinCnt--
+				if nt.redMinCnt == 0 {
+					nt.redMin++
+					c := 0
+					for _, cf := range nt.redIn {
+						if cf.arrived == nt.redMin {
+							c++
+						}
+					}
+					nt.redMinCnt = c
+				}
+			}
+			if ev != nil {
+				ev.occ.add(l.id)
+				if f.phase == phaseBcast {
+					for _, of := range nt.bcastOut {
+						ev.cur.add(of.ln.id)
+					}
+					ev.conNow.add(l.id)
+				} else if nt.redOut != nil {
+					ev.cur.add(nt.redOut.ln.id)
+				}
+			}
+		}
+		if l.pipeHead == len(l.pipeline) && l.pipeHead > 0 {
+			l.pipeline = l.pipeline[:0]
+			l.pipeHead = 0
+		}
+	}
+	return progressed
+}
+
+// computeRoots advances every live root reduction engine by up to
+// LinkBandwidth flits (§5.1: the engine runs at link rate), unless
+// EngineRate caps the router's total output, recording the final value
+// and delivering it locally. Under the wake-set policy each computed flit
+// wakes the root's child streams and retires its input buffers this same
+// cycle, and rootNext keeps the next cycle scheduled while any engine
+// still holds computable flits. It reports whether any flit was computed.
+func (s *sim) computeRoots(now int) bool {
+	ev := s.ev
+	if s.spec.Op == OpBroadcast {
+		return false // roots already hold their source data
+	}
+	perJob := s.cfg.LinkBandwidth
+	if perJob == 0 {
+		perJob = 1
+	}
+	progressed := false
+	for _, j := range s.jobs {
+		if j.dead || j.done {
+			continue
+		}
+		root := s.spec.Forest[j.tree].Root
+		if s.faultsOn && s.stalled[root] {
+			continue // faulted runs process every cycle; no wake needed
+		}
+		nt := &j.nodes[root]
+		mt := j.m
+		for slot := 0; slot < perJob; slot++ {
+			k := nt.rootComputed
+			if k >= mt || nt.reduceReady(mt) <= k {
+				break
+			}
+			if s.cfg.EngineRate > 0 {
+				if s.engineUsed[root] >= s.cfg.EngineRate {
+					break
+				}
+				s.engineUsed[root]++
+			}
+			v := nt.seg[k]
+			for _, cf := range nt.redIn {
+				v += cf.at(k)
+			}
+			// rootResult aliases s.outputs[root][goff:goff+mt], so this one
+			// write is both the engine output and the local delivery.
+			nt.rootResult[k] = v
+			nt.rootComputed++
+			if nt.rootComputed == mt {
+				s.result.TreeReduceDone[j.tree] = now
+			}
+			nt.delivered++
+			if s.sampling {
+				s.delivered++
+			}
+			s.pending--
+			j.remaining--
+			if s.traced {
+				s.emit(TraceEvent{Cycle: now, Kind: TraceRootCompute, Tree: j.tree,
+					From: root, To: root, Flit: k, Value: v, Job: j.idx})
+			}
+			s.checkJobDone(j, now)
+			progressed = true
+			if ev != nil {
+				for _, of := range nt.bcastOut {
+					ev.cur.add(of.ln.id)
+				}
+				for _, cf := range nt.redIn {
+					ev.conNow.add(cf.ln.id)
+				}
+			}
+		}
+		if ev != nil && !j.done && nt.rootComputed < mt &&
+			nt.reduceReady(mt) > nt.rootComputed {
+			ev.rootNext = true
+		}
+	}
+	return progressed
+}
+
+// release advances the consumed counters (credit release) of the given
+// links' flows from their receivers' progress and trims their buffers.
+// Under the wake-set policy freed credit wakes the link for this cycle's
+// arbitration: credit is released in phase 3 and links arbitrate in
+// phase 4, so a same-cycle send on the freed window is the per-cycle
+// semantics, not an anticipation.
+func (s *sim) release(links []*link) {
+	ev := s.ev
+	for _, l := range links {
+		for _, f := range l.flows {
+			if f.consumed >= f.m {
+				continue // stream fully retired
+			}
+			nt := f.rcv
+			var c int
+			if f.phase == phaseReduce {
+				if nt.redOut != nil {
+					// A reduced flit k is retired from each child buffer
+					// when the combined flit k departs toward the parent.
+					c = nt.redOut.sent
+				} else {
+					// Root: retired when the reduction engine computes it.
+					c = nt.rootComputed
+				}
+			} else {
+				// Broadcast buffer at v is retired when flit k has been
+				// forwarded to all of v's children (leaves retire on
+				// arrival; local delivery copies the value eagerly).
+				c = f.arrived
+				if nt.bcastMin < c {
+					c = nt.bcastMin
+				}
+			}
+			if c > f.consumed {
+				l.curBuf -= c - f.consumed
+				s.bufTotal -= c - f.consumed
+				f.consumed = c
+				f.dropTo(c)
+				if ev != nil {
+					ev.occ.add(l.id)
+					if f.sent < f.m {
+						ev.cur.add(l.id)
+					}
+				}
+			}
+		}
+	}
+}
+
+// arbitrate injects up to LinkBandwidth flits into each of the given
+// links, round-robin over the virtual channels with data, credit and (for
+// combining senders) a free engine slot. Under the wake-set policy each
+// send schedules its arrival on the wheel and queues the sender's own
+// receive buffers for retirement next cycle, and the closing scan re-arms
+// the link for the next cycle whenever any stream still has data to move
+// — the one rule that keeps stalled, metered and rate-limited streams
+// scanned (and their stalls counted) every cycle, as under the visit-all
+// policy. It reports whether any flit was sent.
+func (s *sim) arbitrate(links []*link, now int) bool {
+	ev := s.ev
+	linkBW := s.cfg.LinkBandwidth
+	if linkBW == 0 {
+		linkBW = 1
+	}
+	progressed := false
+	for _, l := range links {
+		nf := len(l.flows)
+		sent := 0
+		for i := 0; i < nf && sent < linkBW; i++ {
+			if l.degraded && l.degBudget < 1 {
+				break // metered out this cycle
+			}
+			f := l.flows[(l.rr+i)%nf]
+			if f.sent >= f.m {
+				continue // stream finished
+			}
+			if s.senderReady(f) <= f.sent {
+				continue // nothing to send yet
+			}
+			if f.sent-f.consumed >= s.cfg.VCDepth {
+				s.noteStall(l, f, now)
+				continue // no credit
+			}
+			if f.phase == phaseReduce && s.faultsOn && s.stalled[f.from] &&
+				len(f.snd.redIn) > 0 {
+				continue // combining engine frozen by an engine-stall fault
+			}
+			if f.phase == phaseReduce && s.cfg.EngineRate > 0 && len(f.snd.redIn) > 0 {
+				// A non-leaf sender combines child flits as it transmits —
+				// that production consumes engine slots.
+				if s.engineUsed[f.from] >= s.cfg.EngineRate {
+					continue
+				}
+				s.engineUsed[f.from]++
+			}
+			k := f.sent
+			val := s.flitValue(f, k)
+			f.sent++
+			if s.faultsOn {
+				f.pushSentAt(now, s.cfg.VCDepth)
+			}
+			s.result.FlitsSent++
+			if s.sampling && f.phase == phaseReduce {
+				s.reduceFlits++
+			}
+			if s.traced {
+				s.emit(TraceEvent{Cycle: now, Kind: TraceSend, Tree: f.tree, Phase: f.phase,
+					From: f.from, To: f.to, Flit: k, Value: val, Job: f.j.idx})
+			}
+			if l.failed {
+				// The physical layer fails silently: the sender spends its
+				// cycle, the flit evaporates, the stream is broken.
+				f.lost = true
+				s.result.DroppedFlits++
+				l.dropped++
+				s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,
+					From: f.from, To: f.to, Flit: k, Value: val, Job: f.j.idx})
+			} else {
+				l.pipePush(inflight{f: f, val: val, arrive: now + s.cfg.LinkLatency})
+			}
+			snd := f.snd
+			if f.phase == phaseBcast && k == snd.bcastMin {
+				// Census upkeep: f sat at the minimum and moved up one.
+				snd.bcastMinCnt--
+				if snd.bcastMinCnt == 0 {
+					snd.bcastMin++
+					c := 0
+					for _, of := range snd.bcastOut {
+						if of.sent == snd.bcastMin {
+							c++
+						}
+					}
+					snd.bcastMinCnt = c
+				}
+			}
+			if ev != nil {
+				if !l.failed {
+					ev.wheelAdd(now+s.cfg.LinkLatency, l.id)
+				}
+				if f.phase == phaseReduce {
+					for _, cf := range snd.redIn {
+						ev.conNext.add(cf.ln.id)
+					}
+				} else if snd.bcastIn != nil {
+					ev.conNext.add(snd.bcastIn.ln.id)
+				}
+			}
+			if l.degraded {
+				l.degBudget--
+			}
+			l.rr = (l.rr + i + 1) % nf
+			sent++
+			// Restart the round-robin scan so fairness is preserved across
+			// the remaining budget.
+			i = -1
+			nf = len(l.flows)
+		}
+		l.flits += sent
+		if sent > 0 {
+			l.busyCycles++
+			progressed = true
+		}
+		if ev != nil {
+			for _, f := range l.flows {
+				if f.sent < f.m && s.senderReady(f) > f.sent {
+					ev.nxt.add(l.id)
+					break
+				}
+			}
+		}
+	}
+	return progressed
+}
+
+// noteOccupancy updates the given links' peak buffer occupancy and
+// publishes changes to the trace. Occupancy is maintained incrementally
+// on push and retire, so this reads one counter per link.
+func (s *sim) noteOccupancy(links []*link, now int) {
+	for _, l := range links {
+		lb := l.curBuf
+		if lb > l.peakBuf {
+			l.peakBuf = lb
+		}
+		if lb != l.lastBuf {
+			l.lastBuf = lb
+			s.emit(TraceEvent{Cycle: now, Kind: TraceBufferOccupancy,
+				Tree: -1, Phase: -1, From: l.from, To: l.to, Flit: -1, Value: int64(lb), Job: -1})
+		}
+	}
 }
 
 // finalize runs the post-loop invariant checks and assembles the Result.
@@ -782,7 +917,7 @@ func (s *sim) finalize(now int) (*Result, error) {
 	// Post-run invariants: every stream fully drained, no flit stranded in
 	// a pipeline or buffer, all credits returned. A violation indicates a
 	// simulator bug, not a workload property, so it is an error.
-	s.updateConsumed()
+	s.release(s.links)
 	for _, l := range s.links {
 		if l.pipeLen() != 0 {
 			return nil, fmt.Errorf("netsim: internal: %d flits stranded in a link pipeline", l.pipeLen())

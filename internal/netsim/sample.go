@@ -2,7 +2,7 @@ package netsim
 
 // Streaming telemetry sampling: every Config.SampleEvery cycles the
 // simulator hands a SampleFrame of cumulative counters to the
-// Config.Sample hook. The frame is a snapshot of counters the cycle loop
+// Config.Sample hook. The frame is a snapshot of counters the advance loop
 // maintains anyway (or keeps only when sampling is on), so the fault-free
 // fast path pays nothing when the hook is absent — the same contract the
 // traced flag gives Config.Trace — and a sampling run allocates only the
