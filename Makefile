@@ -1,4 +1,4 @@
-.PHONY: build test lint selfcheck hotcheck verify bench bench-netsim bench-netsim-event bench-model bench-smoke scorecard scorecard-q31 scorecard-degraded timeline critpath bench-overhead campaign campaign-smoke
+.PHONY: build test lint selfcheck hotcheck verify bench bench-netsim bench-netsim-event bench-model bench-critpath bench-smoke scorecard scorecard-q31 scorecard-degraded timeline critpath bench-overhead campaign campaign-smoke
 
 build:
 	go build ./...
@@ -68,6 +68,15 @@ bench-netsim-event:
 bench-model:
 	go run ./cmd/benchreport run -label model-local -bench 'Waterfill|WorstCaseLink' -pkg . -count 5
 
+# bench-critpath reruns the critical-path builder benchmark (a fresh
+# critpath.Builder indexing a recorded faulted q=11 m=1024 trace, then
+# Analyze) and writes BENCH_critpath-local.json for comparison against
+# the committed baseline. The wide threshold absorbs runner drift; it
+# only fails if the layer gets three times slower:
+#   go run ./cmd/benchreport compare -threshold 2.0 BENCH_critpath.json BENCH_critpath-local.json
+bench-critpath:
+	go run ./cmd/benchreport run -label critpath-local -bench BuilderObserve -pkg ./internal/critpath -count 5
+
 # bench-smoke is the CI-sized variant: one iteration per benchmark, just
 # enough to prove the pipeline (go test -bench → parser → snapshot)
 # stays healthy. Writes BENCH_smoke.json.
@@ -88,8 +97,10 @@ scorecard:
 # Theorem 7.19 floor; the default m=16384 would sit at −49%). Writes
 # BENCH_q31.json; exits 1 on violation. CI regenerates it and
 # byte-compares against the committed snapshot (engine choice never
-# changes a point). Budget ~20 min single-core: ~8·10⁸ trace events per
-# embedding stream through the obsv collector.
+# changes a point). The runs are untraced; measured 715 s on a shared
+# 2-core, 8 GB host (1365 s when an obsv collector folded the ~8·10⁸
+# trace events per embedding), peaking near 6 GB, nearly all of it the
+# N×m input and output vectors of the two embeddings in flight.
 scorecard-q31:
 	go run ./cmd/benchreport scorecard -q 31 -m 196608 -engine event -label q31
 

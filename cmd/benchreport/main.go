@@ -7,6 +7,7 @@
 //	benchreport run -label pr -in bench.txt         # parse pre-captured bench output instead
 //	benchreport compare BENCH_main.json BENCH_pr.json -threshold 0.10
 //	                                                # diff two snapshots; exit 1 on regression
+//	                                                # or when no benchmark is on both sides
 //	benchreport scorecard -q 3,5,7,11               # simulate every design point, check the
 //	                                                # Alg. 1 / Thm 7.6 / Thm 7.19 contract
 //	benchreport scorecard -degraded -q 7            # inject the worst-case link failure per
@@ -272,24 +273,8 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		defer func() { _ = f.Close() }()
 		raw = f
 	default:
-		gt := []string{"test", "-run", "^$", "-bench", *benchRe, "-benchmem"}
-		if *benchtime != "" {
-			gt = append(gt, "-benchtime", *benchtime)
-		}
-		if *count > 1 {
-			gt = append(gt, "-count", strconv.Itoa(*count))
-		}
-		// -pkg accepts a comma-separated list so one run can cover several
-		// packages (e.g. ./internal/netsim,./internal/tsdb) — required for
-		// the overhead gate, which pairs base and sampled benchmarks from
-		// the same snapshot.
-		for _, p := range strings.Split(*pkgs, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				gt = append(gt, p)
-			}
-		}
 		var buf bytes.Buffer
-		cmd := exec.Command("go", gt...)
+		cmd := exec.Command("go", goTestArgs(*benchRe, *benchtime, *count, *pkgs)...)
 		// Tee the raw bench output to stderr so progress is visible while
 		// the buffer feeds the parser; stdout stays reserved for markdown.
 		cmd.Stdout = io.MultiWriter(&buf, stderr)
@@ -337,6 +322,30 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// goTestArgs builds the `go test` command line of `benchreport run`.
+// It pins -cpu 1: compare matches benchmarks by (name, GOMAXPROCS), so a
+// snapshot recorded on one core count must be rerun on the same one, and
+// one proc is the count every runner has.
+func goTestArgs(benchRe, benchtime string, count int, pkgs string) []string {
+	gt := []string{"test", "-run", "^$", "-bench", benchRe, "-benchmem", "-cpu", "1"}
+	if benchtime != "" {
+		gt = append(gt, "-benchtime", benchtime)
+	}
+	if count > 1 {
+		gt = append(gt, "-count", strconv.Itoa(count))
+	}
+	// -pkg accepts a comma-separated list so one run can cover several
+	// packages (e.g. ./internal/netsim,./internal/tsdb) — required for
+	// the overhead gate, which pairs base and sampled benchmarks from
+	// the same snapshot.
+	for _, p := range strings.Split(pkgs, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			gt = append(gt, p)
+		}
+	}
+	return gt
+}
+
 func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchreport compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -375,6 +384,14 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	if !cmp.OK() {
 		fmt.Fprintf(stderr, "benchreport: %d gating regression(s) beyond %.0f%%\n",
 			cmp.Regressions, 100**threshold)
+		return 1
+	}
+	if cmp.Matched == 0 {
+		// Nothing was compared, so nothing was gated: a baseline recorded
+		// under another GOMAXPROCS, or another benchmark set, must fail
+		// the gate rather than pass it vacuously.
+		fmt.Fprintf(stderr, "benchreport: %s and %s share no (benchmark, procs) pair; nothing was compared\n",
+			fs.Arg(0), fs.Arg(1))
 		return 1
 	}
 	return 0

@@ -150,6 +150,56 @@ func TestCompareExitCodes(t *testing.T) {
 	}
 }
 
+// TestCompareFailsWhenNothingMatches: a baseline recorded under another
+// GOMAXPROCS shares no (name, procs) pair with the rerun, so every
+// benchmark reads as added or removed; compare must exit 1 instead of
+// passing a gate that compared nothing.
+func TestCompareFailsWhenNothingMatches(t *testing.T) {
+	dir := t.TempDir()
+	in := writeFixture(t, dir, "bench.txt", benchFixture)
+	if code, _, _ := runCLI(t, "run", "-in", in, "-label", "old", "-out", dir); code != 0 {
+		t.Fatal("baseline run failed")
+	}
+	oldPath := filepath.Join(dir, "BENCH_old.json")
+	snap := loadSnapshot(t, oldPath)
+	for i := range snap.Benchmarks {
+		snap.Benchmarks[i].Procs = 1
+	}
+	newPath := filepath.Join(dir, "BENCH_onecore.json")
+	f, err := os.Create(newPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI(t, "compare", oldPath, newPath)
+	if code != 1 || !strings.Contains(stderr, "share no") {
+		t.Errorf("compare(disjoint procs) exit %d stderr %q, want 1 and the no-shared-pair message", code, stderr)
+	}
+}
+
+// TestRunPinsOneProc: benchreport run records every benchmark at
+// GOMAXPROCS 1, whatever the runner's core count, so committed baselines
+// and CI reruns share (name, procs) pairs.
+func TestRunPinsOneProc(t *testing.T) {
+	for _, pkgs := range []string{"./...", "./internal/netsim, ./internal/tsdb"} {
+		args := goTestArgs("HotLoop", "", 1, pkgs)
+		cpu := -1
+		for i, a := range args {
+			if a == "-cpu" {
+				cpu = i
+			}
+		}
+		if cpu < 0 || cpu+1 >= len(args) || args[cpu+1] != "1" {
+			t.Errorf("-pkg %q: go test args %q do not pin -cpu 1", pkgs, args)
+		}
+	}
+}
+
 func TestCompareRejectsBadSchema(t *testing.T) {
 	dir := t.TempDir()
 	bad := writeFixture(t, dir, "bad.json", `{"schema":"other/v9","label":"x"}`)

@@ -58,15 +58,15 @@ type Analysis struct {
 	Unattributed int `json:"unattributed"`
 	// RecoveriesOnPath counts the recovery rounds the path traversed, and
 	// RecoveryLatencyCycles their summed fault→recovery intervals — the
-	// quantity that must equal the obsv collector's measured recovery
-	// latency (the fault-detect + recovery blame classes by construction).
+	// quantity that must equal the run's measured recovery latency (the
+	// fault-detect + recovery blame classes by construction).
 	RecoveriesOnPath      int `json:"recoveries_on_path"`
 	RecoveryLatencyCycles int `json:"recovery_latency_cycles"`
 	// RecoveryRounds lists the indices (into Result.Recoveries order) of
 	// the rounds the path traversed, ascending. Under nested recoveries
 	// the path can skip rounds whose re-issues were themselves aborted, so
-	// the exactness cross-check must sum the collector's measured latency
-	// over exactly these rounds rather than the full set.
+	// the exactness cross-check must sum the measured latency over exactly
+	// these rounds rather than the full set.
 	RecoveryRounds []int `json:"recovery_rounds,omitempty"`
 	// TopSerialization ranks directed links by serialization blame,
 	// descending (ties by link id ascending). On a fault-free run the
@@ -141,6 +141,9 @@ type walker struct {
 // violation — since each would mean the causal model diverged from the
 // simulator.
 func (b *Builder) Analyze(cycles int) (*Analysis, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	a := &Analysis{Cycles: cycles}
 	if cycles == 0 {
 		a.Blame = blameTable(&[numClasses]int{})
@@ -441,12 +444,11 @@ func (w *walker) classifyGap(s *stream, from, to int, isSend bool) {
 		w.addSeg(g-1, g, ClassSerialization, s.key.from, s.key.to, s.tree, s.key.phase, s.key.job)
 		g--
 	}
-	ll := w.b.links[[2]int{s.key.from, s.key.to}]
 	for ; g > from; g-- {
 		class := ClassUnattributed
 		if containsCycle(s.stalls, g) {
 			class = ClassCreditStall
-		} else if id := ll.sendAt(g); id >= 0 {
+		} else if id := s.link.sendAt(g); id >= 0 {
 			if id == s.id {
 				class = ClassSerialization
 			} else {

@@ -110,9 +110,10 @@ type stream struct {
 	id      int32
 	key     streamKey
 	tree    int
-	sends   []int32 // flit → injection cycle, -1 unseen
-	arrives []int32 // flit → delivery cycle, -1 unseen
-	stalls  []int32 // ascending stall cycles, deduplicated
+	link    *linkLog // the directed link's injection log, set at creation
+	sends   []int32  // flit → injection cycle, -1 unseen
+	arrives []int32  // flit → delivery cycle, -1 unseen
+	stalls  []int32  // ascending stall cycles, deduplicated
 }
 
 // linkLog is the per-directed-link injection history: one (cycle, stream)
@@ -165,12 +166,21 @@ type Builder struct {
 	linkLatency    int
 	detectDeadline int // LinkLatency + FaultDetectTimeout, defaults applied
 
-	streams  []*stream
-	streamID map[streamKey]int32
+	streams []*stream
+	// byChild[job][phase][child] is the stream on the edge between child
+	// and its tree parent: child sends it in the reduce phase and receives
+	// it in the broadcast phase. A spanning tree gives every node one
+	// parent, so (job, phase, child) names a stream, and a repeat event
+	// finds it without hashing.
+	byChild [][2][]*stream
+	// links is consulted only when a stream is created.
 	links    map[[2]int]*linkLog
 	jobs     []*jobInfo
 	faults   []faultMark
 	recovers []recoverMark
+	// err is the first event that contradicts the stream table; Analyze
+	// reports it.
+	err error
 
 	// Completion candidate: the earliest-observed delivery event
 	// (broadcast arrival or root compute) at the highest cycle.
@@ -189,7 +199,6 @@ func NewBuilder() *Builder {
 	return &Builder{
 		linkLatency:    1,
 		detectDeadline: 1 + 4*1,
-		streamID:       make(map[streamKey]int32),
 		links:          make(map[[2]int]*linkLog),
 	}
 }
@@ -216,15 +225,56 @@ func (b *Builder) Attach(cfg *netsim.Config) {
 	}
 }
 
+// stream returns the stream of a send, arrive or stall event, creating
+// it (and resolving its link log) on first sight. It returns nil and
+// records the error Analyze reports when the event cannot name a stream,
+// or when its (job, phase, child) slot already holds a stream with other
+// endpoints: merging the two would corrupt both histories.
 func (b *Builder) stream(ev netsim.TraceEvent) *stream {
-	key := streamKey{job: ev.Job, from: ev.From, to: ev.To, phase: ev.Phase}
-	if id, ok := b.streamID[key]; ok {
-		return b.streams[id]
+	child := ev.From
+	if ev.Phase == phaseBcast {
+		child = ev.To
 	}
-	s := &stream{id: int32(len(b.streams)), key: key, tree: ev.Tree}
-	b.streamID[key] = s.id
+	if ev.Job < 0 || child < 0 || (ev.Phase != phaseReduce && ev.Phase != phaseBcast) {
+		b.fail(fmt.Errorf("critpath: %v event at cycle %d names no stream (job=%d %d→%d phase=%d)",
+			ev.Kind, ev.Cycle, ev.Job, ev.From, ev.To, ev.Phase))
+		return nil
+	}
+	for len(b.byChild) <= ev.Job {
+		b.byChild = append(b.byChild, [2][]*stream{})
+	}
+	row := &b.byChild[ev.Job][ev.Phase]
+	if child < len(*row) {
+		if s := (*row)[child]; s != nil {
+			if s.key.from != ev.From || s.key.to != ev.To {
+				b.fail(fmt.Errorf("critpath: %v event at cycle %d on %d→%d, but job %d phase %d already streams %d→%d for node %d",
+					ev.Kind, ev.Cycle, ev.From, ev.To, ev.Job, ev.Phase, s.key.from, s.key.to, child))
+				return nil
+			}
+			return s
+		}
+	} else {
+		*row = append(*row, make([]*stream, child+1-len(*row))...)
+	}
+	key := [2]int{ev.From, ev.To}
+	ll, ok := b.links[key]
+	if !ok {
+		ll = &linkLog{}
+		b.links[key] = ll
+	}
+	s := &stream{id: int32(len(b.streams)),
+		key:  streamKey{job: ev.Job, from: ev.From, to: ev.To, phase: ev.Phase},
+		tree: ev.Tree, link: ll}
+	(*row)[child] = s
 	b.streams = append(b.streams, s)
 	return s
+}
+
+// fail records the first trace inconsistency.
+func (b *Builder) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
 }
 
 func (b *Builder) job(idx int) *jobInfo {
@@ -247,23 +297,26 @@ func (b *Builder) Observe(ev netsim.TraceEvent) {
 	switch ev.Kind {
 	case netsim.TraceSend:
 		s := b.stream(ev)
-		setAt(&s.sends, ev.Flit, ev.Cycle)
-		key := [2]int{ev.From, ev.To}
-		ll, ok := b.links[key]
-		if !ok {
-			ll = &linkLog{}
-			b.links[key] = ll
+		if s == nil {
+			return
 		}
-		ll.cycles = append(ll.cycles, int32(ev.Cycle))
-		ll.streams = append(ll.streams, s.id)
+		setAt(&s.sends, ev.Flit, ev.Cycle)
+		s.link.cycles = append(s.link.cycles, int32(ev.Cycle))
+		s.link.streams = append(s.link.streams, s.id)
 	case netsim.TraceArrive:
 		s := b.stream(ev)
+		if s == nil {
+			return
+		}
 		setAt(&s.arrives, ev.Flit, ev.Cycle)
 		if ev.Phase == phaseBcast {
 			b.noteDelivery(ev.Cycle, true, s.id, ev.Job, ev.Flit)
 		}
 	case netsim.TraceStall:
 		s := b.stream(ev)
+		if s == nil {
+			return
+		}
 		if n := len(s.stalls); n == 0 || s.stalls[n-1] != int32(ev.Cycle) {
 			s.stalls = append(s.stalls, int32(ev.Cycle))
 		}

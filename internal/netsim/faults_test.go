@@ -376,3 +376,80 @@ func TestFaultSpecValidation(t *testing.T) {
 		t.Error("negative FaultDetectTimeout accepted")
 	}
 }
+
+// TestLinkStatTreesEndOfRun pins LinkStat.Trees to its end-of-run
+// meaning. Fault-free, it equals the number of trees the trace shows
+// sending on the link. After a recovery it counts only the trees still
+// alive: for every link, the trees whose edges cross it minus the trees
+// recovery aborted, while the trace still shows the aborted trees'
+// pre-fault sends (q=3 low-depth: shared directed links and the
+// per-link maximum drop below the trace's).
+func TestLinkStatTreesEndOfRun(t *testing.T) {
+	spec, _ := buildPolarSpec(t, 3, 2048, "lowdepth")
+	run := func(cfg Config) (*Result, map[[2]int]map[int]bool) {
+		t.Helper()
+		senders := make(map[[2]int]map[int]bool)
+		cfg.Trace = func(ev TraceEvent) {
+			if ev.Kind != TraceSend {
+				return
+			}
+			key := [2]int{ev.From, ev.To}
+			if senders[key] == nil {
+				senders[key] = make(map[int]bool)
+			}
+			senders[key][ev.Tree] = true
+		}
+		res, err := Run(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, senders
+	}
+	shared := func(n int) int {
+		if n >= 2 {
+			return 1
+		}
+		return 0
+	}
+
+	res, senders := run(Config{LinkLatency: 1, VCDepth: 4})
+	for _, ls := range res.LinkStats {
+		if got := len(senders[[2]int{ls.From, ls.To}]); ls.Trees != got {
+			t.Errorf("fault-free %d→%d: Trees = %d, trace shows %d sending trees", ls.From, ls.To, ls.Trees, got)
+		}
+	}
+
+	link := firstTreeLink(spec, 0)
+	res, senders = run(Config{LinkLatency: 1, VCDepth: 4, Faults: &faults.Plan{Faults: []faults.Fault{
+		{Kind: faults.LinkDown, U: link[0], V: link[1], At: 100}}}})
+	if len(res.DeadTrees) == 0 {
+		t.Fatal("the link failure aborted no tree")
+	}
+	dead := make(map[int]bool)
+	for _, ti := range res.DeadTrees {
+		dead[ti] = true
+	}
+	statShared, traceShared, statMax, traceMax := 0, 0, 0, 0
+	for _, ls := range res.LinkStats {
+		live := 0
+		for ti, tr := range spec.Forest {
+			for v, p := range tr.Parent {
+				if !dead[ti] && ((v == ls.From && p == ls.To) || (v == ls.To && p == ls.From)) {
+					live++
+				}
+			}
+		}
+		if ls.Trees != live {
+			t.Errorf("faulted %d→%d: Trees = %d, want the %d surviving trees crossing it", ls.From, ls.To, ls.Trees, live)
+		}
+		sent := len(senders[[2]int{ls.From, ls.To}])
+		statShared += shared(ls.Trees)
+		traceShared += shared(sent)
+		statMax = max(statMax, ls.Trees)
+		traceMax = max(traceMax, sent)
+	}
+	if statShared >= traceShared || statMax >= traceMax {
+		t.Errorf("after recovery: %d shared links (max %d trees) in LinkStats vs %d (max %d) in the trace; want fewer in LinkStats",
+			statShared, statMax, traceShared, traceMax)
+	}
+}

@@ -354,8 +354,12 @@ type LinkStat struct {
 	// PeakBufferFlits is the maximum simultaneous receive-buffer
 	// occupancy across the link's virtual channels.
 	PeakBufferFlits int
-	// Trees is the number of distinct trees with a stream on this link —
-	// the directed congestion the paper's Lemma 7.8 reasons about.
+	// Trees is the number of distinct trees with a stream on this link at
+	// the end of the run — the directed congestion the paper's Lemma 7.8
+	// reasons about. Recovery removes the streams of the trees it aborts,
+	// so after a recovery only surviving trees count, although the aborted
+	// ones may have sent on the link before they died; a zero-split tree
+	// has streams and counts although it sends nothing.
 	Trees int
 	// Utilization is BusyCycles divided by the run's total cycles.
 	Utilization float64

@@ -26,10 +26,10 @@ type Collector struct {
 	// DisableSpans turns off transmit/stall span accumulation. Spans
 	// feed only the Chrome trace exporter, but they are O(bursts) —
 	// under multi-tree round-robin interleaving effectively O(flits) —
-	// which at §7.3 scale (q=31, m≈2·10⁵) is tens of gigabytes. The
-	// perf gates never export Chrome traces, so they set this; the
-	// Metrics report is byte-identical either way (it reads none of the
-	// span state). The stall-run histogram still accumulates.
+	// which at §7.3 scale (q=31, m≈2·10⁵) is tens of gigabytes.
+	// Metrics-only consumers set this; the Metrics report is
+	// byte-identical either way (it reads none of the span state). The
+	// stall-run histogram still accumulates.
 	DisableSpans bool
 
 	cycles   int // highest cycle observed; override with SetCycles

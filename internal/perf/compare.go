@@ -94,16 +94,22 @@ type Comparison struct {
 	Improvements int `json:"improvements"`
 	Added        int `json:"added"`
 	Removed      int `json:"removed"`
+	// Matched counts the (name, procs) pairs present on both sides — the
+	// benchmarks actually compared. Zero means the gate compared nothing.
+	Matched int `json:"matched"`
 }
 
-// OK reports whether the comparison found no gating regressions.
+// OK reports whether the comparison found no gating regressions. It
+// does not look at Matched: callers that gate on the comparison must
+// also require Matched > 0.
 func (c *Comparison) OK() bool { return c.Regressions == 0 }
 
 // Compare diffs two bench snapshots on their median statistics. A
 // benchmark metric regresses when it moves in the bad direction by more
 // than threshold (relative); only the standard lower-is-better units
 // gate. Benchmarks present on one side only are reported as added or
-// removed (never gating). Deltas are sorted by (name, procs, unit).
+// removed (never gating); Matched counts the benchmarks on both sides.
+// Deltas are sorted by (name, procs, unit).
 func Compare(old, new *Snapshot, threshold float64) *Comparison {
 	c := &Comparison{OldLabel: old.Label, NewLabel: new.Label, Threshold: threshold}
 	type key struct {
@@ -148,6 +154,7 @@ func Compare(old, new *Snapshot, threshold float64) *Comparison {
 				Kind: DeltaAdded, KindName: DeltaAdded.String()})
 			c.Added++
 		default:
+			c.Matched++
 			for _, om := range ob.Metrics {
 				nm, ok := nb.Metric(om.Unit)
 				if !ok {

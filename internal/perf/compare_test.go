@@ -122,6 +122,9 @@ func TestCompareMixedSnapshot(t *testing.T) {
 	if cmp.OK() {
 		t.Error("OK() with a gating regression present")
 	}
+	if cmp.Matched != 2 {
+		t.Errorf("Matched = %d, want 2 (A and B are on both sides)", cmp.Matched)
+	}
 	// Deltas must be sorted by name: A (×2 units), B, Gone, New.
 	wantNames := []string{"BenchmarkA", "BenchmarkA", "BenchmarkB", "BenchmarkGone", "BenchmarkNew"}
 	if len(cmp.Deltas) != len(wantNames) {
@@ -152,6 +155,22 @@ func TestCompareIdentical(t *testing.T) {
 		if d.Rel != 0 {
 			t.Errorf("%s %s: rel %v, want 0", d.Name, d.Unit, d.Rel)
 		}
+	}
+}
+
+// TestCompareMatchesNameAndProcs: the same benchmark recorded under
+// another GOMAXPROCS is a different benchmark, so two snapshots that
+// differ only in procs share nothing and Matched is zero.
+func TestCompareMatchesNameAndProcs(t *testing.T) {
+	one := bench("BenchmarkX", map[string]float64{"ns/op": 100})
+	two := one
+	two.Procs = 2
+	cmp := Compare(snap("a", one), snap("b", two), 0.05)
+	if cmp.Matched != 0 || cmp.Added != 1 || cmp.Removed != 1 {
+		t.Errorf("matched=%d added=%d removed=%d, want 0/1/1", cmp.Matched, cmp.Added, cmp.Removed)
+	}
+	if cmp := Compare(snap("a", one), snap("b", one), 0.05); cmp.Matched != 1 {
+		t.Errorf("identical snapshots matched %d benchmarks, want 1", cmp.Matched)
 	}
 }
 

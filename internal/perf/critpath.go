@@ -9,7 +9,6 @@ import (
 	"polarfly/internal/critpath"
 	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
-	"polarfly/internal/obsv"
 	"polarfly/internal/parrun"
 	"polarfly/internal/workload"
 )
@@ -61,7 +60,8 @@ func DefaultCritPathConfig() CritPathConfig {
 // CritPathPoint is one analysed design point: the per-class blame split
 // of the run's critical path, the conservation check, and — for faulted
 // points — the cross-check of the path's fault-detect+recovery blame
-// against the obsv collector's independently measured recovery latency.
+// against the recovery latency the simulator measured: each
+// Result.Recoveries round's cycle minus the injected failure's.
 type CritPathPoint struct {
 	Q         int    `json:"q"`
 	Embedding string `json:"embedding"`
@@ -87,8 +87,8 @@ type CritPathPoint struct {
 	Unattributed   int                   `json:"unattributed"`
 	DominantClass  string                `json:"dominant_class,omitempty"`
 	// TopSerialization lists the up-to-three links with the most
-	// serialization blame; MaxUtilLink is the obsv collector's hottest
-	// directed link and TopLinkIsHottest whether the path's top
+	// serialization blame; MaxUtilLink is the hottest directed link in
+	// Result.LinkStats and TopLinkIsHottest whether the path's top
 	// serialization link is (one of) the maximally utilized links.
 	// Informational, not gated: on congestion-shared forests the hottest
 	// global link sums two trees' streams while the path's serialization
@@ -103,15 +103,15 @@ type CritPathPoint struct {
 	// surviving tree's original job can deliver last instead, in which
 	// case the re-issued traffic's delay is congestion blame and the
 	// round is legitimately off the path. The exactness contract: blame
-	// equals the collector's measured latency for exactly the traversed
-	// rounds, so traversing all of them means exact equality with the
-	// measured total, and traversing a subset means blame stays below it.
+	// equals the measured latency for exactly the traversed rounds, so
+	// traversing all of them means exact equality with the measured
+	// total, and traversing a subset means blame stays below it.
 	RecoveriesMeasured     int `json:"recoveries_measured,omitempty"`
 	RecoveriesOnPath       int `json:"recoveries_on_path,omitempty"`
 	RecoveryBlameCycles    int `json:"recovery_blame_cycles,omitempty"`
 	MeasuredRecoveryCycles int `json:"measured_recovery_cycles,omitempty"`
-	// RecoveryRounds lists the traversed rounds (indices into the
-	// collector's recovery order) and TraversedRecoveryCycles their summed
+	// RecoveryRounds lists the traversed rounds (indices into
+	// Result.Recoveries) and TraversedRecoveryCycles their summed
 	// measured latency — the exact quantity the blame must equal even when
 	// nested recoveries leave some rounds legitimately off the path.
 	RecoveryRounds          []int `json:"recovery_rounds,omitempty"`
@@ -130,10 +130,12 @@ type critJob struct {
 
 // CritPath sweeps the configured design points, reconstructs each run's
 // causal critical path from the trace stream, and returns one blame
-// record per (q, embedding, faulted). Points are independent — each job
-// builds its own instance, workload, collector, and builder from the
-// seeded config — so cfg.Parallel of them run concurrently on a parrun
-// pool with ordered commit.
+// record per (q, embedding, faulted). The critpath builder is the only
+// trace consumer; link utilization and recovery latency come from the
+// run's counters. Points are independent — each job builds its own
+// instance, workload, and builder from the seeded config — so
+// cfg.Parallel of them run concurrently on a parrun pool with ordered
+// commit.
 func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: critpath sweep needs at least one q")
@@ -188,9 +190,6 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 			{Kind: faults.LinkDown, U: link[0], V: link[1], At: cfg.FailAt},
 		}}
 	}
-	col := obsv.NewCollector()
-	col.DisableSpans = true // Metrics-only; Chrome spans are O(flits) at q=31 scale
-	col.Attach(&runCfg)
 	b := critpath.NewBuilder()
 	b.Attach(&runCfg)
 	res, err := inst.Allreduce(e, inputs, runCfg)
@@ -207,8 +206,6 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 	if err != nil {
 		return CritPathPoint{}, fmt.Errorf("perf: q=%d %v: %w", job.q, job.kind, err)
 	}
-	col.SetCycles(res.Cycles)
-	rep := col.Report()
 	pt.Cycles = res.Cycles
 
 	a, aerr := b.Analyze(res.Cycles)
@@ -231,45 +228,54 @@ func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
 		top = top[:3]
 	}
 	pt.TopSerialization = top
-	pt.MaxLinkUtilization = rep.MaxLinkUtilization
+	for _, ls := range res.LinkStats {
+		pt.MaxLinkUtilization = max(pt.MaxLinkUtilization, ls.Utilization)
+	}
 	// Utilization is flits over the shared run length, so "hottest" ties
 	// are exact; the tiny slack only guards float division noise.
-	hot := rep.MaxLinkUtilization * (1 - 1e-9)
-	for _, lr := range rep.Links {
-		if lr.Utilization >= hot {
-			pt.MaxUtilLink = []int{lr.From, lr.To}
-			break
+	hot := pt.MaxLinkUtilization * (1 - 1e-9)
+	for _, ls := range res.LinkStats {
+		if pt.MaxUtilLink == nil && ls.Utilization >= hot {
+			pt.MaxUtilLink = []int{ls.From, ls.To}
+		}
+		if len(top) > 0 && ls.From == top[0].From && ls.To == top[0].To {
+			pt.TopLinkIsHottest = ls.Utilization >= hot
 		}
 	}
-	if len(top) > 0 {
-		for _, lr := range rep.Links {
-			if lr.From == top[0].From && lr.To == top[0].To {
-				pt.TopLinkIsHottest = lr.Utilization >= hot
-				break
-			}
-		}
-	}
-	pt.RecoveriesMeasured = len(rep.Recoveries)
+	latency := recoveryLatencies(res.Recoveries, cfg.FailAt)
+	pt.RecoveriesMeasured = len(latency)
 	pt.RecoveriesOnPath = a.RecoveriesOnPath
 	pt.RecoveryBlameCycles = a.BlameCycles("fault-detect") + a.BlameCycles("recovery")
-	for _, r := range rep.Recoveries {
-		pt.MeasuredRecoveryCycles += r.LatencyCycles
+	for _, l := range latency {
+		pt.MeasuredRecoveryCycles += l
 	}
 	pt.RecoveryRounds = a.RecoveryRounds
 	for _, ri := range a.RecoveryRounds {
-		if ri < len(rep.Recoveries) {
-			pt.TraversedRecoveryCycles += rep.Recoveries[ri].LatencyCycles
+		if ri < len(latency) {
+			pt.TraversedRecoveryCycles += latency[ri]
 		}
 	}
 	return pt, nil
+}
+
+// recoveryLatencies returns each recovery round's detection latency on a
+// run whose plan is one LinkDown at cycle failAt: with a single lossy
+// fault, every round pairs with it, so the latency is the round's cycle
+// minus failAt. Empty for a run without recovery.
+func recoveryLatencies(recs []netsim.Recovery, failAt int) []int {
+	var out []int
+	for _, r := range recs {
+		out = append(out, r.Cycle-failAt)
+	}
+	return out
 }
 
 // CritPathFailures lists every violation of the critical-path contract:
 // a blame split that does not sum exactly to the cycle count,
 // unattributed residue, a fault-free run not dominated by link
 // serialization on a maximally utilized link, or a faulted run whose
-// fault-detect+recovery blame disagrees with the collector's measured
-// recovery latency. Empty means the critpath gate passes.
+// fault-detect+recovery blame disagrees with the measured recovery
+// latency. Empty means the critpath gate passes.
 func CritPathFailures(points []CritPathPoint) []string {
 	var fails []string
 	for _, pt := range points {
@@ -308,7 +314,7 @@ func CritPathFailures(points []CritPathPoint) []string {
 			switch {
 			case pt.RecoveriesOnPath > pt.RecoveriesMeasured:
 				fails = append(fails, fmt.Sprintf(
-					"%s: path traversed %d recovery rounds, collector measured only %d",
+					"%s: path traversed %d recovery rounds, the run measured only %d",
 					id, pt.RecoveriesOnPath, pt.RecoveriesMeasured))
 			case pt.RecoveriesOnPath == pt.RecoveriesMeasured && pt.RecoveryBlameCycles != pt.MeasuredRecoveryCycles:
 				fails = append(fails, fmt.Sprintf(

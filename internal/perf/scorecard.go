@@ -7,7 +7,6 @@ import (
 	"polarfly/internal/bandwidth"
 	"polarfly/internal/core"
 	"polarfly/internal/netsim"
-	"polarfly/internal/obsv"
 	"polarfly/internal/parrun"
 	"polarfly/internal/workload"
 )
@@ -72,7 +71,7 @@ const (
 
 // ScorePoint is one measured-vs-model record: a (q, embedding) design
 // point with the Algorithm 1 prediction, the simulated measurement, the
-// theorem floor, and the obsv telemetry that attributes the gap.
+// theorem floor, and the simulator counters that attribute the gap.
 type ScorePoint struct {
 	Q         int    `json:"q"`
 	Embedding string `json:"embedding"`
@@ -93,18 +92,20 @@ type ScorePoint struct {
 	MeetsBound bool    `json:"meets_bound"`
 	// OptimalBW is Corollary 7.1's (q+1)·B/2 ceiling, for normalising.
 	OptimalBW float64 `json:"optimal_bw"`
-	// Link telemetry from the obsv collector (not recomputed from the
-	// simulator): hottest measured link vs the waterfill prediction, with
-	// the explicit relative error.
+	// Link telemetry from the simulator's per-link counters
+	// (Result.LinkStats): hottest measured link vs the waterfill
+	// prediction, with the explicit relative error.
 	MaxLinkUtil      float64 `json:"max_link_util"`
 	ModelMaxLinkUtil float64 `json:"model_max_link_util"`
 	UtilRelErr       float64 `json:"util_rel_err"`
-	// Congestion structure (Theorem 7.6 bounds MaxEdgeCongestion by 2 on
-	// the low-depth forest; Theorem 7.19 pins it at 1).
+	// Congestion structure from LinkStat.Trees (Theorem 7.6 bounds
+	// MaxEdgeCongestion by 2 on the low-depth forest; Theorem 7.19 pins
+	// it at 1). An allreduce tree crossing a link has a flow in both
+	// directions, so the directed maximum is the undirected one.
 	MaxEdgeCongestion   int `json:"max_edge_congestion"`
 	SharedDirectedLinks int `json:"shared_directed_links"`
-	// Phase attribution from the collector: cycles until the slowest
-	// root finished reducing, and the broadcast tail after it.
+	// Phase attribution from Result.TreeReduceDone: cycles until the
+	// slowest root finished reducing, and the broadcast tail after it.
 	ReducePhaseCycles int `json:"reduce_phase_cycles"`
 	BcastPhaseCycles  int `json:"bcast_phase_cycles"`
 }
@@ -125,16 +126,16 @@ func sweepKinds(q int) []core.EmbeddingKind {
 }
 
 // Scorecard sweeps the configured design points, runs each embedding
-// through the cycle simulator with an obsv collector attached, and
-// returns one record per (q, embedding). The collector's registry-backed
-// telemetry supplies the per-link utilization and phase split; only the
-// headline bandwidth is derived from the cycle count.
+// through the cycle simulator, and returns one record per (q, embedding).
+// The runs are untraced: the per-link utilization, congestion and phase
+// split come from the counters the simulator keeps anyway, and the
+// headline bandwidth from the cycle count.
 //
-// Design points are independent — each job builds its own instance,
-// workload, and collector from the seeded config — so cfg.Parallel of
-// them run concurrently on a parrun pool; the ordered commit keeps the
-// returned slice (and everything rendered from it) byte-identical to a
-// serial sweep.
+// Design points are independent — each job builds its own instance and
+// workload from the seeded config — so cfg.Parallel of them run
+// concurrently on a parrun pool; the ordered commit keeps the returned
+// slice (and everything rendered from it) byte-identical to a serial
+// sweep.
 func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: scorecard needs at least one q")
@@ -170,30 +171,35 @@ func scorePoint(cfg ScorecardConfig, q int, kind core.EmbeddingKind) (ScorePoint
 		return ScorePoint{}, err
 	}
 	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Engine: cfg.Engine}
-	col := obsv.NewCollector()
-	col.DisableSpans = true // Metrics-only; Chrome spans are O(flits) at q=31 scale
-	col.Attach(&runCfg)
 	res, err := inst.Allreduce(e, inputs, runCfg)
 	if err != nil {
 		return ScorePoint{}, fmt.Errorf("perf: q=%d %v: %w", q, kind, err)
 	}
-	col.SetCycles(res.Cycles)
-	reg := obsv.NewRegistry()
-	rep := col.Metrics(reg)
 
 	pt := ScorePoint{
 		Q: q, Embedding: kind.String(), Trees: len(e.Forest),
 		M: cfg.M, Cycles: res.Cycles,
-		ModelBW:             e.Model.Aggregate,
-		MeasuredBW:          float64(cfg.M) / float64(res.Cycles),
-		OptimalBW:           bandwidth.Optimal(q, 1.0),
-		MaxLinkUtil:         rep.MaxLinkUtilization,
-		ModelMaxLinkUtil:    e.ModelMaxLinkLoad(),
-		MaxEdgeCongestion:   rep.MaxEdgeCongestion,
-		SharedDirectedLinks: rep.SharedDirectedLinks,
-		ReducePhaseCycles:   rep.ReducePhaseCycles,
-		BcastPhaseCycles:    rep.BcastPhaseCycles,
+		ModelBW:          e.Model.Aggregate,
+		MeasuredBW:       float64(cfg.M) / float64(res.Cycles),
+		OptimalBW:        bandwidth.Optimal(q, 1.0),
+		ModelMaxLinkUtil: e.ModelMaxLinkLoad(),
 	}
+	// LinkStat.Trees counts the trees with a flow on the link at the end
+	// of the run, which leaves out trees a recovery aborted; this run is
+	// fault-free, so it counts every tree crossing the link (a tree whose
+	// split is zero, possible only when m is below the tree count, counts
+	// although it sends nothing).
+	for _, ls := range res.LinkStats {
+		pt.MaxLinkUtil = max(pt.MaxLinkUtil, ls.Utilization)
+		pt.MaxEdgeCongestion = max(pt.MaxEdgeCongestion, ls.Trees)
+		if ls.Trees >= 2 {
+			pt.SharedDirectedLinks++
+		}
+	}
+	for _, c := range res.TreeReduceDone {
+		pt.ReducePhaseCycles = max(pt.ReducePhaseCycles, c)
+	}
+	pt.BcastPhaseCycles = max(res.Cycles-pt.ReducePhaseCycles, 0)
 	if pt.ModelBW > 0 {
 		pt.BWRelErr = (pt.MeasuredBW - pt.ModelBW) / pt.ModelBW
 	}

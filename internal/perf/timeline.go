@@ -8,7 +8,6 @@ import (
 	"polarfly/internal/core"
 	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
-	"polarfly/internal/obsv"
 	"polarfly/internal/parrun"
 	"polarfly/internal/tsdb"
 	"polarfly/internal/workload"
@@ -22,7 +21,7 @@ const KindTimeline = "timeline"
 // simulated Allreduce per embedding of one design point, with the tsdb
 // sampler and analyzer attached, gated on the bandwidth bounds, the
 // fixed-memory footprint, and — when a fault is injected — the analyzer
-// reproducing the obsv trace's ground-truth fault timing exactly.
+// reproducing the run's ground-truth fault timing exactly.
 type TimelineConfig struct {
 	// Q is the PolarFly order and M the Allreduce vector length.
 	Q int `json:"q"`
@@ -45,7 +44,9 @@ type TimelineConfig struct {
 	// FaultAt, when > 0, fails the first edge of tree 0 at that cycle on
 	// every multi-tree embedding (the single-tree baseline stays
 	// fault-free — a link failure kills its only tree) and cross-checks
-	// the analyzer's telemetry-derived events against the obsv trace.
+	// the analyzer's telemetry-derived events against the ground truth
+	// the run records: the fault at FaultAt when the run reached that
+	// cycle, and every round in Result.Recoveries.
 	FaultAt int `json:"fault_at,omitempty"`
 	// Parallel is the parrun pool size; excluded from snapshots because
 	// the ordered commit makes output independent of it.
@@ -80,11 +81,11 @@ func timelineFloor(q int, kind core.EmbeddingKind, e *core.Embedding) float64 {
 	}
 }
 
-// Timeline sweeps every embedding of the design point through a sampled
-// simulation and returns one tsdb snapshot per embedding, in sweepKinds
-// order. Each run is independent — sampler, analyzer, and collector are
-// all job-local — so cfg.Parallel of them run on a parrun pool with
-// ordered commit keeping the result byte-identical to a serial sweep.
+// Timeline sweeps every embedding of the design point through a sampled,
+// untraced simulation and returns one tsdb snapshot per embedding, in
+// sweepKinds order. Each run is independent — sampler and analyzer are
+// job-local — so cfg.Parallel of them run on a parrun pool with ordered
+// commit keeping the result byte-identical to a serial sweep.
 func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	if cfg.M <= 0 {
 		return nil, fmt.Errorf("perf: timeline vector length must be positive, got %d", cfg.M)
@@ -127,7 +128,6 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 	})
 	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth,
 		SampleEvery: cfg.SampleEvery, Sample: sampler.Sample, Engine: cfg.Engine}
-	var col *obsv.Collector
 	if faulted {
 		var u, v int
 		for w, p := range e.Forest[0].Parent {
@@ -139,11 +139,6 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 		runCfg.Faults = &faults.Plan{Faults: []faults.Fault{
 			{Kind: faults.LinkDown, U: u, V: v, At: cfg.FaultAt},
 		}}
-		// The trace collector supplies the ground truth the analyzer's
-		// telemetry-only detection is checked against.
-		col = obsv.NewCollector()
-		col.DisableSpans = true // Metrics-only; Chrome spans are O(flits) at q=31 scale
-		col.Attach(&runCfg)
 	}
 	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
 	res, err := inst.Allreduce(e, inputs, runCfg)
@@ -156,26 +151,27 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 		Optimal:   bandwidth.Optimal(cfg.Q, 1.0),
 		Floor:     timelineFloor(cfg.Q, kind, e),
 	})
-	if col != nil {
-		col.SetCycles(res.Cycles)
-		rep := col.Report()
-		sn.GroundTruth = groundTruth(sn, rep)
+	if faulted {
+		sn.GroundTruth = groundTruth(sn, res.Cycles, cfg.FaultAt, res.Recoveries)
 	}
 	return sn, nil
 }
 
-// groundTruth builds the trace-side event record and checks the
-// analyzer's telemetry-derived events against it: same fault cycles,
-// same recovery cycles, same latency attribution — exactly.
-func groundTruth(sn *tsdb.Snapshot, rep *obsv.Report) *tsdb.GroundTruth {
+// groundTruth builds the event record of a run whose plan is one
+// LinkDown at cycle faultAt, and checks the analyzer's telemetry-derived
+// events against it: same fault cycles, same recovery cycles, same
+// latency attribution — exactly. The fault activates only if the run
+// reached faultAt (cycles 1..cycles are simulated), and every recovery
+// round pairs with it.
+func groundTruth(sn *tsdb.Snapshot, cycles, faultAt int, recs []netsim.Recovery) *tsdb.GroundTruth {
 	gt := &tsdb.GroundTruth{Match: true}
-	for _, f := range rep.Faults {
-		gt.FaultCycles = append(gt.FaultCycles, f.Cycle)
+	if faultAt <= cycles {
+		gt.FaultCycles = []int{faultAt}
 	}
-	for _, r := range rep.Recoveries {
+	for _, r := range recs {
 		gt.RecoverCycles = append(gt.RecoverCycles, r.Cycle)
-		gt.Latencies = append(gt.Latencies, r.LatencyCycles)
 	}
+	gt.Latencies = recoveryLatencies(recs, faultAt)
 	if len(sn.Faults) != len(gt.FaultCycles) || len(sn.Recoveries) != len(gt.RecoverCycles) {
 		gt.Match = false
 		return gt
@@ -196,7 +192,7 @@ func groundTruth(sn *tsdb.Snapshot, rep *obsv.Report) *tsdb.GroundTruth {
 // TimelineFailures lists every way the sweep violates the telemetry
 // contract: a run with no points, a bound violation, a sampler footprint
 // above the ceiling, or telemetry-derived fault events that disagree
-// with the trace ground truth. Empty means the timeline gate passes.
+// with the run's ground truth. Empty means the timeline gate passes.
 func TimelineFailures(runs []*tsdb.Snapshot, cfg TimelineConfig) []string {
 	var fails []string
 	for _, sn := range runs {
@@ -219,7 +215,7 @@ func TimelineFailures(runs []*tsdb.Snapshot, cfg TimelineConfig) []string {
 		}
 		if gt := sn.GroundTruth; gt != nil && !gt.Match {
 			fails = append(fails, fmt.Sprintf(
-				"%s: telemetry-derived fault events diverge from trace ground truth (telemetry %d/%d, trace %d/%d)",
+				"%s: telemetry-derived fault events diverge from the run's ground truth (telemetry %d/%d, ground truth %d/%d)",
 				id, len(sn.Faults), len(sn.Recoveries), len(gt.FaultCycles), len(gt.RecoverCycles)))
 		}
 	}

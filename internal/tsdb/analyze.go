@@ -74,8 +74,10 @@ type FaultEvent struct {
 type RecoveryEvent struct {
 	Cycle       int `json:"cycle"`
 	ObservedEnd int `json:"observed_end"`
-	// Latency is Cycle minus the latest detected fault at or before it,
-	// matching obsv.RecoverMark.LatencyCycles; -1 if no fault was seen.
+	// Latency is Cycle minus the latest detected fault at or before it —
+	// the recovery's cycle minus the fault's on the timeline gate's
+	// one-fault runs, which is how its ground truth computes it; -1 if no
+	// fault was seen.
 	Latency int `json:"latency"`
 }
 
@@ -250,8 +252,7 @@ func (a *Analyzer) observeGauges(run RunWindow) {
 		a.lastRecoverGauge = run.LastRecoverCycle
 		ev := RecoveryEvent{Cycle: run.LastRecoverCycle,
 			ObservedEnd: run.End, Latency: -1}
-		// Latest detected fault at or before the recovery, mirroring the
-		// obsv collector's latency attribution.
+		// Latest detected fault at or before the recovery.
 		for i := len(a.faults) - 1; i >= 0; i-- {
 			if a.faults[i].Cycle <= ev.Cycle {
 				ev.Latency = ev.Cycle - a.faults[i].Cycle

@@ -51,15 +51,18 @@ type Point struct {
 	Recoveries int `json:"recoveries,omitempty"`
 }
 
-// GroundTruth is the obsv-trace cross-check of the telemetry-derived
-// fault events: the exact cycles from TraceFault/TraceRecover marks and
-// whether the analyzer reproduced them.
+// GroundTruth is the cross-check of the telemetry-derived fault events
+// against what the run itself records: the injected fault's activation
+// cycle, the cycle of every round in the simulator's Result.Recoveries,
+// and whether the analyzer reproduced them.
 type GroundTruth struct {
 	FaultCycles   []int `json:"fault_cycles"`
 	RecoverCycles []int `json:"recover_cycles"`
-	// Latencies are the obsv per-recovery latency attributions.
+	// Latencies are the per-recovery latencies: each recovery's cycle
+	// minus the fault's.
 	Latencies []int `json:"latencies"`
-	// Match is true when the analyzer's events equal the trace exactly.
+	// Match is true when the analyzer's events equal the ground truth
+	// exactly.
 	Match bool `json:"match"`
 }
 

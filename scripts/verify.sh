@@ -63,7 +63,7 @@ camdir=$(mktemp -d)
 go run ./cmd/benchreport campaign -q 5 -runs 8 -m 1024 -label campaign-smoke -out "$camdir" >/dev/null
 rm -rf "$camdir"
 
-echo "== telemetry timeline smoke (tsdb sampler/analyzer gate + trace cross-check, q=5)"
+echo "== telemetry timeline smoke (tsdb sampler/analyzer gate + ground-truth cross-check, q=5)"
 tldir=$(mktemp -d)
 go run ./cmd/benchreport timeline -q 5 -m 4096 -sample-every 32 -windows 32 \
     -fault-at 100 -max-bytes 2000000 -label timeline-smoke -out "$tldir" >/dev/null
