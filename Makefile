@@ -31,7 +31,8 @@ hotcheck:
 
 # verify is the pre-commit gate: gofmt + vet + build + repolint (with
 # fixture selfcheck) + race-enabled tests for the concurrency-bearing
-# packages + the full suite + the measured gates (bench smoke,
+# packages + the full suite + vet and tests of the cmd/pfbench module
+# (its own go.mod, so ./... skips it) + the measured gates (bench smoke,
 # hotcheck, scorecards, timeline).
 verify:
 	./scripts/verify.sh

@@ -166,41 +166,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sweep {
 		return runSweep(*q, *m, *latency, *vc, *parallel, *seed, engine, *maxSimBytes, stdout, stderr)
 	}
+	obs := &observers{q: *q, m: *m, latency: *latency, vc: *vc, sampleEvery: *sampleEvery, tsWindows: *tsWindows,
+		traceOut: *traceOut, metricsOut: *metricsOut, tsOut: *tsOut, critpathOut: *critpathOut}
 	if *failLinks != "" || *faultSeed != 0 || *faultPlan != "" || *failRouters != "" || *chaosSeed != 0 {
 		return runFaults(*q, *m, *latency, *vc, *parallel, *seed,
-			*failLinks, *failRouters, *failAt, *faultSeed, *chaosSeed, *faultPlan, *traceOut, *metricsOut,
-			*tsOut, *sampleEvery, *tsWindows, *critpathOut, engine, *maxSimBytes, meter, stdout, stderr)
+			*failLinks, *failRouters, *failAt, *faultSeed, *chaosSeed, *faultPlan,
+			obs, engine, *maxSimBytes, meter, stdout, stderr)
 	}
 
 	cfg := netsim.Config{LinkLatency: *latency, VCDepth: *vc, Engine: engine}
 
-	// With -trace-out/-metrics-out/-ts-out/-critpath-out/-progress, prep
-	// wires one collector, telemetry rig, critical-path builder, and/or
-	// progress tap per embedding. prep runs serially before the
-	// comparison's worker pool dispatches, so the maps need no locks and
-	// -parallel N output stays byte-identical to a serial run.
-	collectors := make(map[core.EmbeddingKind]*obsv.Collector)
-	rigs := make(map[core.EmbeddingKind]*tsRig)
-	builders := make(map[core.EmbeddingKind]*critpath.Builder)
-	var kindOrder []core.EmbeddingKind
 	var prep func(core.EmbeddingKind, *core.Embedding, *netsim.Config)
-	if *traceOut != "" || *metricsOut != "" || *tsOut != "" || *critpathOut != "" || meter != nil {
-		prep = func(kind core.EmbeddingKind, e *core.Embedding, c *netsim.Config) {
-			kindOrder = append(kindOrder, kind)
-			if *traceOut != "" || *metricsOut != "" {
-				col := obsv.NewCollector()
-				col.LinkLatency = *latency
-				col.SpanMergeGap = *latency
-				collectors[kind] = col
-				c.Trace = col.Observe
-			}
-			if *tsOut != "" {
-				rigs[kind] = newTSRig(*q, *m, *sampleEvery, *tsWindows, e, false, c)
-			}
-			if *critpathOut != "" {
-				b := critpath.NewBuilder()
-				b.Attach(c)
-				builders[kind] = b
+	if obs.on() || meter != nil {
+		prep = func(_ core.EmbeddingKind, e *core.Embedding, c *netsim.Config) {
+			if obs.on() {
+				obs.attach(e, false, c)
 			}
 			if meter != nil {
 				meter.attach(c, estimateCycles(*m, e))
@@ -216,8 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*q, (*q)*(*q)+(*q)+1, *q+1, *m, *latency, *vc)
 	fmt.Fprintf(stdout, "%-12s %8s %10s %10s %8s %6s %6s %11s %9s %9s %13s\n",
 		"embedding", "trees", "model B", "meas. B", "cycles", "depth", "cong", "util(m/p)", "util err", "speedup", "red/bc cyc")
-	cyclesByKind := make(map[core.EmbeddingKind]int)
-	arenaByKind := make(map[core.EmbeddingKind]netsim.ArenaFootprint)
 	for _, r := range rows {
 		trees := 1
 		switch r.Kind {
@@ -228,16 +206,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case core.Hamiltonian:
 			trees = (*q + 1) / 2
 		}
-		cyclesByKind[r.Kind] = r.Cycles
-		arenaByKind[r.Kind] = r.Arena
 		fmt.Fprintf(stdout, "%-12v %8d %10.3f %10.3f %8d %6d %6d %5.2f/%4.2f %+8.2f%% %8.2fx %6d/%6d\n",
 			r.Kind, trees, r.ModelBW, r.MeasuredBW, r.Cycles, r.MaxDepth, r.MaxCongestion,
 			r.MaxLinkUtil, r.ModelMaxLinkUtil, 100*r.UtilRelErr, r.SpeedupVsOne,
 			r.ReduceCycles, r.BcastCycles)
 	}
-	for kind, c := range collectors {
-		c.SetCycles(cyclesByKind[kind])
-		c.SetArena(arenaByKind[kind])
+	for i, r := range obs.runs {
+		r.finish(rows[i].Cycles)
+		if r.col != nil {
+			r.col.SetArena(rows[i].Arena)
+		}
 	}
 
 	// Memory-ceiling gate: the arena footprint is derived from the spec,
@@ -252,44 +230,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *traceOut != "" {
-		ct := obsv.NewChromeTrace()
-		for _, kind := range kindOrder {
-			ct.Add(kind.String(), collectors[kind])
-		}
-		if err := writeFile(*traceOut, ct.Write); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "\nchrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *traceOut)
-	}
-	if *metricsOut != "" {
-		out := metricsFile{Q: *q, M: *m, LinkLatency: *latency, VCDepth: *vc,
-			Embeddings: make(map[string]embeddingMetrics, len(kindOrder))}
-		for _, kind := range kindOrder {
-			reg := obsv.NewRegistry()
-			rep := collectors[kind].Metrics(reg)
-			out.Embeddings[kind.String()] = embeddingMetrics{Summary: rep, Metrics: reg.Snapshot()}
-		}
-		if err := writeFile(*metricsOut, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(out)
-		}); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "metrics written to %s\n", *metricsOut)
-	}
-	if *tsOut != "" {
-		if err := writeTimelines(*tsOut, kindOrder, rigs); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "telemetry timeline written to %s\n", *tsOut)
-	}
-	if *critpathOut != "" {
-		if err := writeCritPaths(*critpathOut, kindOrder, builders, cyclesByKind); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "critical-path report written to %s\n", *critpathOut)
+	if err := obs.write(stdout); err != nil {
+		return fail(err)
 	}
 
 	if *hosts {
@@ -365,61 +307,149 @@ func newTSRig(q, m, sampleEvery, windows int, e *core.Embedding, faulted bool, c
 		Aggregate: e.Model.Aggregate, Optimal: bandwidth.Optimal(q, 1.0), Floor: floor}}
 }
 
-// writeTimelines renders every rig's phase timeline, in run order.
-func writeTimelines(path string, order []core.EmbeddingKind, rigs map[core.EmbeddingKind]*tsRig) error {
-	return writeFile(path, func(w io.Writer) error {
-		first := true
-		for _, kind := range order {
-			r, ok := rigs[kind]
-			if !ok {
-				continue
-			}
-			if !first {
-				if _, err := fmt.Fprintln(w); err != nil {
-					return err
-				}
-			}
-			first = false
-			sn := tsdb.BuildSnapshot(r.sampler, r.analyzer, r.meta)
-			if err := sn.WriteMarkdown(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+// observers is what -trace-out, -metrics-out, -ts-out and -critpath-out
+// attach to each embedding's run (an obsv collector, a telemetry rig, a
+// critical-path builder), and the files they write afterwards. The
+// comparison and the fault path both wire every run before their worker
+// pool dispatches, so the run list needs no locks and -parallel N output
+// stays byte-identical to a serial run.
+type observers struct {
+	q, m, latency, vc, sampleEvery, tsWindows int
+	traceOut, metricsOut, tsOut, critpathOut  string
+	runs                                      []*observed
 }
 
-// writeCritPaths analyses every builder's trace index against the run's
-// final cycle count and renders one blame report per embedding, in run
-// order. An Analyze error (a causal-model inconsistency) aborts the
-// whole file — a partial report would hide the engine bug.
-func writeCritPaths(path string, order []core.EmbeddingKind, builders map[core.EmbeddingKind]*critpath.Builder, cycles map[core.EmbeddingKind]int) error {
-	return writeFile(path, func(w io.Writer) error {
-		first := true
-		for _, kind := range order {
-			b, ok := builders[kind]
-			if !ok {
-				continue
-			}
-			a, err := b.Analyze(cycles[kind])
-			if err != nil {
-				return fmt.Errorf("critical path for %v: %w", kind, err)
-			}
-			if !first {
-				if _, err := fmt.Fprintln(w); err != nil {
-					return err
-				}
-			}
-			first = false
-			if _, err := fmt.Fprintf(w, "Embedding: %s\n\n", kind); err != nil {
-				return err
-			}
-			if err := critpath.WriteMarkdown(w, a, 10); err != nil {
+// observed is one embedding's observer set. cycles is the completed
+// run's length; cp is nil when the run completed nothing to analyse.
+type observed struct {
+	kind   core.EmbeddingKind
+	col    *obsv.Collector
+	rig    *tsRig
+	cp     *critpath.Builder
+	cycles int
+}
+
+func (o *observers) on() bool {
+	return o.traceOut != "" || o.metricsOut != "" || o.tsOut != "" || o.critpathOut != ""
+}
+
+// attach wires the requested observers into one embedding's run config,
+// in run order.
+func (o *observers) attach(e *core.Embedding, faulted bool, c *netsim.Config) *observed {
+	r := &observed{kind: e.Kind}
+	if o.traceOut != "" || o.metricsOut != "" {
+		r.col = obsv.NewCollector()
+		r.col.LinkLatency = o.latency
+		r.col.SpanMergeGap = o.latency
+		c.Trace = r.col.Observe
+	}
+	if o.tsOut != "" {
+		r.rig = newTSRig(o.q, o.m, o.sampleEvery, o.tsWindows, e, faulted, c)
+	}
+	if o.critpathOut != "" {
+		r.cp = critpath.NewBuilder()
+		r.cp.Attach(c)
+	}
+	o.runs = append(o.runs, r)
+	return r
+}
+
+// finish records a completed run's cycle count.
+func (r *observed) finish(cycles int) {
+	r.cycles = cycles
+	if r.col != nil {
+		r.col.SetCycles(cycles)
+	}
+}
+
+// write writes every requested file, one section per run in run order,
+// and names each file on stdout.
+func (o *observers) write(stdout io.Writer) error {
+	if o.traceOut != "" {
+		ct := obsv.NewChromeTrace()
+		for _, r := range o.runs {
+			ct.Add(r.kind.String(), r.col)
+		}
+		if err := writeFile(o.traceOut, ct.Write); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "\nchrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", o.traceOut)
+	}
+	if o.metricsOut != "" {
+		out := metricsFile{Q: o.q, M: o.m, LinkLatency: o.latency, VCDepth: o.vc,
+			Embeddings: make(map[string]embeddingMetrics, len(o.runs))}
+		for _, r := range o.runs {
+			reg := obsv.NewRegistry()
+			rep := r.col.Metrics(reg)
+			out.Embeddings[r.kind.String()] = embeddingMetrics{Summary: rep, Metrics: reg.Snapshot()}
+		}
+		if err := writeFile(o.metricsOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(out)
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "metrics written to %s\n", o.metricsOut)
+	}
+	if o.tsOut != "" {
+		if err := writeFile(o.tsOut, o.writeTimelines); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "telemetry timeline written to %s\n", o.tsOut)
+	}
+	if o.critpathOut != "" {
+		if err := writeFile(o.critpathOut, o.writeCritPaths); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "critical-path report written to %s\n", o.critpathOut)
+	}
+	return nil
+}
+
+// writeTimelines renders every rig's phase timeline.
+func (o *observers) writeTimelines(w io.Writer) error {
+	for i, r := range o.runs {
+		if i > 0 {
+			if _, err := fmt.Fprintln(w); err != nil {
 				return err
 			}
 		}
-		return nil
-	})
+		if err := tsdb.BuildSnapshot(r.rig.sampler, r.rig.analyzer, r.rig.meta).WriteMarkdown(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeCritPaths analyses every builder's trace index against its run's
+// final cycle count and renders one blame report per embedding. An
+// Analyze error (a causal-model inconsistency) aborts the whole file — a
+// partial report would hide the engine bug.
+func (o *observers) writeCritPaths(w io.Writer) error {
+	first := true
+	for _, r := range o.runs {
+		if r.cp == nil {
+			continue
+		}
+		a, err := r.cp.Analyze(r.cycles)
+		if err != nil {
+			return fmt.Errorf("critical path for %v: %w", r.kind, err)
+		}
+		if !first {
+			if _, err := fmt.Fprintln(w); err != nil {
+				return err
+			}
+		}
+		first = false
+		if _, err := fmt.Fprintf(w, "Embedding: %s\n\n", r.kind); err != nil {
+			return err
+		}
+		if err := critpath.WriteMarkdown(w, a, 10); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // progressMeterSampleEvery is the sampling stride the -progress tap uses
@@ -627,8 +657,8 @@ func treeLinks(e *core.Embedding) [][2]int {
 // Each embedding's simulation is an independent job on a parrun pool
 // (rows render to strings inside the jobs and print afterwards in
 // embedding order), so -parallel N output is byte-identical to serial.
-func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers string, at int, fseed, chaosSeed int64, planPath, traceOut, metricsOut string,
-	tsOut string, sampleEvery, tsWindows int, critpathOut string, engine netsim.Engine, maxSimBytes int64, meter *progressMeter, stdout, stderr io.Writer) int {
+func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers string, at int, fseed, chaosSeed int64, planPath string,
+	obs *observers, engine netsim.Engine, maxSimBytes int64, meter *progressMeter, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "allreduce-sim:", err)
 		return 1
@@ -681,36 +711,20 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 	}
 	inputs := workload.Vectors(inst.N(), m, 1000, seed)
 	want := netsim.ExpectedOutput(inputs)
-	kinds := []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
-	if q%2 == 0 {
-		kinds = []core.EmbeddingKind{core.SingleTree, core.Hamiltonian}
-	}
-
-	// With -trace-out/-metrics-out, attach one collector per embedding so
-	// the fault and recovery marks land in the exported telemetry; with
-	// -ts-out, one telemetry rig per embedding captures the degraded run's
-	// phase timeline (floor checks off — a fault legitimately breaks them);
-	// with -critpath-out, one critical-path builder per embedding indexes
-	// the trace for the post-run blame analysis.
-	collectors := make(map[core.EmbeddingKind]*obsv.Collector)
-	rigs := make(map[core.EmbeddingKind]*tsRig)
-	builders := make(map[core.EmbeddingKind]*critpath.Builder)
-	cyclesByKind := make(map[core.EmbeddingKind]int)
-	var kindOrder []core.EmbeddingKind
 
 	// faultJob is one embedding's fully-prepared degraded run. Prep runs
-	// serially (the maps above need no locks); the simulations then run as
-	// independent parrun jobs, each touching only its own job state and
-	// its own collector.
+	// serially; the simulations then run as independent parrun jobs, each
+	// touching only its own job state and its own observers.
 	type faultJob struct {
 		kind  core.EmbeddingKind
 		e     *core.Embedding
 		cfg   netsim.Config
 		pred  float64
 		label string
+		obs   *observed
 	}
 	var jobs []faultJob
-	for _, kind := range kinds {
+	for _, kind := range core.ComparisonKinds(q) {
 		e, err := inst.Embed(kind)
 		if err != nil {
 			return fail(err)
@@ -758,29 +772,18 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 			pred = deg.Model.Aggregate
 		}
 
-		cfg := netsim.Config{LinkLatency: latency, VCDepth: vc, Faults: plan, Engine: engine}
-		if traceOut != "" || metricsOut != "" || tsOut != "" || critpathOut != "" {
-			kindOrder = append(kindOrder, kind)
-		}
-		if traceOut != "" || metricsOut != "" {
-			c := obsv.NewCollector()
-			c.LinkLatency = latency
-			c.SpanMergeGap = latency
-			collectors[kind] = c
-			cfg.Trace = c.Observe
-		}
-		if tsOut != "" {
-			rigs[kind] = newTSRig(q, m, sampleEvery, tsWindows, e, len(plan.Faults) > 0, &cfg)
-		}
-		if critpathOut != "" {
-			b := critpath.NewBuilder()
-			b.Attach(&cfg)
-			builders[kind] = b
+		job := faultJob{kind: kind, e: e, pred: pred, label: label,
+			cfg: netsim.Config{LinkLatency: latency, VCDepth: vc, Faults: plan, Engine: engine}}
+		// With observers, the fault and recovery marks land in the exported
+		// telemetry; the telemetry rig's floor checks are off, since a fault
+		// legitimately breaks them.
+		if obs.on() {
+			job.obs = obs.attach(e, len(plan.Faults) > 0, &job.cfg)
 		}
 		if meter != nil {
-			meter.attach(&cfg, estimateCycles(m, e))
+			meter.attach(&job.cfg, estimateCycles(m, e))
 		}
-		jobs = append(jobs, faultJob{kind: kind, e: e, cfg: cfg, pred: pred, label: label})
+		jobs = append(jobs, job)
 	}
 
 	// faultRow is one job's rendered table line plus what the serial
@@ -789,19 +792,12 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 	type faultRow struct {
 		line    string
 		cycles  int
-		hasRes  bool
 		allLost bool
 	}
 	rows, err := parrun.Map(parallel, len(jobs), func(i int) (faultRow, error) {
 		job := jobs[i]
 		var row faultRow
 		res, err := inst.Allreduce(job.e, inputs, job.cfg)
-		if c, ok := collectors[job.kind]; ok && res != nil {
-			c.SetCycles(res.Cycles)
-		}
-		if res != nil {
-			row.cycles, row.hasRes = res.Cycles, true
-		}
 		if errors.Is(err, netsim.ErrAllTreesLost) {
 			row.allLost = true
 			row.line = fmt.Sprintf("%-12v %6d %-14s %-10s %9s %8s %8s %8s %10s %10s %8s %8s\n",
@@ -814,6 +810,7 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		if err := arenaCeiling(job.kind.String(), res.Arena, maxSimBytes); err != nil {
 			return row, err
 		}
+		row.cycles = res.Cycles
 
 		outputs := "ok"
 		for v := range res.Outputs {
@@ -858,53 +855,16 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		"pred B", "meas B", "err", "outputs")
 	for i, row := range rows {
 		fmt.Fprint(stdout, row.line)
-		if row.hasRes {
-			cyclesByKind[jobs[i].kind] = row.cycles
-		}
-		if row.allLost {
-			// No completed run, so no critical path to analyse.
-			delete(builders, jobs[i].kind)
+		switch r := jobs[i].obs; {
+		case r == nil:
+		case row.allLost:
+			r.cp = nil // no completed run, so no critical path to analyse
+		default:
+			r.finish(row.cycles)
 		}
 	}
-
-	if traceOut != "" {
-		ct := obsv.NewChromeTrace()
-		for _, kind := range kindOrder {
-			ct.Add(kind.String(), collectors[kind])
-		}
-		if err := writeFile(traceOut, ct.Write); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "\nchrome trace written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", traceOut)
-	}
-	if metricsOut != "" {
-		out := metricsFile{Q: q, M: m, LinkLatency: latency, VCDepth: vc,
-			Embeddings: make(map[string]embeddingMetrics, len(kindOrder))}
-		for _, kind := range kindOrder {
-			reg := obsv.NewRegistry()
-			rep := collectors[kind].Metrics(reg)
-			out.Embeddings[kind.String()] = embeddingMetrics{Summary: rep, Metrics: reg.Snapshot()}
-		}
-		if err := writeFile(metricsOut, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(out)
-		}); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "metrics written to %s\n", metricsOut)
-	}
-	if tsOut != "" {
-		if err := writeTimelines(tsOut, kindOrder, rigs); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "telemetry timeline written to %s\n", tsOut)
-	}
-	if critpathOut != "" {
-		if err := writeCritPaths(critpathOut, kindOrder, builders, cyclesByKind); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "critical-path report written to %s\n", critpathOut)
+	if err := obs.write(stdout); err != nil {
+		return fail(err)
 	}
 	return 0
 }
@@ -917,10 +877,6 @@ func arenaCeiling(run string, a netsim.ArenaFootprint, ceiling int64) error {
 	}
 	return nil
 }
-
-// sweepKinds is the fixed iteration order for winner selection, so ties
-// resolve identically on every run.
-var sweepKinds = []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
 
 // runSweep prints per-embedding cycle counts over a geometric vector-size
 // sweep, marking the winner at each point — the latency/bandwidth
@@ -945,6 +901,9 @@ func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engi
 		// worstErr is the design point's measured-vs-model utilization
 		// error: the largest-magnitude relative error across embeddings.
 		worstErr := 0.0
+		// Rows come in core.ComparisonKinds order, so ties resolve
+		// identically on every run.
+		winner, best := core.SingleTree, 0
 		for _, r := range rows {
 			if err := arenaCeiling(fmt.Sprintf("%v m=%d", r.Kind, m), r.Arena, maxSimBytes); err != nil {
 				return "", err
@@ -953,15 +912,8 @@ func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engi
 			if e := r.UtilRelErr; math.Abs(e) > math.Abs(worstErr) {
 				worstErr = e
 			}
-		}
-		winner, best := core.SingleTree, 0
-		for _, kind := range sweepKinds {
-			c, ok := cycles[kind]
-			if !ok {
-				continue
-			}
-			if best == 0 || c < best {
-				winner, best = kind, c
+			if best == 0 || r.Cycles < best {
+				winner, best = r.Kind, r.Cycles
 			}
 		}
 		low := "-"

@@ -59,14 +59,6 @@ import (
 	"polarfly/internal/perf"
 )
 
-// engineFlag registers the shared -engine flag: every simulation-backed
-// subcommand can run the netsim advance loop under either wake policy,
-// and because the policies are differentially tested byte-identical the
-// snapshots do not record the choice.
-func engineFlag(fs *flag.FlagSet) *string {
-	return fs.String("engine", "cycle", "netsim wake policy: cycle (visit every link every cycle) or event (visit woken links, skip idle cycles); byte-identical output")
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -226,11 +218,15 @@ func sanitizeLabel(label string) string {
 	return b.String()
 }
 
-func snapshotPath(dir, label string) string {
-	return filepath.Join(dir, "BENCH_"+sanitizeLabel(label)+".json")
+func snapshotPath(dir, prefix, label string) string {
+	return filepath.Join(dir, prefix+"_"+sanitizeLabel(label)+".json")
 }
 
-func writeSnapshot(path string, s *perf.Snapshot) error {
+// jsonWriter is a snapshot that serialises itself: a perf.Snapshot or a
+// chaos.Report.
+type jsonWriter interface{ WriteJSON(io.Writer) error }
+
+func writeJSON(path string, s jsonWriter) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -303,8 +299,8 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		Failed:     append(parsed.Failed, parsed.FailedPackages...),
 		Benchmarks: perf.Summarize(parsed.Results),
 	}
-	path := snapshotPath(*outDir, *label)
-	if err := writeSnapshot(path, snap); err != nil {
+	path := snapshotPath(*outDir, "BENCH", *label)
+	if err := writeJSON(path, snap); err != nil {
 		return fail(err)
 	}
 	if err := perf.WriteBenchMarkdown(stdout, snap); err != nil {
@@ -397,86 +393,127 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// sweep is what the five simulation sweep commands share: one
+// registration of -m -latency -vc -seed -parallel -engine -label -out,
+// one parse, and the emit step that writes, renders and gates the
+// snapshot.
+type sweep struct {
+	*flag.FlagSet
+	m, latency, vc, parallel int
+	seed                     int64
+	engineName, label, out   string
+	engine                   netsim.Engine
+	// prefix names the snapshot file, <prefix>_<label>.json.
+	prefix         string
+	stdout, stderr io.Writer
+}
+
+// newSweep registers the shared flags with the command's defaults; the
+// command registers its own flags on the returned set before parse.
+func newSweep(name, prefix, label string, m, latency, vc int, seed int64, stdout, stderr io.Writer) *sweep {
+	s := &sweep{FlagSet: flag.NewFlagSet("benchreport "+name, flag.ContinueOnError),
+		prefix: prefix, stdout: stdout, stderr: stderr}
+	s.SetOutput(stderr)
+	s.IntVar(&s.m, "m", m, "Allreduce vector elements")
+	s.IntVar(&s.latency, "latency", latency, "link latency in cycles")
+	s.IntVar(&s.vc, "vc", vc, "virtual channel depth in flits")
+	s.Int64Var(&s.seed, "seed", seed, "workload seed")
+	s.IntVar(&s.parallel, "parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
+	// The wake policies are differentially tested byte-identical, so the
+	// snapshots do not record the choice.
+	s.StringVar(&s.engineName, "engine", "cycle", "netsim wake policy: cycle (visit every link every cycle) or event (visit woken links, skip idle cycles); byte-identical output")
+	s.StringVar(&s.label, "label", label, "snapshot label; output file is "+prefix+"_<label>.json")
+	s.StringVar(&s.out, "out", ".", "directory for the "+prefix+"_<label>.json snapshot")
+	return s
+}
+
+// parse parses args, then the -q list when qList is non-nil, then
+// -engine. It reports a usage error on stderr and returns false.
+func (s *sweep) parse(args []string, qList *string) ([]int, bool) {
+	if err := s.Parse(args); err != nil {
+		return nil, false
+	}
+	var qs []int
+	if qList != nil {
+		var err error
+		if qs, err = parseInts(*qList); err != nil {
+			fmt.Fprintln(s.stderr, "benchreport: -q:", err)
+			return nil, false
+		}
+	}
+	eng, err := netsim.ParseEngine(s.engineName)
+	if err != nil {
+		fmt.Fprintln(s.stderr, "benchreport: -engine:", err)
+		return nil, false
+	}
+	s.engine = eng
+	return qs, true
+}
+
+func (s *sweep) fail(err error) int {
+	fmt.Fprintln(s.stderr, "benchreport:", err)
+	return 1
+}
+
+// snapshot is the envelope of a perf snapshot of the given kind.
+func (s *sweep) snapshot(kind string) *perf.Snapshot {
+	return &perf.Snapshot{Schema: perf.SnapshotSchema, Label: s.label, Kind: kind, GoVersion: runtime.Version()}
+}
+
+// emit writes snap to <prefix>_<label>.json under -out, renders it on
+// stdout, names the file and what it holds on stderr, and exits 1 on
+// every gate violation in fails.
+func emit[T jsonWriter](s *sweep, snap T, render func(io.Writer, T) error, holds string, fails []string) int {
+	path := snapshotPath(s.out, s.prefix, s.label)
+	if err := writeJSON(path, snap); err != nil {
+		return s.fail(err)
+	}
+	if err := render(s.stdout, snap); err != nil {
+		return s.fail(err)
+	}
+	fmt.Fprintf(s.stderr, "benchreport: wrote %s (%s)\n", path, holds)
+	if len(fails) == 0 {
+		return 0
+	}
+	for _, f := range fails {
+		fmt.Fprintln(s.stderr, "benchreport: FAIL:", f)
+	}
+	return 1
+}
+
 func cmdScorecard(args []string, stdout, stderr io.Writer) int {
 	def := perf.DefaultScorecardConfig()
-	defDeg := perf.DefaultDegradedConfig()
-	fs := flag.NewFlagSet("benchreport scorecard", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	qList := fs.String("q", joinInts(def.Qs), "comma-separated PolarFly orders to sweep")
-	m := fs.Int("m", def.M, "Allreduce vector elements")
-	latency := fs.Int("latency", def.LinkLatency, "link latency in cycles")
-	vc := fs.Int("vc", def.VCDepth, "virtual channel depth in flits")
-	seed := fs.Int64("seed", def.Seed, "workload seed")
-	tol := fs.Float64("tol", def.Tolerance, "measured-vs-model tolerance (relative)")
-	label := fs.String("label", "scorecard", "snapshot label; output file is BENCH_<label>.json")
-	outDir := fs.String("out", ".", "directory for the BENCH_<label>.json snapshot")
-	degraded := fs.Bool("degraded", false, "run the fault-injection sweep instead: inject the worst-case link failure per embedding and gate measured post-recovery bandwidth against the core.Degrade prediction")
-	failAt := fs.Int("fail-at", defDeg.FailAt, "cycle the worst-case link fails (with -degraded)")
-	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
-	qs, err := parseInts(*qList)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -q:", err)
-		return 2
-	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
+	s := newSweep("scorecard", "BENCH", "scorecard", def.M, def.LinkLatency, def.VCDepth, def.Seed, stdout, stderr)
+	qList := s.String("q", joinInts(def.Qs), "comma-separated PolarFly orders to sweep")
+	tol := s.Float64("tol", def.Tolerance, "measured-vs-model tolerance (relative)")
+	degraded := s.Bool("degraded", false, "run the fault-injection sweep instead: inject the worst-case link failure per embedding and gate measured post-recovery bandwidth against the core.Degrade prediction")
+	failAt := s.Int("fail-at", perf.DefaultDegradedConfig().FailAt, "cycle the worst-case link fails (with -degraded)")
+	qs, ok := s.parse(args, qList)
+	if !ok {
 		return 2
 	}
 	if *degraded {
-		return cmdScorecardDegraded(qs, *m, *latency, *vc, *failAt, *parallel, *seed, *tol, eng, *label, *outDir, stdout, stderr)
+		return cmdScorecardDegraded(s, qs, *failAt, *tol)
 	}
 	cfg := perf.ScorecardConfig{
-		Qs: qs, M: *m, LinkLatency: *latency, VCDepth: *vc,
-		Seed: *seed, Tolerance: *tol, Parallel: *parallel, Engine: eng,
+		Qs: qs, M: s.m, LinkLatency: s.latency, VCDepth: s.vc,
+		Seed: s.seed, Tolerance: *tol, Parallel: s.parallel, Engine: s.engine,
 	}
 	points, err := perf.Scorecard(cfg)
 	if err != nil {
-		return fail(err)
+		return s.fail(err)
 	}
-	snap := &perf.Snapshot{
-		Schema:          perf.SnapshotSchema,
-		Label:           *label,
-		Kind:            perf.KindScorecard,
-		GoVersion:       runtime.Version(),
-		Scorecard:       points,
-		ScorecardConfig: &cfg,
-	}
-	path := snapshotPath(*outDir, *label)
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteScorecardMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d design points)\n", path, len(points))
-	if fails := perf.ScorecardFailures(points, cfg.Tolerance); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	snap := s.snapshot(perf.KindScorecard)
+	snap.Scorecard, snap.ScorecardConfig = points, &cfg
+	return emit(s, snap, perf.WriteScorecardMarkdown, fmt.Sprintf("%d design points", len(points)),
+		perf.ScorecardFailures(points, cfg.Tolerance))
 }
 
 // cmdScorecardDegraded runs the fault-injection sweep for every listed q:
 // the worst-case single link failure per embedding, gated on recovery
 // happening, outputs staying numerically correct, and the measured
 // post-recovery bandwidth landing within tolerance of core.Degrade.
-func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed int64, tol float64,
-	engine netsim.Engine, label, outDir string, stdout, stderr io.Writer) int {
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
+func cmdScorecardDegraded(s *sweep, qs []int, failAt int, tol float64) int {
 	// Each q's fault sweep is independent; run them on a parrun pool and
 	// flatten in input order so the snapshot matches the serial loop
 	// byte for byte. DegradedScorecard fans out across embeddings with
@@ -484,48 +521,25 @@ func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed i
 	cfgs := make([]perf.DegradedConfig, len(qs))
 	for i, q := range qs {
 		cfgs[i] = perf.DegradedConfig{
-			Q: q, M: m, LinkLatency: latency, VCDepth: vc,
-			FailAt: failAt, Seed: seed, Tolerance: tol, Parallel: parallel,
-			Engine: engine,
+			Q: q, M: s.m, LinkLatency: s.latency, VCDepth: s.vc,
+			FailAt: failAt, Seed: s.seed, Tolerance: tol, Parallel: s.parallel,
+			Engine: s.engine,
 		}
 	}
-	perQ, err := parrun.Map(parallel, len(cfgs), func(i int) ([]perf.DegradedPoint, error) {
+	perQ, err := parrun.Map(s.parallel, len(cfgs), func(i int) ([]perf.DegradedPoint, error) {
 		return perf.DegradedScorecard(cfgs[i])
 	})
 	if err != nil {
-		return fail(err)
+		return s.fail(err)
 	}
 	var points []perf.DegradedPoint
 	for _, pts := range perQ {
 		points = append(points, pts...)
 	}
-	var lastCfg perf.DegradedConfig
-	if len(cfgs) > 0 {
-		lastCfg = cfgs[len(cfgs)-1]
-	}
-	snap := &perf.Snapshot{
-		Schema:         perf.SnapshotSchema,
-		Label:          label,
-		Kind:           perf.KindDegraded,
-		GoVersion:      runtime.Version(),
-		Degraded:       points,
-		DegradedConfig: &lastCfg,
-	}
-	path := snapshotPath(outDir, label)
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteDegradedMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d fault-injected points)\n", path, len(points))
-	if fails := perf.DegradedFailures(points); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	snap := s.snapshot(perf.KindDegraded)
+	snap.Degraded, snap.DegradedConfig = points, &cfgs[len(cfgs)-1]
+	return emit(s, snap, perf.WriteDegradedMarkdown, fmt.Sprintf("%d fault-injected points", len(points)),
+		perf.DegradedFailures(points))
 }
 
 // cmdTimeline runs the streaming-telemetry sweep: one sampled simulation
@@ -534,69 +548,32 @@ func cmdScorecardDegraded(qs []int, m, latency, vc, failAt, parallel int, seed i
 // violates the telemetry contract (bounds, footprint, ground truth).
 func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 	def := perf.DefaultTimelineConfig()
-	fs := flag.NewFlagSet("benchreport timeline", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	q := fs.Int("q", def.Q, "PolarFly order")
-	m := fs.Int("m", def.M, "Allreduce vector elements")
-	latency := fs.Int("latency", def.LinkLatency, "link latency in cycles")
-	vc := fs.Int("vc", def.VCDepth, "virtual channel depth in flits")
-	sampleEvery := fs.Int("sample-every", def.SampleEvery, "telemetry sampling window in cycles")
-	windows := fs.Int("windows", def.Windows, "ring capacity per resolution level")
-	levels := fs.Int("levels", def.Levels, "downsampling levels (1×, 8×, 64×, ...)")
-	factor := fs.Int("factor", def.Factor, "downsampling factor between levels")
-	seed := fs.Int64("seed", def.Seed, "workload seed")
-	tol := fs.Float64("tol", def.Tolerance, "bound-check tolerance (relative)")
-	maxBytes := fs.Int("max-bytes", 0, "fail if the sampler footprint exceeds this many bytes per run (0 disables)")
-	faultAt := fs.Int("fault-at", 0, "inject a link failure at this cycle on multi-tree embeddings and cross-check the telemetry-derived events against the trace (0 disables)")
-	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
-	label := fs.String("label", "timeline", "snapshot label; output file is TIMELINE_<label>.json")
-	outDir := fs.String("out", ".", "directory for the TIMELINE_<label>.json snapshot")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
+	s := newSweep("timeline", "TIMELINE", "timeline", def.M, def.LinkLatency, def.VCDepth, def.Seed, stdout, stderr)
+	q := s.Int("q", def.Q, "PolarFly order")
+	sampleEvery := s.Int("sample-every", def.SampleEvery, "telemetry sampling window in cycles")
+	windows := s.Int("windows", def.Windows, "ring capacity per resolution level")
+	levels := s.Int("levels", def.Levels, "downsampling levels (1×, 8×, 64×, ...)")
+	factor := s.Int("factor", def.Factor, "downsampling factor between levels")
+	tol := s.Float64("tol", def.Tolerance, "bound-check tolerance (relative)")
+	maxBytes := s.Int("max-bytes", 0, "fail if the sampler footprint exceeds this many bytes per run (0 disables)")
+	faultAt := s.Int("fault-at", 0, "inject a link failure at this cycle on multi-tree embeddings and cross-check the telemetry-derived events against the trace (0 disables)")
+	if _, ok := s.parse(args, nil); !ok {
 		return 2
 	}
 	cfg := perf.TimelineConfig{
-		Q: *q, M: *m, LinkLatency: *latency, VCDepth: *vc,
+		Q: *q, M: s.m, LinkLatency: s.latency, VCDepth: s.vc,
 		SampleEvery: *sampleEvery, Windows: *windows, Levels: *levels, Factor: *factor,
-		Seed: *seed, Tolerance: *tol, MaxBytes: *maxBytes, FaultAt: *faultAt,
-		Parallel: *parallel, Engine: eng,
+		Seed: s.seed, Tolerance: *tol, MaxBytes: *maxBytes, FaultAt: *faultAt,
+		Parallel: s.parallel, Engine: s.engine,
 	}
 	runs, err := perf.Timeline(cfg)
 	if err != nil {
-		return fail(err)
+		return s.fail(err)
 	}
-	snap := &perf.Snapshot{
-		Schema:         perf.SnapshotSchema,
-		Label:          *label,
-		Kind:           perf.KindTimeline,
-		GoVersion:      runtime.Version(),
-		Timeline:       runs,
-		TimelineConfig: &cfg,
-	}
-	path := filepath.Join(*outDir, "TIMELINE_"+sanitizeLabel(*label)+".json")
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteTimelineMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d embeddings)\n", path, len(runs))
-	if fails := perf.TimelineFailures(runs, cfg); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	snap := s.snapshot(perf.KindTimeline)
+	snap.Timeline, snap.TimelineConfig = runs, &cfg
+	return emit(s, snap, perf.WriteTimelineMarkdown, fmt.Sprintf("%d embeddings", len(runs)),
+		perf.TimelineFailures(runs, cfg))
 }
 
 // cmdCritPath runs the causal critical-path sweep: every embedding of
@@ -605,69 +582,28 @@ func cmdTimeline(args []string, stdout, stderr io.Writer) int {
 // non-zero exit when any run violates the conservation contract (blame
 // not summing exactly to the cycle count, unattributed residue, a
 // fault-free run not dominated by serialization, or recovery blame
-// disagreeing with the collector's measured latency).
+// disagreeing with the measured recovery latency).
 func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 	def := perf.DefaultCritPathConfig()
-	fs := flag.NewFlagSet("benchreport critpath", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	qList := fs.String("q", joinInts(def.Qs), "comma-separated PolarFly orders to sweep")
-	m := fs.Int("m", def.M, "Allreduce vector elements")
-	latency := fs.Int("latency", def.LinkLatency, "link latency in cycles")
-	vc := fs.Int("vc", def.VCDepth, "virtual channel depth in flits")
-	failAt := fs.Int("fail-at", def.FailAt, "cycle the worst-case link fails in the faulted half of the sweep")
-	seed := fs.Int64("seed", def.Seed, "workload seed")
-	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
-	label := fs.String("label", "critpath", "snapshot label; output file is CRITPATH_<label>.json")
-	outDir := fs.String("out", ".", "directory for the CRITPATH_<label>.json snapshot")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
-	qs, err := parseInts(*qList)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -q:", err)
-		return 2
-	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
+	s := newSweep("critpath", "CRITPATH", "critpath", def.M, def.LinkLatency, def.VCDepth, def.Seed, stdout, stderr)
+	qList := s.String("q", joinInts(def.Qs), "comma-separated PolarFly orders to sweep")
+	failAt := s.Int("fail-at", def.FailAt, "cycle the worst-case link fails in the faulted half of the sweep")
+	qs, ok := s.parse(args, qList)
+	if !ok {
 		return 2
 	}
 	cfg := perf.CritPathConfig{
-		Qs: qs, M: *m, LinkLatency: *latency, VCDepth: *vc,
-		FailAt: *failAt, Seed: *seed, Parallel: *parallel, Engine: eng,
+		Qs: qs, M: s.m, LinkLatency: s.latency, VCDepth: s.vc,
+		FailAt: *failAt, Seed: s.seed, Parallel: s.parallel, Engine: s.engine,
 	}
 	points, err := perf.CritPath(cfg)
 	if err != nil {
-		return fail(err)
+		return s.fail(err)
 	}
-	snap := &perf.Snapshot{
-		Schema:         perf.SnapshotSchema,
-		Label:          *label,
-		Kind:           perf.KindCritPath,
-		GoVersion:      runtime.Version(),
-		CritPath:       points,
-		CritPathConfig: &cfg,
-	}
-	path := filepath.Join(*outDir, "CRITPATH_"+sanitizeLabel(*label)+".json")
-	if err := writeSnapshot(path, snap); err != nil {
-		return fail(err)
-	}
-	if err := perf.WriteCritPathMarkdown(stdout, snap); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d design points)\n", path, len(points))
-	if fails := perf.CritPathFailures(points); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	snap := s.snapshot(perf.KindCritPath)
+	snap.CritPath, snap.CritPathConfig = points, &cfg
+	return emit(s, snap, perf.WriteCritPathMarkdown, fmt.Sprintf("%d design points", len(points)),
+		perf.CritPathFailures(points))
 }
 
 // cmdCampaign runs the seeded chaos campaign: thousands of randomized
@@ -679,86 +615,36 @@ func cmdCritPath(args []string, stdout, stderr io.Writer) int {
 // violation.
 func cmdCampaign(args []string, stdout, stderr io.Writer) int {
 	def := chaos.DefaultConfig()
-	fs := flag.NewFlagSet("benchreport campaign", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	qList := fs.String("q", joinInts(def.Qs), "comma-separated PolarFly orders to sweep")
-	embeddings := fs.String("embeddings", strings.Join(def.Embeddings, ","), "comma-separated embedding kinds per q")
-	runs := fs.Int("runs", def.Runs, "randomized fault plans per (q, embedding) design point")
-	m := fs.Int("m", def.M, "Allreduce vector elements")
-	latency := fs.Int("latency", def.LinkLatency, "link latency in cycles")
-	vc := fs.Int("vc", def.VCDepth, "virtual channel depth in flits")
-	seed := fs.Int64("seed", def.Seed, "campaign seed; each run's plan derives from (seed, q, embedding, run)")
-	tolerance := fs.Float64("tolerance", def.Tolerance, "relative error allowed between measured post-recovery bandwidth and the Degrade prediction")
-	parallel := fs.Int("parallel", 0, "simulation worker-pool size; 1 forces serial, <1 means GOMAXPROCS (output is byte-identical either way)")
-	engine := engineFlag(fs)
-	label := fs.String("label", "campaign", "snapshot label; output file is CAMPAIGN_<label>.json")
-	outDir := fs.String("out", ".", "directory for the CAMPAIGN_<label>.json snapshot")
-	if err := fs.Parse(args); err != nil {
+	s := newSweep("campaign", "CAMPAIGN", "campaign", def.M, def.LinkLatency, def.VCDepth, def.Seed, stdout, stderr)
+	s.Lookup("seed").Usage = "campaign seed; each run's plan derives from (seed, q, embedding, run)"
+	qList := s.String("q", joinInts(def.Qs), "comma-separated PolarFly orders to sweep")
+	embeddings := s.String("embeddings", strings.Join(def.Embeddings, ","), "comma-separated embedding kinds per q")
+	runs := s.Int("runs", def.Runs, "randomized fault plans per (q, embedding) design point")
+	tolerance := s.Float64("tolerance", def.Tolerance, "relative error allowed between measured post-recovery bandwidth and the Degrade prediction")
+	qs, ok := s.parse(args, qList)
+	if !ok {
 		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "benchreport:", err)
-		return 1
-	}
-	qs, err := parseInts(*qList)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -q:", err)
-		return 2
-	}
-	eng, err := netsim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchreport: -engine:", err)
-		return 2
-	}
-	var kinds []string
-	for _, part := range strings.Split(*embeddings, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			kinds = append(kinds, part)
-		}
 	}
 	cfg := def
-	cfg.Qs = qs
-	cfg.Embeddings = kinds
-	cfg.Runs = *runs
-	cfg.M = *m
-	cfg.LinkLatency = *latency
-	cfg.VCDepth = *vc
-	cfg.Seed = *seed
-	cfg.Tolerance = *tolerance
-	cfg.Parallel = *parallel
-	cfg.Engine = eng
+	cfg.Qs, cfg.Embeddings, cfg.Runs = qs, nil, *runs
+	for _, part := range strings.Split(*embeddings, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			cfg.Embeddings = append(cfg.Embeddings, part)
+		}
+	}
+	cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed = s.m, s.latency, s.vc, s.seed
+	cfg.Tolerance, cfg.Parallel, cfg.Engine = *tolerance, s.parallel, s.engine
 	rep, err := chaos.Campaign(cfg)
 	if err != nil {
-		return fail(err)
+		return s.fail(err)
 	}
-	rep.Label = *label
-	path := filepath.Join(*outDir, "CAMPAIGN_"+sanitizeLabel(*label)+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return fail(err)
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	if err := chaos.WriteMarkdown(stdout, rep); err != nil {
-		return fail(err)
-	}
+	rep.Label = s.label
 	total := 0
 	for _, pt := range rep.Points {
 		total += pt.Runs
 	}
-	fmt.Fprintf(stderr, "benchreport: wrote %s (%d design points, %d runs)\n", path, len(rep.Points), total)
-	if fails := rep.Failures(); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(stderr, "benchreport: FAIL:", f)
-		}
-		return 1
-	}
-	return 0
+	return emit(s, rep, chaos.WriteMarkdown, fmt.Sprintf("%d design points, %d runs", len(rep.Points), total),
+		rep.Failures())
 }
 
 // cmdOverhead loads a bench snapshot, pairs every XSampled benchmark with

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -209,20 +210,39 @@ func TestCompareRejectsBadSchema(t *testing.T) {
 	}
 }
 
+// The sweep smoke tests pass a non-default value for every shared fabric
+// flag, each distinct from the others, and check that the snapshot
+// records every flag they passed, so a field swapped or dropped in the
+// shared flag registration fails them. -parallel and -engine never reach
+// a snapshot (the output is identical under every value), so the tests
+// only exercise them.
+const smokeLatency, smokeVC, smokeSeed = 2, 6, 7
+
+// checkConfig compares a persisted sweep config with the one the test's
+// flags describe.
+func checkConfig(t *testing.T, got, want any) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("persisted config %+v, want %+v", got, want)
+	}
+}
+
 // TestScorecardSmoke runs the real simulator at the smallest design point.
 func TestScorecardSmoke(t *testing.T) {
 	dir := t.TempDir()
-	code, stdout, stderr := runCLI(t, "scorecard", "-q", "3", "-m", "4096", "-out", dir, "-label", "smoke")
+	code, stdout, stderr := runCLI(t, "scorecard", "-q", "3", "-m", "4096",
+		"-latency", "2", "-vc", "6", "-seed", "7", "-parallel", "2", "-engine", "event",
+		"-out", dir, "-label", "smoke")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstderr: %s", code, stderr)
 	}
 	snap := loadSnapshot(t, filepath.Join(dir, "BENCH_smoke.json"))
-	if snap.Kind != perf.KindScorecard || len(snap.Scorecard) != 3 {
-		t.Fatalf("kind=%q points=%d, want scorecard with 3 points", snap.Kind, len(snap.Scorecard))
+	if snap.Kind != perf.KindScorecard || snap.Label != "smoke" || len(snap.Scorecard) != 3 {
+		t.Fatalf("kind=%q label=%q points=%d, want scorecard smoke with 3 points", snap.Kind, snap.Label, len(snap.Scorecard))
 	}
-	if snap.ScorecardConfig == nil || snap.ScorecardConfig.M != 4096 {
-		t.Errorf("scorecard config not persisted: %+v", snap.ScorecardConfig)
-	}
+	checkConfig(t, snap.ScorecardConfig, &perf.ScorecardConfig{Qs: []int{3}, M: 4096,
+		LinkLatency: smokeLatency, VCDepth: smokeVC, Seed: smokeSeed,
+		Tolerance: perf.DefaultScorecardConfig().Tolerance})
 	if !strings.Contains(stdout, "thm7.6") || !strings.Contains(stdout, "thm7.19") {
 		t.Errorf("markdown does not cite the theorem bounds:\n%s", stdout)
 	}
@@ -234,17 +254,18 @@ func TestScorecardSmoke(t *testing.T) {
 func TestScorecardDegradedSmoke(t *testing.T) {
 	dir := t.TempDir()
 	code, stdout, stderr := runCLI(t, "scorecard", "-degraded",
-		"-q", "3", "-m", "6144", "-fail-at", "800", "-out", dir, "-label", "degsmoke")
+		"-q", "3", "-m", "6144", "-fail-at", "800", "-latency", "2", "-vc", "6", "-seed", "7",
+		"-out", dir, "-label", "degsmoke")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstderr: %s", code, stderr)
 	}
 	snap := loadSnapshot(t, filepath.Join(dir, "BENCH_degsmoke.json"))
-	if snap.Kind != perf.KindDegraded || len(snap.Degraded) != 3 {
-		t.Fatalf("kind=%q points=%d, want degraded-scorecard with 3 points", snap.Kind, len(snap.Degraded))
+	if snap.Kind != perf.KindDegraded || snap.Label != "degsmoke" || len(snap.Degraded) != 3 {
+		t.Fatalf("kind=%q label=%q points=%d, want degraded-scorecard degsmoke with 3 points", snap.Kind, snap.Label, len(snap.Degraded))
 	}
-	if snap.DegradedConfig == nil || snap.DegradedConfig.FailAt != 800 {
-		t.Errorf("degraded config not persisted: %+v", snap.DegradedConfig)
-	}
+	checkConfig(t, snap.DegradedConfig, &perf.DegradedConfig{Q: 3, M: 6144,
+		LinkLatency: smokeLatency, VCDepth: smokeVC, FailAt: 800, Seed: smokeSeed,
+		Tolerance: perf.DefaultDegradedConfig().Tolerance})
 	if !strings.Contains(stdout, "aborted as predicted") {
 		t.Errorf("markdown does not show the single-tree abort:\n%s", stdout)
 	}
@@ -257,17 +278,17 @@ func TestScorecardDegradedSmoke(t *testing.T) {
 func TestCritPathSmoke(t *testing.T) {
 	dir := t.TempDir()
 	code, stdout, stderr := runCLI(t, "critpath",
-		"-q", "3", "-m", "2048", "-fail-at", "300", "-out", dir, "-label", "cpsmoke")
+		"-q", "3", "-m", "2048", "-fail-at", "300", "-latency", "2", "-vc", "6", "-seed", "7",
+		"-engine", "event", "-out", dir, "-label", "cpsmoke")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstderr: %s", code, stderr)
 	}
 	snap := loadSnapshot(t, filepath.Join(dir, "CRITPATH_cpsmoke.json"))
-	if snap.Kind != perf.KindCritPath || len(snap.CritPath) != 6 {
-		t.Fatalf("kind=%q points=%d, want critpath with 6 points", snap.Kind, len(snap.CritPath))
+	if snap.Kind != perf.KindCritPath || snap.Label != "cpsmoke" || len(snap.CritPath) != 6 {
+		t.Fatalf("kind=%q label=%q points=%d, want critpath cpsmoke with 6 points", snap.Kind, snap.Label, len(snap.CritPath))
 	}
-	if snap.CritPathConfig == nil || snap.CritPathConfig.FailAt != 300 {
-		t.Errorf("critpath config not persisted: %+v", snap.CritPathConfig)
-	}
+	checkConfig(t, snap.CritPathConfig, &perf.CritPathConfig{Qs: []int{3}, M: 2048,
+		LinkLatency: smokeLatency, VCDepth: smokeVC, FailAt: 300, Seed: smokeSeed})
 	for _, pt := range snap.CritPath {
 		if !pt.AllTreesLost && !pt.ConservationOK {
 			t.Errorf("q=%d %s faulted=%v: conservation violated in snapshot", pt.Q, pt.Embedding, pt.Faulted)
@@ -288,7 +309,8 @@ func TestCampaignSmoke(t *testing.T) {
 	dir := t.TempDir()
 	code, stdout, stderr := runCLI(t, "campaign",
 		"-q", "3", "-embeddings", "low-depth,hamiltonian", "-runs", "8",
-		"-m", "512", "-out", dir, "-label", "camsmoke")
+		"-m", "512", "-latency", "2", "-vc", "6", "-seed", "7", "-parallel", "2",
+		"-out", dir, "-label", "camsmoke")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstderr: %s", code, stderr)
 	}
@@ -304,6 +326,10 @@ func TestCampaignSmoke(t *testing.T) {
 	if rep.Label != "camsmoke" || len(rep.Points) != 2 {
 		t.Fatalf("label=%q points=%d, want camsmoke with 2 points", rep.Label, len(rep.Points))
 	}
+	want := chaos.DefaultConfig()
+	want.Qs, want.Runs, want.M = []int{3}, 8, 512
+	want.LinkLatency, want.VCDepth, want.Seed = smokeLatency, smokeVC, smokeSeed
+	checkConfig(t, rep.Config, want)
 	for _, pt := range rep.Points {
 		if pt.Runs != 8 {
 			t.Errorf("q=%d %s: runs %d, want 8", pt.Q, pt.Embedding, pt.Runs)
@@ -397,6 +423,7 @@ func TestTimelineSmoke(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "timeline",
 		"-q", "5", "-m", "2048", "-sample-every", "32", "-windows", "32",
 		"-fault-at", "100", "-max-bytes", "2000000", "-parallel", "2",
+		"-latency", "2", "-vc", "6", "-seed", "7", "-engine", "event",
 		"-label", "tl", "-out", dir)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
@@ -408,12 +435,14 @@ func TestTimelineSmoke(t *testing.T) {
 		}
 	}
 	snap := loadSnapshot(t, filepath.Join(dir, "TIMELINE_tl.json"))
-	if snap.Kind != perf.KindTimeline || len(snap.Timeline) == 0 {
-		t.Fatalf("snapshot kind=%q runs=%d", snap.Kind, len(snap.Timeline))
+	if snap.Kind != perf.KindTimeline || snap.Label != "tl" || len(snap.Timeline) == 0 {
+		t.Fatalf("snapshot kind=%q label=%q runs=%d", snap.Kind, snap.Label, len(snap.Timeline))
 	}
-	if snap.TimelineConfig == nil || snap.TimelineConfig.Q != 5 || snap.TimelineConfig.FaultAt != 100 {
-		t.Errorf("timeline config %+v", snap.TimelineConfig)
-	}
+	def := perf.DefaultTimelineConfig()
+	checkConfig(t, snap.TimelineConfig, &perf.TimelineConfig{Q: 5, M: 2048,
+		LinkLatency: smokeLatency, VCDepth: smokeVC, SampleEvery: 32, Windows: 32,
+		Levels: def.Levels, Factor: def.Factor, Seed: smokeSeed, Tolerance: def.Tolerance,
+		MaxBytes: 2000000, FaultAt: 100})
 }
 
 func TestTimelineFootprintGate(t *testing.T) {

@@ -215,6 +215,15 @@ type SimRow struct {
 	// attributes measured-vs-model error to a phase.
 	ReduceCycles int
 	BcastCycles  int
+	// MaxLinkTrees is the most trees with a flow on one directed link at
+	// the end of the run (LinkStat.Trees) and SharedLinks the number of
+	// directed links carrying two or more. A recovery's aborted trees
+	// drop out; on a fault-free run every tree crossing the link counts,
+	// even one whose split is zero (possible only when m is below the
+	// tree count). An allreduce tree has a flow in both directions of a
+	// link it crosses, so the directed maximum is the undirected one.
+	MaxLinkTrees int
+	SharedLinks  int
 	// Arena is the simulator's construction-time memory footprint for
 	// this embedding's run (netsim.Result.Arena), so scale sweeps can
 	// gate on a deterministic per-run memory ceiling.
@@ -232,47 +241,26 @@ func ComparisonKinds(q int) []EmbeddingKind {
 }
 
 // SimulationComparison runs all three embeddings (two for even q) on the
-// same inputs and fabric configuration.
+// same inputs and fabric configuration, serially.
 func SimulationComparison(q, m int, cfg netsim.Config, seed int64) ([]SimRow, error) {
-	return SimulationComparisonPar(q, m, cfg, seed, 1, nil)
+	return SimulationSweep(q, m, cfg, seed, 1, nil, nil)
 }
 
-// SimulationComparisonHooked is SimulationComparison with an optional
-// per-embedding trace tap: when hook is non-nil it is called before each
-// run and may return a netsim trace callback (nil to skip that
-// embedding). This is how cmd/allreduce-sim attaches one obsv collector
-// per embedding without altering the comparison itself.
-func SimulationComparisonHooked(q, m int, cfg netsim.Config, seed int64,
-	hook func(EmbeddingKind) func(netsim.TraceEvent)) ([]SimRow, error) {
-	var prep func(EmbeddingKind, *Embedding, *netsim.Config)
-	if hook != nil {
-		prep = func(kind EmbeddingKind, _ *Embedding, c *netsim.Config) {
-			c.Trace = hook(kind)
-		}
-	}
-	return SimulationComparisonPar(q, m, cfg, seed, 1, prep)
-}
-
-// SimulationComparisonPar is the general form: the embeddings are built
-// serially in ComparisonKinds order and prep (optional) customises each
-// run's config — attach a trace collector, a telemetry sampler, a fault
-// plan — with the embedding in hand for model-derived wiring. The
-// simulations then run on a parrun pool of the given size (1 forces
-// serial, <1 means GOMAXPROCS). Because prep runs before the pool
+// SimulationSweep runs the embeddings in kinds on the same inputs and
+// fabric configuration: kinds == nil means the full ComparisonKinds
+// sweep, anything else restricts the runs (e.g. hamiltonian-only at
+// q=127, where building every embedding would dominate a smoke test).
+// When SingleTree is not in the list the SpeedupVsOne column stays zero —
+// there is no baseline to normalise against.
+//
+// The embeddings are built serially in kinds order and prep (optional)
+// customises each run's config — attach a trace collector, a telemetry
+// sampler, a fault plan — with the embedding in hand for model-derived
+// wiring. The simulations then run on a parrun pool of the given size (1
+// forces serial, <1 means GOMAXPROCS). Because prep runs before the pool
 // dispatches and each run only touches its own config, per-kind consumers
 // need no synchronisation, and the ordered commit keeps the rows — and
 // anything prep wired up — byte-identical to a serial sweep.
-func SimulationComparisonPar(q, m int, cfg netsim.Config, seed int64, parallel int,
-	prep func(EmbeddingKind, *Embedding, *netsim.Config)) ([]SimRow, error) {
-	return SimulationSweep(q, m, cfg, seed, parallel, nil, prep)
-}
-
-// SimulationSweep is SimulationComparisonPar with an explicit embedding
-// list: kinds == nil means the full ComparisonKinds sweep, anything else
-// restricts the runs (e.g. hamiltonian-only at q=127, where building
-// every embedding would dominate a smoke test). When SingleTree is not
-// in the list the SpeedupVsOne column stays zero — there is no baseline
-// to normalise against.
 func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 	kinds []EmbeddingKind, prep func(EmbeddingKind, *Embedding, *netsim.Config)) ([]SimRow, error) {
 	inst, err := NewInstance(q)
@@ -298,8 +286,7 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		}
 	}
 	rows, err := parrun.Map(parallel, len(kinds), func(i int) (SimRow, error) {
-		kind, e := kinds[i], embeds[i]
-		res, err := inst.Allreduce(e, inputs, cfgs[i])
+		res, err := inst.Allreduce(embeds[i], inputs, cfgs[i])
 		if err != nil {
 			return SimRow{}, err
 		}
@@ -307,39 +294,11 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		for v := range res.Outputs {
 			for k := range want {
 				if res.Outputs[v][k] != want[k] {
-					return SimRow{}, fmt.Errorf("core: %v: wrong sum at node %d element %d", kind, v, k)
+					return SimRow{}, fmt.Errorf("core: %v: wrong sum at node %d element %d", kinds[i], v, k)
 				}
 			}
 		}
-		maxUtil := 0.0
-		for _, ls := range res.LinkStats {
-			if ls.Utilization > maxUtil {
-				maxUtil = ls.Utilization
-			}
-		}
-		reduceDone := 0
-		for _, rd := range res.TreeReduceDone {
-			if rd > reduceDone {
-				reduceDone = rd
-			}
-		}
-		row := SimRow{
-			Q: q, M: m, Kind: kind,
-			ModelBW:          e.Model.Aggregate,
-			MeasuredBW:       float64(m) / float64(res.Cycles),
-			Cycles:           res.Cycles,
-			MaxDepth:         e.MaxDepth,
-			MaxCongestion:    e.Model.MaxCongestion,
-			MaxLinkUtil:      maxUtil,
-			ModelMaxLinkUtil: e.ModelMaxLinkLoad(),
-			ReduceCycles:     reduceDone,
-			BcastCycles:      res.Cycles - reduceDone,
-			Arena:            res.Arena,
-		}
-		if row.ModelMaxLinkUtil > 0 {
-			row.UtilRelErr = (row.MaxLinkUtil - row.ModelMaxLinkUtil) / row.ModelMaxLinkUtil
-		}
-		return row, nil
+		return NewSimRow(q, m, embeds[i], res), nil
 	})
 	if err != nil {
 		return nil, err
@@ -358,6 +317,39 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		}
 	}
 	return rows, nil
+}
+
+// NewSimRow reduces one completed run of e to its comparison row: the
+// measured bandwidth, the hottest link against the model's, the trees
+// per link and the reduce/broadcast phase split, all from the counters
+// the simulator keeps. SpeedupVsOne needs the single-tree run and is
+// left zero.
+func NewSimRow(q, m int, e *Embedding, res *AllreduceResult) SimRow {
+	row := SimRow{
+		Q: q, M: m, Kind: e.Kind,
+		ModelBW:          e.Model.Aggregate,
+		MeasuredBW:       float64(m) / float64(res.Cycles),
+		Cycles:           res.Cycles,
+		MaxDepth:         e.MaxDepth,
+		MaxCongestion:    e.Model.MaxCongestion,
+		ModelMaxLinkUtil: e.ModelMaxLinkLoad(),
+		Arena:            res.Arena,
+	}
+	for _, ls := range res.LinkStats {
+		row.MaxLinkUtil = max(row.MaxLinkUtil, ls.Utilization)
+		row.MaxLinkTrees = max(row.MaxLinkTrees, ls.Trees)
+		if ls.Trees >= 2 {
+			row.SharedLinks++
+		}
+	}
+	for _, c := range res.TreeReduceDone {
+		row.ReduceCycles = max(row.ReduceCycles, c)
+	}
+	row.BcastCycles = max(res.Cycles-row.ReduceCycles, 0)
+	if row.ModelMaxLinkUtil > 0 {
+		row.UtilRelErr = (row.MaxLinkUtil - row.ModelMaxLinkUtil) / row.ModelMaxLinkUtil
+	}
+	return row
 }
 
 // HostRow compares one host-based baseline against the in-network result.

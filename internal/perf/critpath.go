@@ -1,16 +1,13 @@
 package perf
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
 	"polarfly/internal/core"
 	"polarfly/internal/critpath"
-	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
-	"polarfly/internal/workload"
 )
 
 // CritPathConfig parameterises the causal critical-path sweep: every
@@ -149,7 +146,7 @@ func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	var jobs []critJob
 	for _, q := range cfg.Qs {
 		for _, faulted := range []bool{false, true} {
-			for _, kind := range sweepKinds(q) {
+			for _, kind := range core.ComparisonKinds(q) {
 				jobs = append(jobs, critJob{q: q, kind: kind, faulted: faulted})
 			}
 		}
@@ -159,52 +156,35 @@ func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	})
 }
 
-// critPathPoint traces and analyses one design point. Everything it
-// touches is built locally from the deterministic config, so concurrent
-// calls never share state.
+// critPathPoint traces and analyses one design point.
 func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
-	inst, err := core.NewInstance(job.q)
-	if err != nil {
-		return CritPathPoint{}, err
-	}
-	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
-	e, err := inst.Embed(job.kind)
+	p, err := newDesignPoint(job.q, job.kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return CritPathPoint{}, err
 	}
 	pt := CritPathPoint{
-		Q: job.q, Embedding: job.kind.String(), Trees: len(e.Forest), M: cfg.M,
+		Q: job.q, Embedding: job.kind.String(), Trees: len(p.e.Forest), M: cfg.M,
 	}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Engine: cfg.Engine}
-	survivors := true
 	if job.faulted {
-		link, deg, err := core.WorstCaseLink(e)
+		link, _, err := p.failWorst(cfg.FailAt)
 		if err != nil {
 			return CritPathPoint{}, err
 		}
 		pt.Faulted = true
 		pt.FailedLink = []int{link[0], link[1]}
 		pt.FailAt = cfg.FailAt
-		survivors = deg != nil
-		runCfg.Faults = &faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.LinkDown, U: link[0], V: link[1], At: cfg.FailAt},
-		}}
 	}
 	b := critpath.NewBuilder()
-	b.Attach(&runCfg)
-	res, err := inst.Allreduce(e, inputs, runCfg)
-	if !survivors {
-		// The worst case kills every tree (single-tree baseline): the run
-		// must abort with the sentinel; there is no path to analyse.
-		if !errors.Is(err, netsim.ErrAllTreesLost) {
-			return CritPathPoint{}, fmt.Errorf("perf: q=%d %v: want ErrAllTreesLost, got %v", job.q, job.kind, err)
-		}
+	b.Attach(&p.cfg)
+	res, err := p.run()
+	if err != nil {
+		return CritPathPoint{}, err
+	}
+	if p.lost {
+		// No tree survived, so there is no path to analyse.
 		pt.AllTreesLost = true
 		pt.ConservationOK = true // nothing to conserve; the abort is the expectation
 		return pt, nil
-	}
-	if err != nil {
-		return CritPathPoint{}, fmt.Errorf("perf: q=%d %v: %w", job.q, job.kind, err)
 	}
 	pt.Cycles = res.Cycles
 
@@ -279,59 +259,66 @@ func recoveryLatencies(recs []netsim.Recovery, failAt int) []int {
 func CritPathFailures(points []CritPathPoint) []string {
 	var fails []string
 	for _, pt := range points {
-		id := fmt.Sprintf("q=%d %s", pt.Q, pt.Embedding)
-		if pt.Faulted {
-			id += " faulted"
+		fails = append(fails, pt.failures()...)
+	}
+	return fails
+}
+
+// failures lists the point's violations for CritPathFailures; the
+// markdown's ok column reads the same list.
+func (pt CritPathPoint) failures() []string {
+	if pt.AllTreesLost {
+		return nil
+	}
+	id := fmt.Sprintf("q=%d %s", pt.Q, pt.Embedding)
+	if pt.Faulted {
+		id += " faulted"
+	}
+	if pt.AnalysisError != "" {
+		return []string{fmt.Sprintf("%s: analysis failed: %s", id, pt.AnalysisError)}
+	}
+	var fails []string
+	if !pt.ConservationOK {
+		total := 0
+		for _, be := range pt.Blame {
+			total += be.Cycles
 		}
-		if pt.AllTreesLost {
-			continue
-		}
-		if pt.AnalysisError != "" {
-			fails = append(fails, fmt.Sprintf("%s: analysis failed: %s", id, pt.AnalysisError))
-			continue
-		}
-		if !pt.ConservationOK {
-			total := 0
-			for _, be := range pt.Blame {
-				total += be.Cycles
-			}
+		fails = append(fails, fmt.Sprintf(
+			"%s: blame classes sum to %d, want exactly %d cycles", id, total, pt.Cycles))
+	}
+	if pt.Unattributed != 0 {
+		fails = append(fails, fmt.Sprintf(
+			"%s: %d unattributed cycles on the critical path", id, pt.Unattributed))
+	}
+	if !pt.Faulted {
+		if pt.DominantClass != critpath.ClassSerialization.String() {
 			fails = append(fails, fmt.Sprintf(
-				"%s: blame classes sum to %d, want exactly %d cycles", id, total, pt.Cycles))
+				"%s: dominant blame %q, want serialization (blame %v)", id, pt.DominantClass, pt.Blame))
 		}
-		if pt.Unattributed != 0 {
-			fails = append(fails, fmt.Sprintf(
-				"%s: %d unattributed cycles on the critical path", id, pt.Unattributed))
+		if len(pt.TopSerialization) == 0 {
+			fails = append(fails, fmt.Sprintf("%s: no serialization bottleneck link recorded", id))
 		}
-		if !pt.Faulted {
-			if pt.DominantClass != critpath.ClassSerialization.String() {
-				fails = append(fails, fmt.Sprintf(
-					"%s: dominant blame %q, want serialization (blame %v)", id, pt.DominantClass, pt.Blame))
-			}
-			if len(pt.TopSerialization) == 0 {
-				fails = append(fails, fmt.Sprintf("%s: no serialization bottleneck link recorded", id))
-			}
-		} else {
-			switch {
-			case pt.RecoveriesOnPath > pt.RecoveriesMeasured:
-				fails = append(fails, fmt.Sprintf(
-					"%s: path traversed %d recovery rounds, the run measured only %d",
-					id, pt.RecoveriesOnPath, pt.RecoveriesMeasured))
-			case pt.RecoveriesOnPath == pt.RecoveriesMeasured && pt.RecoveryBlameCycles != pt.MeasuredRecoveryCycles:
-				fails = append(fails, fmt.Sprintf(
-					"%s: fault-detect+recovery blame %d cycles != measured recovery latency %d",
-					id, pt.RecoveryBlameCycles, pt.MeasuredRecoveryCycles))
-			case pt.RecoveriesOnPath < pt.RecoveriesMeasured && len(pt.RecoveryRounds) > 0 &&
-				pt.RecoveryBlameCycles != pt.TraversedRecoveryCycles:
-				fails = append(fails, fmt.Sprintf(
-					"%s: fault-detect+recovery blame %d cycles != measured latency %d of the %d traversed rounds %v",
-					id, pt.RecoveryBlameCycles, pt.TraversedRecoveryCycles, pt.RecoveriesOnPath, pt.RecoveryRounds))
-			case pt.RecoveriesOnPath < pt.RecoveriesMeasured && pt.RecoveryBlameCycles > pt.MeasuredRecoveryCycles:
-				// Backstop for snapshots predating the traversed-round list.
-				fails = append(fails, fmt.Sprintf(
-					"%s: blame %d cycles for %d of %d recovery rounds exceeds the measured total %d",
-					id, pt.RecoveryBlameCycles, pt.RecoveriesOnPath, pt.RecoveriesMeasured, pt.MeasuredRecoveryCycles))
-			}
-		}
+		return fails
+	}
+	switch {
+	case pt.RecoveriesOnPath > pt.RecoveriesMeasured:
+		fails = append(fails, fmt.Sprintf(
+			"%s: path traversed %d recovery rounds, the run measured only %d",
+			id, pt.RecoveriesOnPath, pt.RecoveriesMeasured))
+	case pt.RecoveriesOnPath == pt.RecoveriesMeasured && pt.RecoveryBlameCycles != pt.MeasuredRecoveryCycles:
+		fails = append(fails, fmt.Sprintf(
+			"%s: fault-detect+recovery blame %d cycles != measured recovery latency %d",
+			id, pt.RecoveryBlameCycles, pt.MeasuredRecoveryCycles))
+	case pt.RecoveriesOnPath < pt.RecoveriesMeasured && len(pt.RecoveryRounds) > 0 &&
+		pt.RecoveryBlameCycles != pt.TraversedRecoveryCycles:
+		fails = append(fails, fmt.Sprintf(
+			"%s: fault-detect+recovery blame %d cycles != measured latency %d of the %d traversed rounds %v",
+			id, pt.RecoveryBlameCycles, pt.TraversedRecoveryCycles, pt.RecoveriesOnPath, pt.RecoveryRounds))
+	case pt.RecoveriesOnPath < pt.RecoveriesMeasured && pt.RecoveryBlameCycles > pt.MeasuredRecoveryCycles:
+		// Backstop for snapshots predating the traversed-round list.
+		fails = append(fails, fmt.Sprintf(
+			"%s: blame %d cycles for %d of %d recovery rounds exceeds the measured total %d",
+			id, pt.RecoveryBlameCycles, pt.RecoveriesOnPath, pt.RecoveriesMeasured, pt.MeasuredRecoveryCycles))
 	}
 	return fails
 }
@@ -381,11 +368,7 @@ func WriteCritPathMarkdown(w io.Writer, s *Snapshot) error {
 			faultRec = fmt.Sprintf("%d/%d", pt.RecoveryBlameCycles, pt.MeasuredRecoveryCycles)
 		}
 		ok := "yes"
-		if pt.AnalysisError != "" || !pt.ConservationOK || pt.Unattributed != 0 ||
-			(!pt.Faulted && pt.DominantClass != critpath.ClassSerialization.String()) ||
-			(pt.Faulted && pt.RecoveriesOnPath == pt.RecoveriesMeasured && pt.RecoveryBlameCycles != pt.MeasuredRecoveryCycles) ||
-			(pt.Faulted && pt.RecoveriesOnPath < pt.RecoveriesMeasured && len(pt.RecoveryRounds) > 0 && pt.RecoveryBlameCycles != pt.TraversedRecoveryCycles) ||
-			(pt.Faulted && pt.RecoveriesOnPath < pt.RecoveriesMeasured && pt.RecoveryBlameCycles > pt.MeasuredRecoveryCycles) {
+		if len(pt.failures()) > 0 {
 			ok = "**NO**"
 		}
 		if err := writeRow(w, fmt.Sprintf("%d", pt.Q), pt.Embedding, mode,

@@ -1,16 +1,13 @@
 package perf
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"polarfly/internal/core"
-	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
-	"polarfly/internal/workload"
 )
 
 // DegradedConfig parameterises the fault-injection validation sweep: one
@@ -112,51 +109,35 @@ func DegradedScorecard(cfg DegradedConfig) ([]DegradedPoint, error) {
 	if cfg.Tolerance < 0 || cfg.Tolerance >= 1 {
 		return nil, fmt.Errorf("perf: tolerance %g out of [0, 1)", cfg.Tolerance)
 	}
-	kinds := sweepKinds(cfg.Q)
+	kinds := core.ComparisonKinds(cfg.Q)
 	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (DegradedPoint, error) {
 		return degradedPoint(cfg, kinds[i])
 	})
 }
 
 // degradedPoint runs the worst-case fault injection for one embedding
-// kind. Like scorePoint, every piece of state is built locally from the
-// deterministic config so concurrent calls never share anything.
+// kind.
 func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, error) {
-	inst, err := core.NewInstance(cfg.Q)
+	p, err := newDesignPoint(cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return DegradedPoint{}, err
 	}
-	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
-	want := netsim.ExpectedOutput(inputs)
-	e, err := inst.Embed(kind)
+	link, deg, err := p.failWorst(cfg.FailAt)
 	if err != nil {
 		return DegradedPoint{}, err
 	}
-	link, deg, err := core.WorstCaseLink(e)
-	if err != nil {
-		return DegradedPoint{}, err
-	}
-	plan := &faults.Plan{Faults: []faults.Fault{
-		{Kind: faults.LinkDown, U: link[0], V: link[1], At: cfg.FailAt},
-	}}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Faults: plan, Engine: cfg.Engine}
 	pt := DegradedPoint{
-		Q: cfg.Q, Embedding: kind.String(), Trees: len(e.Forest),
+		Q: cfg.Q, Embedding: kind.String(), Trees: len(p.e.Forest),
 		M: cfg.M, FailedLink: link, FailAt: cfg.FailAt,
 	}
-	res, err := inst.Allreduce(e, inputs, runCfg)
-	if deg == nil {
-		// The worst case kills every tree (single-tree baseline): the
-		// run must abort with the sentinel, not hang or mis-answer.
-		if !errors.Is(err, netsim.ErrAllTreesLost) {
-			return DegradedPoint{}, fmt.Errorf("perf: q=%d %v: want ErrAllTreesLost, got %v", cfg.Q, kind, err)
-		}
+	res, err := p.run()
+	if err != nil {
+		return DegradedPoint{}, err
+	}
+	if p.lost {
 		pt.AllTreesLost = true
 		pt.Within = true // nothing to predict; the abort IS the prediction
 		return pt, nil
-	}
-	if err != nil {
-		return DegradedPoint{}, fmt.Errorf("perf: q=%d %v: %w", cfg.Q, kind, err)
 	}
 	pt.DeadTrees = res.DeadTrees
 	pt.DroppedFlits = res.DroppedFlits
@@ -171,6 +152,7 @@ func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, 
 		pt.RelErr = (pt.MeasuredBW - pt.PredictedBW) / pt.PredictedBW
 	}
 	pt.Within = math.Abs(pt.RelErr) <= cfg.Tolerance
+	want := netsim.ExpectedOutput(p.inputs)
 	pt.OutputsOK = true
 	for v := range res.Outputs {
 		for k := range want {
@@ -193,23 +175,31 @@ func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, 
 func DegradedFailures(points []DegradedPoint) []string {
 	var fails []string
 	for _, pt := range points {
-		if pt.AllTreesLost {
-			continue
-		}
-		if !pt.OutputsOK {
-			fails = append(fails, fmt.Sprintf(
-				"q=%d %s: fault-injected run produced wrong outputs", pt.Q, pt.Embedding))
-		}
-		if pt.RecoveryCycle == 0 {
-			fails = append(fails, fmt.Sprintf(
-				"q=%d %s: no recovery despite link %v failing at cycle %d",
-				pt.Q, pt.Embedding, pt.FailedLink, pt.FailAt))
-		}
-		if !pt.Within {
-			fails = append(fails, fmt.Sprintf(
-				"q=%d %s: post-recovery %.3f vs Degrade prediction %.3f elem/cycle (%.1f%% off)",
-				pt.Q, pt.Embedding, pt.MeasuredBW, pt.PredictedBW, 100*pt.RelErr))
-		}
+		fails = append(fails, pt.failures()...)
+	}
+	return fails
+}
+
+// failures lists the point's violations for DegradedFailures; the
+// markdown's ok column reads the same list.
+func (pt DegradedPoint) failures() []string {
+	if pt.AllTreesLost {
+		return nil
+	}
+	var fails []string
+	if !pt.OutputsOK {
+		fails = append(fails, fmt.Sprintf(
+			"q=%d %s: fault-injected run produced wrong outputs", pt.Q, pt.Embedding))
+	}
+	if pt.RecoveryCycle == 0 {
+		fails = append(fails, fmt.Sprintf(
+			"q=%d %s: no recovery despite link %v failing at cycle %d",
+			pt.Q, pt.Embedding, pt.FailedLink, pt.FailAt))
+	}
+	if !pt.Within {
+		fails = append(fails, fmt.Sprintf(
+			"q=%d %s: post-recovery %.3f vs Degrade prediction %.3f elem/cycle (%.1f%% off)",
+			pt.Q, pt.Embedding, pt.MeasuredBW, pt.PredictedBW, 100*pt.RelErr))
 	}
 	return fails
 }
@@ -242,7 +232,7 @@ func WriteDegradedMarkdown(w io.Writer, s *Snapshot) error {
 			continue
 		}
 		ok := "yes"
-		if !pt.Within || !pt.OutputsOK {
+		if len(pt.failures()) > 0 {
 			ok = "**NO**"
 		}
 		if err := writeRow(w, pt.Embedding, fmt.Sprintf("%d", pt.Trees),

@@ -13,10 +13,16 @@ package perf
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
+	"polarfly/internal/bandwidth"
+	"polarfly/internal/core"
+	"polarfly/internal/faults"
+	"polarfly/internal/netsim"
 	"polarfly/internal/tsdb"
+	"polarfly/internal/workload"
 )
 
 // SnapshotSchema identifies the BENCH_*.json format version.
@@ -89,4 +95,79 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("perf: snapshot schema %q, want %q", s.Schema, SnapshotSchema)
 	}
 	return &s, nil
+}
+
+// designPoint is one (q, embedding) point of a gate sweep: the instance,
+// the embedding, the seeded inputs and the run config. It is built from
+// the deterministic config alone, so concurrent points share no state.
+type designPoint struct {
+	inst   *core.Instance
+	e      *core.Embedding
+	inputs [][]int64
+	cfg    netsim.Config
+	// lost marks a scheduled fault that kills every tree.
+	lost bool
+}
+
+func newDesignPoint(q int, kind core.EmbeddingKind, m, latency, vc int, seed int64, engine netsim.Engine) (*designPoint, error) {
+	inst, err := core.NewInstance(q)
+	if err != nil {
+		return nil, err
+	}
+	e, err := inst.Embed(kind)
+	if err != nil {
+		return nil, err
+	}
+	return &designPoint{inst: inst, e: e, inputs: workload.Vectors(inst.N(), m, 1000, seed),
+		cfg: netsim.Config{LinkLatency: latency, VCDepth: vc, Engine: engine}}, nil
+}
+
+// failLink schedules the run's one fault: link u-v goes down at cycle at.
+func (p *designPoint) failLink(u, v, at int) {
+	p.cfg.Faults = &faults.Plan{Faults: []faults.Fault{{Kind: faults.LinkDown, U: u, V: v, At: at}}}
+}
+
+// failWorst schedules the worst-case single link failure at cycle at and
+// returns the link (u < v) and the core.Degrade survivor embedding, nil
+// when the failure kills every tree.
+func (p *designPoint) failWorst(at int) ([2]int, *core.Embedding, error) {
+	link, deg, err := core.WorstCaseLink(p.e)
+	if err != nil {
+		return link, nil, err
+	}
+	p.failLink(link[0], link[1], at)
+	p.lost = deg == nil
+	return link, deg, nil
+}
+
+// run simulates the point. When the scheduled fault kills every tree the
+// run must abort with netsim.ErrAllTreesLost, not hang or mis-answer; it
+// then returns a nil result and no error.
+func (p *designPoint) run() (*core.AllreduceResult, error) {
+	res, err := p.inst.Allreduce(p.e, p.inputs, p.cfg)
+	switch {
+	case p.lost && !errors.Is(err, netsim.ErrAllTreesLost):
+		return nil, fmt.Errorf("perf: q=%d %v: want ErrAllTreesLost, got %v", p.inst.Q, p.e.Kind, err)
+	case p.lost:
+		return nil, nil
+	case err != nil:
+		return nil, fmt.Errorf("perf: q=%d %v: %w", p.inst.Q, p.e.Kind, err)
+	}
+	return res, nil
+}
+
+// bound is the embedding's proven aggregate-bandwidth floor and the
+// theorem that gives it.
+func bound(q int, e *core.Embedding) (float64, string) {
+	switch e.Kind {
+	case core.SingleTree:
+		return 1.0, BoundSingleLink
+	case core.LowDepth:
+		return bandwidth.LowDepthBound(q, 1.0), BoundThm76
+	case core.Hamiltonian:
+		return bandwidth.HamiltonianBound(len(e.Forest), 1.0), BoundThm719
+	case core.DepthTwo:
+		// Not part of the sweeps; no proven floor.
+	}
+	return 0, "none"
 }

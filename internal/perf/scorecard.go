@@ -8,7 +8,6 @@ import (
 	"polarfly/internal/core"
 	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
-	"polarfly/internal/workload"
 )
 
 // ScorecardConfig parameterises the measured-vs-model sweep.
@@ -116,15 +115,6 @@ type scoreJob struct {
 	kind core.EmbeddingKind
 }
 
-// sweepKinds lists the embeddings simulated for one q (the low-depth
-// forest needs odd q, matching §6.1.1).
-func sweepKinds(q int) []core.EmbeddingKind {
-	if q%2 == 0 {
-		return []core.EmbeddingKind{core.SingleTree, core.Hamiltonian}
-	}
-	return []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
-}
-
 // Scorecard sweeps the configured design points, runs each embedding
 // through the cycle simulator, and returns one record per (q, embedding).
 // The runs are untraced: the per-link utilization, congestion and phase
@@ -148,7 +138,7 @@ func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	}
 	var jobs []scoreJob
 	for _, q := range cfg.Qs {
-		for _, kind := range sweepKinds(q) {
+		for _, kind := range core.ComparisonKinds(q) {
 			jobs = append(jobs, scoreJob{q: q, kind: kind})
 		}
 	}
@@ -157,66 +147,28 @@ func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	})
 }
 
-// scorePoint simulates one (q, embedding) design point. Everything it
-// touches is built locally from the deterministic config, so concurrent
-// calls never share state.
+// scorePoint simulates one (q, embedding) design point.
 func scorePoint(cfg ScorecardConfig, q int, kind core.EmbeddingKind) (ScorePoint, error) {
-	inst, err := core.NewInstance(q)
+	p, err := newDesignPoint(q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return ScorePoint{}, err
 	}
-	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
-	e, err := inst.Embed(kind)
+	res, err := p.run()
 	if err != nil {
 		return ScorePoint{}, err
 	}
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth, Engine: cfg.Engine}
-	res, err := inst.Allreduce(e, inputs, runCfg)
-	if err != nil {
-		return ScorePoint{}, fmt.Errorf("perf: q=%d %v: %w", q, kind, err)
-	}
-
+	row := core.NewSimRow(q, cfg.M, p.e, res)
 	pt := ScorePoint{
-		Q: q, Embedding: kind.String(), Trees: len(e.Forest),
-		M: cfg.M, Cycles: res.Cycles,
-		ModelBW:          e.Model.Aggregate,
-		MeasuredBW:       float64(cfg.M) / float64(res.Cycles),
-		OptimalBW:        bandwidth.Optimal(q, 1.0),
-		ModelMaxLinkUtil: e.ModelMaxLinkLoad(),
+		Q: q, Embedding: kind.String(), Trees: len(p.e.Forest), M: cfg.M, Cycles: row.Cycles,
+		ModelBW: row.ModelBW, MeasuredBW: row.MeasuredBW, OptimalBW: bandwidth.Optimal(q, 1.0),
+		MaxLinkUtil: row.MaxLinkUtil, ModelMaxLinkUtil: row.ModelMaxLinkUtil, UtilRelErr: row.UtilRelErr,
+		MaxEdgeCongestion: row.MaxLinkTrees, SharedDirectedLinks: row.SharedLinks,
+		ReducePhaseCycles: row.ReduceCycles, BcastPhaseCycles: row.BcastCycles,
 	}
-	// LinkStat.Trees counts the trees with a flow on the link at the end
-	// of the run, which leaves out trees a recovery aborted; this run is
-	// fault-free, so it counts every tree crossing the link (a tree whose
-	// split is zero, possible only when m is below the tree count, counts
-	// although it sends nothing).
-	for _, ls := range res.LinkStats {
-		pt.MaxLinkUtil = max(pt.MaxLinkUtil, ls.Utilization)
-		pt.MaxEdgeCongestion = max(pt.MaxEdgeCongestion, ls.Trees)
-		if ls.Trees >= 2 {
-			pt.SharedDirectedLinks++
-		}
-	}
-	for _, c := range res.TreeReduceDone {
-		pt.ReducePhaseCycles = max(pt.ReducePhaseCycles, c)
-	}
-	pt.BcastPhaseCycles = max(res.Cycles-pt.ReducePhaseCycles, 0)
 	if pt.ModelBW > 0 {
 		pt.BWRelErr = (pt.MeasuredBW - pt.ModelBW) / pt.ModelBW
 	}
-	if pt.ModelMaxLinkUtil > 0 {
-		pt.UtilRelErr = (pt.MaxLinkUtil - pt.ModelMaxLinkUtil) / pt.ModelMaxLinkUtil
-	}
-	switch kind {
-	case core.SingleTree:
-		pt.Bound, pt.BoundName = 1.0, BoundSingleLink
-	case core.LowDepth:
-		pt.Bound, pt.BoundName = bandwidth.LowDepthBound(q, 1.0), BoundThm76
-	case core.Hamiltonian:
-		pt.Bound, pt.BoundName = bandwidth.HamiltonianBound(len(e.Forest), 1.0), BoundThm719
-	case core.DepthTwo:
-		// Not part of the sweep; no proven floor.
-		pt.Bound, pt.BoundName = 0, "none"
-	}
+	pt.Bound, pt.BoundName = bound(q, p.e)
 	pt.MeetsBound = pt.MeasuredBW >= pt.Bound*(1-cfg.Tolerance)
 	return pt, nil
 }

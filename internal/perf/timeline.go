@@ -6,11 +6,9 @@ import (
 
 	"polarfly/internal/bandwidth"
 	"polarfly/internal/core"
-	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
 	"polarfly/internal/tsdb"
-	"polarfly/internal/workload"
 )
 
 // KindTimeline is the Snapshot.Kind of a streaming-telemetry timeline
@@ -67,25 +65,11 @@ func DefaultTimelineConfig() TimelineConfig {
 	}
 }
 
-// timelineFloor is the embedding's proven aggregate-bandwidth floor.
-func timelineFloor(q int, kind core.EmbeddingKind, e *core.Embedding) float64 {
-	switch kind {
-	case core.SingleTree:
-		return 1.0
-	case core.LowDepth:
-		return bandwidth.LowDepthBound(q, 1.0)
-	case core.Hamiltonian:
-		return bandwidth.HamiltonianBound(len(e.Forest), 1.0)
-	default: // DepthTwo has no proven floor
-		return 0
-	}
-}
-
 // Timeline sweeps every embedding of the design point through a sampled,
 // untraced simulation and returns one tsdb snapshot per embedding, in
-// sweepKinds order. Each run is independent — sampler and analyzer are
-// job-local — so cfg.Parallel of them run on a parrun pool with ordered
-// commit keeping the result byte-identical to a serial sweep.
+// core.ComparisonKinds order. Each run is independent — sampler and
+// analyzer are job-local — so cfg.Parallel of them run on a parrun pool
+// with ordered commit keeping the result byte-identical to a serial sweep.
 func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	if cfg.M <= 0 {
 		return nil, fmt.Errorf("perf: timeline vector length must be positive, got %d", cfg.M)
@@ -93,7 +77,7 @@ func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	if cfg.SampleEvery < 1 {
 		return nil, fmt.Errorf("perf: timeline needs SampleEvery ≥ 1, got %d", cfg.SampleEvery)
 	}
-	kinds := sweepKinds(cfg.Q)
+	kinds := core.ComparisonKinds(cfg.Q)
 	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (*tsdb.Snapshot, error) {
 		return timelineRun(cfg, kinds[i])
 	})
@@ -101,11 +85,7 @@ func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 
 // timelineRun simulates one embedding with the telemetry stack attached.
 func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, error) {
-	inst, err := core.NewInstance(cfg.Q)
-	if err != nil {
-		return nil, err
-	}
-	e, err := inst.Embed(kind)
+	p, err := newDesignPoint(cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -114,42 +94,37 @@ func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, e
 	if err != nil {
 		return nil, err
 	}
-	faulted := cfg.FaultAt > 0 && len(e.Forest) > 1
+	faulted := cfg.FaultAt > 0 && len(p.e.Forest) > 1
+	floor, _ := bound(cfg.Q, p.e)
 	analyzer := tsdb.NewAnalyzer(sampler, tsdb.AnalyzerConfig{
 		Tolerance: cfg.Tolerance,
 		Bounds: tsdb.Bounds{
-			Nodes:     inst.N(),
-			Aggregate: e.Model.Aggregate,
+			Nodes:     p.inst.N(),
+			Aggregate: p.e.Model.Aggregate,
 			Optimal:   bandwidth.Optimal(cfg.Q, 1.0),
-			Floor:     timelineFloor(cfg.Q, kind, e),
+			Floor:     floor,
 			FaultFree: !faulted,
 		},
-		Predicted: core.ModelLinkLoads(e),
+		Predicted: core.ModelLinkLoads(p.e),
 	})
-	runCfg := netsim.Config{LinkLatency: cfg.LinkLatency, VCDepth: cfg.VCDepth,
-		SampleEvery: cfg.SampleEvery, Sample: sampler.Sample, Engine: cfg.Engine}
+	p.cfg.SampleEvery, p.cfg.Sample = cfg.SampleEvery, sampler.Sample
 	if faulted {
-		var u, v int
-		for w, p := range e.Forest[0].Parent {
-			if p >= 0 {
-				u, v = w, p
+		for w, parent := range p.e.Forest[0].Parent {
+			if parent >= 0 {
+				p.failLink(w, parent, cfg.FaultAt)
 				break
 			}
 		}
-		runCfg.Faults = &faults.Plan{Faults: []faults.Fault{
-			{Kind: faults.LinkDown, U: u, V: v, At: cfg.FaultAt},
-		}}
 	}
-	inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
-	res, err := inst.Allreduce(e, inputs, runCfg)
+	res, err := p.run()
 	if err != nil {
-		return nil, fmt.Errorf("perf: timeline q=%d %v: %w", cfg.Q, kind, err)
+		return nil, err
 	}
 	sn := tsdb.BuildSnapshot(sampler, analyzer, tsdb.SnapshotMeta{
-		Q: cfg.Q, Kind: kind.String(), M: cfg.M, Nodes: inst.N(),
-		Aggregate: e.Model.Aggregate,
+		Q: cfg.Q, Kind: kind.String(), M: cfg.M, Nodes: p.inst.N(),
+		Aggregate: p.e.Model.Aggregate,
 		Optimal:   bandwidth.Optimal(cfg.Q, 1.0),
-		Floor:     timelineFloor(cfg.Q, kind, e),
+		Floor:     floor,
 	})
 	if faulted {
 		sn.GroundTruth = groundTruth(sn, res.Cycles, cfg.FaultAt, res.Recoveries)

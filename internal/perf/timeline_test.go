@@ -25,7 +25,7 @@ func TestTimelineFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := sweepKinds(cfg.Q)
+	kinds := core.ComparisonKinds(cfg.Q)
 	if len(runs) != len(kinds) {
 		t.Fatalf("got %d runs for %d kinds", len(runs), len(kinds))
 	}

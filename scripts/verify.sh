@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the pre-commit gate: vet, build, repolint (the project's
 # static-analysis suite), race-enabled tests for the concurrency-bearing
-# packages, then the full suite (tier 1).
+# packages, the full suite (tier 1), then vet and tests of the
+# cmd/pfbench benchmark module.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,9 @@ go test -race -count=1 ./internal/netsim ./internal/faults ./internal/obsv ./int
 
 echo "== go test -shuffle=on ./..."
 go test -shuffle=on ./...
+
+echo "== cmd/pfbench module (its own go.mod, so ./... skips it): go vet + go test"
+(cd cmd/pfbench && go vet ./... && go test ./...)
 
 echo "== bench smoke (benchreport run, 1 iteration per benchmark)"
 go run ./cmd/benchreport run -label smoke -count 1 -benchtime 1x >/dev/null
