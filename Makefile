@@ -50,11 +50,12 @@ bench-netsim:
 	go run ./cmd/benchreport run -label netsim-local -bench HotLoop -pkg ./internal/netsim -count 5
 
 # bench-netsim-event reruns the wake-set policy benchmarks (the q=11
-# event-policy loop and the q=31 cycle-vs-event scale point) and writes
-# BENCH_netsim-event-local.json for comparison against the committed
-# baseline. The wide threshold absorbs runner drift while still failing
-# if the wake-set policy's order-of-magnitude advantage at q=31
-# evaporates:
+# event-policy loop, the q=31 Hamiltonian cycle-vs-event scale point and
+# the q=31 low-depth sim-q31 fabric point under both policies, each with
+# its ns/flit) and writes BENCH_netsim-event-local.json for comparison
+# against the committed baseline. The wide threshold absorbs runner
+# drift while still failing if the wake-set policy's order-of-magnitude
+# advantage at q=31 evaporates:
 #   go run ./cmd/benchreport compare -threshold 2.0 BENCH_netsim-event.json BENCH_netsim-event-local.json
 bench-netsim-event:
 	go run ./cmd/benchreport run -label netsim-event-local -bench 'EventLoop|EngineScale' -pkg ./internal/netsim -count 3
@@ -140,9 +141,11 @@ campaign:
 campaign-smoke:
 	go run ./cmd/benchreport campaign -q 5 -runs 16 -m 1024 -label smoke
 
-# bench-overhead measures the sampled vs unsampled hot-loop benchmark
-# pairs into one snapshot and gates the sampling overhead at 5% median
-# ns/op. Writes BENCH_overhead.json.
+# bench-overhead runs the sampled hot-loop benchmark, whose every
+# iteration times an unsampled and a sampled run of one spec back to
+# back (10 such pairs per benchmark line, 5 lines), and gates the
+# sampling overhead at 5% of the median base time. Writes
+# BENCH_overhead.json.
 bench-overhead:
-	go run ./cmd/benchreport run -label overhead -bench HotLoop -pkg ./internal/netsim,./internal/tsdb -count 5
+	go run ./cmd/benchreport run -label overhead -bench HotLoopSampled -pkg ./internal/tsdb -count 5 -benchtime 10x
 	go run ./cmd/benchreport overhead BENCH_overhead.json

@@ -647,8 +647,9 @@ func cmdCampaign(args []string, stdout, stderr io.Writer) int {
 		rep.Failures())
 }
 
-// cmdOverhead loads a bench snapshot, pairs every XSampled benchmark with
-// its X twin, and gates the median ns/op overhead against the budget.
+// cmdOverhead loads a bench snapshot, pairs the base-ns/op and
+// sampled-ns/op medians of every benchmark that reports both, and gates
+// the overhead against the budget.
 func cmdOverhead(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchreport overhead", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -678,7 +679,7 @@ func cmdOverhead(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if len(pairs) == 0 {
-		fmt.Fprintln(stderr, "benchreport: no base↔sampled benchmark pairs in the snapshot; run both packages into one snapshot (e.g. -pkg ./internal/netsim,./internal/tsdb)")
+		fmt.Fprintln(stderr, "benchreport: no base↔sampled benchmark pairs in the snapshot; run the sampled hot loop into it (-bench HotLoopSampled -pkg ./internal/tsdb)")
 		return 1
 	}
 	if fails := perf.OverheadFailures(pairs, *max); len(fails) > 0 {

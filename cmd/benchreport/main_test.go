@@ -461,9 +461,9 @@ func TestTimelineFootprintGate(t *testing.T) {
 func TestOverheadCLI(t *testing.T) {
 	dir := t.TempDir()
 	mkSnap := func(name string, sampledNs int) string {
-		fixture := "goos: linux\npkg: polarfly\n" +
-			"BenchmarkHotLoop/q=11/single-8 \t 10\t 100000 ns/op\n" +
-			"BenchmarkHotLoopSampled/q=11/single-8 \t 10\t " + strconv.Itoa(sampledNs) + " ns/op\nPASS\n"
+		fixture := "goos: linux\npkg: polarfly/internal/tsdb\n" +
+			"BenchmarkHotLoopSampled/q=11/single-8 \t 10\t " + strconv.Itoa(100000+sampledNs) + " ns/op\t" +
+			" 100000 base-ns/op\t " + strconv.Itoa(sampledNs) + " sampled-ns/op\nPASS\n"
 		in := writeFixture(t, dir, name+".txt", fixture)
 		code, _, stderr := runCLI(t, "run", "-in", in, "-label", name, "-out", dir)
 		if code != 0 {
@@ -477,7 +477,7 @@ func TestOverheadCLI(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0 for 3%% overhead", code)
 	}
-	if !strings.Contains(stdout, "HotLoop/q=11/single") || !strings.Contains(stdout, "+3.0%") {
+	if !strings.Contains(stdout, "HotLoopSampled/q=11/single") || !strings.Contains(stdout, "+3.0%") {
 		t.Errorf("overhead table wrong:\n%s", stdout)
 	}
 

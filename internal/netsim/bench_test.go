@@ -83,8 +83,7 @@ func hotLoopCfg() Config { return Config{LinkLatency: 5, VCDepth: 8} }
 // and finalization) on the visit-all policy at the largest swept design
 // point (q=11, N=133), with a vector long enough that steady-state
 // streaming dominates pipeline fill. ns/op and allocs/op are the
-// regression-gated signals (see BENCH_netsim.json for the committed
-// pre-optimization baseline).
+// regression-gated signals, compared against BENCH_netsim.json.
 func BenchmarkHotLoop(b *testing.B) {
 	for _, kind := range []string{"single", "lowdepth", "hamiltonian"} {
 		spec := benchSpec(b, 11, 8192, kind)
@@ -105,9 +104,17 @@ func BenchmarkHotLoop(b *testing.B) {
 // benchAdvance times the advance loop alone under one policy: simulator
 // construction and result finalization run outside the timer, so
 // allocs/op measures exactly what the hotalloc analyzer proves about
-// advance's call graph. It reports the simulated cycles.
+// advance's call graph. It reports the simulated cycles and the advance
+// loop's time per transmitted flit (ns/flit), the per-flit cost that
+// compares across fabric sizes.
 func benchAdvance(b *testing.B, spec Spec, cfg Config) {
 	b.ReportAllocs()
+	flits := 0
+	defer func() {
+		if flits > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flits), "ns/flit")
+		}
+	}()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s, err := newSim(spec, cfg)
@@ -124,6 +131,7 @@ func benchAdvance(b *testing.B, spec Spec, cfg Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		flits += res.FlitsSent
 		b.ReportMetric(float64(res.Cycles), "simcycles")
 		b.StartTimer()
 	}
@@ -156,19 +164,33 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineScale is the committed cycle-vs-event headline point:
-// q=31 (N=993) Hamiltonian with deep pipelines and one short flow per
-// directed link, so most links idle most cycles. The visit-all policy
-// still visits every link every cycle; the wake-set policy only the
-// active ones. The committed BENCH_netsim-event.json records both
-// subbenches, and CI's compare gate fails if the wake-set policy's
-// advantage evaporates.
+// BenchmarkEngineScale times the advance loop at q=31 (N=993) under both
+// policies at two fabric points. q=31/engine=* is the cycle-vs-event
+// headline: the Hamiltonian forest with deep pipelines and one short flow
+// per directed link, so most links idle most cycles; the visit-all policy
+// still visits every link every cycle, the wake-set policy only the
+// active ones. q=31/lowdepth/engine=* is the repository benchmark's
+// sim-q31 fabric (low-depth forest, m=1024, LinkLatency 1, VCDepth 4),
+// where every link is busy and ns/flit is the per-flit cost at scale. The
+// committed BENCH_netsim-event.json records all four subbenches, and CI's
+// compare gate fails if the wake-set policy's advantage evaporates.
 func BenchmarkEngineScale(b *testing.B) {
-	spec := benchSpec(b, 31, 4096, "hamiltonian")
-	for _, engine := range []Engine{EngineCycle, EngineEvent} {
-		b.Run("q=31/engine="+engine.String(), func(b *testing.B) {
-			benchAdvance(b, spec, Config{LinkLatency: 10, VCDepth: 16, Engine: engine})
-		})
+	points := []struct {
+		name string
+		spec Spec
+		cfg  Config
+	}{
+		{"q=31", benchSpec(b, 31, 4096, "hamiltonian"), Config{LinkLatency: 10, VCDepth: 16}},
+		{"q=31/lowdepth", benchSpec(b, 31, 1024, "lowdepth"), Config{LinkLatency: 1, VCDepth: 4}},
+	}
+	for _, pt := range points {
+		for _, engine := range []Engine{EngineCycle, EngineEvent} {
+			cfg := pt.cfg
+			cfg.Engine = engine
+			b.Run(pt.name+"/engine="+engine.String(), func(b *testing.B) {
+				benchAdvance(b, pt.spec, cfg)
+			})
+		}
 	}
 }
 

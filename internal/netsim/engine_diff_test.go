@@ -346,9 +346,10 @@ func fuzzPlan(b *fuzzBytes, spec Spec) *faults.Plan {
 // all six fault kinds (applied to allreduce only), and last a split of the
 // vector over the trees, zero entries included. Every policy must
 // reproduce the reference run byte for byte (Result JSON, trace, frames,
-// error text), and every completed run must conserve flits: FlitsSent ==
-// DeliveredFlits + DroppedFlits. The fixed matrices above stay as the
-// deterministic seed set.
+// error text), every completed run must conserve flits: FlitsSent ==
+// DeliveredFlits + DroppedFlits, and the link-major layout must match the
+// reference construction (checkLinkLayout). The fixed matrices above stay as
+// the deterministic seed set.
 func FuzzEngines(f *testing.F) {
 	type base struct {
 		name string
@@ -394,6 +395,7 @@ func FuzzEngines(f *testing.F) {
 			m += spec.Split[i]
 		}
 		spec.Inputs = randInputs(spec.Topology.N(), m, int64(len(data)))
+		checkLinkLayout(t, spec, cfg)
 		ref := compareEngines(t, spec, cfg)
 		if r := ref.res; ref.err == nil && r.FlitsSent != r.DeliveredFlits+r.DroppedFlits {
 			t.Fatalf("%s: flits not conserved: sent %d, delivered %d, dropped %d",

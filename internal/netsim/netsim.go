@@ -113,7 +113,7 @@ const (
 	// EngineEvent advances directly to the next cycle at which anything can
 	// change (earliest pipeline arrival, pending credit return, root-engine
 	// slot, sample boundary, progress-timeout deadline), visiting only the
-	// links woken for that cycle. It measured 13× faster on the q=31
+	// links woken for that cycle. It measured 15× faster on the q=31
 	// Hamiltonian m=4096 run, where most links idle most cycles; the
 	// crossover between the two orders is unmeasured. Fault-plan runs
 	// process every cycle so fault windows and detection deadlines are
@@ -414,9 +414,10 @@ type flow struct {
 
 	// buf holds values for flits [bufBase, bufBase+bufLen()) at positions
 	// buf[bufHead:]. Retiring flits advances bufHead instead of reslicing,
-	// so one fixed VCDepth-capacity array (carved from the job's shared
-	// block) lasts the whole run: credit flow bounds occupancy by VCDepth,
-	// and push compacts retired space back to the front before appending.
+	// so one fixed VCDepth-capacity window (of the VC-buffer slab, or of a
+	// re-issued job's block) lasts the whole run: credit flow bounds
+	// occupancy by VCDepth, and push compacts retired space back to the
+	// front before appending.
 	buf     []int64
 	bufHead int
 	bufBase int
@@ -496,14 +497,14 @@ type inflight struct {
 // link is one directed physical link with its VCs and arbitration state.
 type link struct {
 	from, to int
-	id       int32 // index in sim.links, assigned at freeze (wake-set ids)
+	id       int32 // index in sim.links and the link slab (wake-set ids)
 	flows    []*flow
 	rr       int // round-robin pointer
 
 	// pipeline[pipeHead:] are the in-flight flits in arrival order.
 	// Delivery advances pipeHead; injection compacts retired space and
-	// appends, so the LinkBandwidth·LinkLatency capacity allocated at
-	// freeze time is never outgrown.
+	// appends, so the LinkBandwidth·LinkLatency ring carved from the
+	// pipeline slab is never outgrown.
 	pipeline []inflight
 	pipeHead int
 
@@ -534,7 +535,7 @@ type link struct {
 func (l *link) pipeLen() int { return len(l.pipeline) - l.pipeHead }
 
 // pipePush appends an in-flight flit, compacting delivered space first so
-// the backing array never grows past its freeze-time capacity.
+// the backing array never grows past its slab ring.
 func (l *link) pipePush(fl inflight) {
 	if len(l.pipeline) == cap(l.pipeline) && l.pipeHead > 0 {
 		n := copy(l.pipeline, l.pipeline[l.pipeHead:])

@@ -1,5 +1,10 @@
 package netsim
 
+import (
+	"fmt"
+	"sort"
+)
+
 // The reference loop: the per-cycle loop as it stood before both wake
 // policies moved onto the one advance loop, kept verbatim apart from
 // renames (and its doc comment's hot-path claim) as the oracle both
@@ -359,4 +364,197 @@ func (s *sim) referenceCycleLoop() (int, error) {
 		}
 	}
 	return now, nil
+}
+
+// The reference link construction: the map-and-sort construction newSim used
+// before the link-major slabs, kept verbatim apart from renames as the
+// oracle the layout pass is compared against (TestLinkLayoutMatchesReference).
+// It registers every flow through a construction map, carves each job's
+// flows and VC buffers from blocks of its own, and freezes the link order
+// with one key sort once every job is built. Only tests run it.
+
+// referenceSim is a simulator under reference construction: the
+// construction map next to the simulator state it fills.
+type referenceSim struct {
+	*sim
+	linkMap map[[2]int]*link
+}
+
+// referenceLinks builds spec's jobs, flows, links and CSR row index the
+// reference way. spec and cfg must already be valid.
+func referenceLinks(spec Spec, cfg Config) *sim {
+	n := spec.Topology.N()
+	s := &referenceSim{sim: &sim{spec: spec, cfg: cfg, n: n}, linkMap: make(map[[2]int]*link)}
+	for i := range spec.Forest {
+		s.offsets = append(s.offsets, s.m)
+		s.m += spec.Split[i]
+	}
+	outBack := make([]int64, n*s.m)
+	s.outputs = make([][]int64, n)
+	for v := 0; v < n; v++ {
+		s.outputs[v] = outBack[v*s.m : (v+1)*s.m : (v+1)*s.m]
+	}
+	for ti := range spec.Forest {
+		s.referenceAddStream(ti, s.offsets[ti], spec.Split[ti])
+	}
+
+	// Freeze a deterministic link order for the advance loop.
+	keys := make([][2]int, 0, len(s.linkMap))
+	for k := range s.linkMap {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	s.links = make([]*link, 0, len(keys))
+	for _, k := range keys {
+		s.links = append(s.links, s.linkMap[k])
+	}
+	s.linkMap = nil
+
+	// Replace the construction map with the CSR row index the recovery
+	// re-issues resolve through, and give every link a pipeline sized for
+	// its maximum in-flight load (LinkBandwidth injections per cycle, each
+	// airborne LinkLatency cycles) so injection never grows the backing
+	// array.
+	s.rowStart = make([]int32, n+1)
+	for _, l := range s.links {
+		s.rowStart[l.from+1]++
+	}
+	for v := 0; v < n; v++ {
+		s.rowStart[v+1] += s.rowStart[v]
+	}
+	bw := cfg.LinkBandwidth
+	if bw == 0 {
+		bw = 1
+	}
+	for id, l := range s.links {
+		l.id = int32(id)
+		l.pipeline = make([]inflight, 0, bw*cfg.LinkLatency)
+	}
+	s.frozen = true
+	return s.sim
+}
+
+// referenceAddFlow registers a flow with its directed link. After the link set is
+// frozen (recovery re-issues), the link must already exist — surviving
+// trees only use links their initial flows created — and is resolved
+// through the CSR row index (linkAt) instead of the construction map.
+func (s *referenceSim) referenceAddFlow(f *flow) *flow {
+	var l *link
+	if s.frozen {
+		l = s.linkAt(f.from, f.to)
+		if l == nil {
+			panic(fmt.Sprintf("netsim: internal: re-issue on unknown link %d→%d", f.from, f.to))
+		}
+	} else {
+		key := [2]int{f.from, f.to}
+		var ok bool
+		l, ok = s.linkMap[key]
+		if !ok {
+			l = &link{from: f.from, to: f.to}
+			s.linkMap[key] = l
+		}
+	}
+	l.flows = append(l.flows, f)
+	f.ln = l
+	return f
+}
+
+// referenceAddStream builds one job — the collective for the contiguous global
+// range [goff, goff+mt) over forest tree ti — together with its per-node
+// state and flows. It is used both for the initial Equation 2 split and
+// for recovery re-issues, so flow creation order (ascending vertex,
+// reduce before broadcast) is part of the determinism contract.
+//
+// All per-node state, all flows, and all receive buffers of the job live
+// in three contiguous blocks allocated up front: a tree contributes n−1
+// edges per active phase, and credit flow caps every buffer at VCDepth
+// flits, so the sizes are exact.
+func (s *referenceSim) referenceAddStream(ti, goff, mt int) *job {
+	t := s.spec.Forest[ti]
+	j := &job{idx: len(s.jobs), tree: ti, goff: goff, m: mt, nodes: make([]nodeTree, s.n)}
+	for v := 0; v < s.n; v++ {
+		j.nodes[v] = nodeTree{
+			parent: t.Parent[v],
+			seg:    s.spec.Inputs[v][goff : goff+mt],
+		}
+	}
+	withReduce := s.spec.Op == OpAllreduce || s.spec.Op == OpReduce
+	withBcast := s.spec.Op == OpAllreduce || s.spec.Op == OpBroadcast
+	phases := 0
+	if withReduce {
+		phases++
+	}
+	if withBcast {
+		phases++
+	}
+	nflows := phases * (s.n - 1)
+	flowBlock := make([]flow, 0, nflows)
+	bufBlock := make([]int64, nflows*s.cfg.VCDepth)
+	newFlow := func(fl flow) *flow {
+		i := len(flowBlock)
+		fl.buf = bufBlock[i*s.cfg.VCDepth : i*s.cfg.VCDepth : (i+1)*s.cfg.VCDepth]
+		flowBlock = append(flowBlock, fl)
+		return &flowBlock[i]
+	}
+	for v := 0; v < s.n; v++ {
+		nt := &j.nodes[v]
+		p := t.Parent[v]
+		if p >= 0 {
+			pt := &j.nodes[p]
+			if withReduce {
+				nt.redOut = s.referenceAddFlow(newFlow(flow{j: j, tree: ti, phase: phaseReduce,
+					from: v, to: p, m: mt, snd: nt, rcv: pt}))
+				pt.redIn = append(pt.redIn, nt.redOut)
+			}
+			if withBcast {
+				nt.bcastIn = s.referenceAddFlow(newFlow(flow{j: j, tree: ti, phase: phaseBcast,
+					from: p, to: v, m: mt, snd: pt, rcv: nt}))
+				pt.bcastOut = append(pt.bcastOut, nt.bcastIn)
+			}
+		} else {
+			// The root's reduction-engine output is the root's result row:
+			// both were always written with identical values at identical
+			// times, so they share the outputs storage (and recovery
+			// re-issues reuse it instead of allocating fresh scratch).
+			nt.rootResult = s.outputs[v][goff : goff+mt]
+			if s.spec.Op == OpBroadcast {
+				// The root sources its own input; it is trivially done.
+				copy(nt.rootResult, nt.seg)
+				nt.rootComputed = mt
+				nt.delivered = mt
+			}
+		}
+		// Completion targets per op: everyone for allreduce/broadcast,
+		// only the root for reduce.
+		switch s.spec.Op {
+		case OpReduce:
+			if p < 0 {
+				nt.target = mt
+			}
+		default:
+			nt.target = mt
+		}
+		s.pending += nt.target - nt.delivered
+		j.remaining += nt.target - nt.delivered
+	}
+	// Seed the incremental minima (see nodeTree): every in-stream starts
+	// at arrived == 0 and every out-stream at sent == 0, so the census is
+	// len at minimum 0; an empty broadcast fan-out takes the sentinel the
+	// credit release expects. Recovery re-issues pass through here too.
+	for v := 0; v < s.n; v++ {
+		nt := &j.nodes[v]
+		nt.redMinCnt = len(nt.redIn)
+		if len(nt.bcastOut) == 0 {
+			nt.bcastMin = evInf
+		} else {
+			nt.bcastMinCnt = len(nt.bcastOut)
+		}
+	}
+	s.jobs = append(s.jobs, j)
+	return j
 }

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Run executes one in-network Allreduce and returns the cycle count and the
@@ -28,18 +28,28 @@ type sim struct {
 	m       int   // total vector length
 	offsets []int // segment offset per tree
 
-	// linkMap resolves directed (from,to) → link during construction only;
-	// it is released at freeze time in favour of the CSR row index, so the
-	// advance loop and recovery path never touch a map.
-	linkMap map[[2]int]*link
-	links   []*link // links in deterministic (from, to) order
+	links []*link // links in (from, to) order; links[id] == &linkSlab[id]
 	// rowStart[v] is the index of node v's first outgoing link in links
 	// (rowStart[n] == len(links)); links within a row are sorted by
 	// destination, so linkAt is a binary search over the row. A CSR index
 	// instead of a dense n×n table: at q=127 (N=16 257) the dense table
 	// alone would cost a gigabyte for a fabric whose links number ~2M.
 	rowStart []int32
-	frozen   bool   // link set frozen; recovery may not add links
+	// flowStart[id] is link id's first slot in the flow slabs
+	// (flowStart[len(links)] == len(flowSlab)): the link's initial flows,
+	// their pointers and their VC windows occupy slots
+	// [flowStart[id], flowStart[id+1]) in creation order.
+	flowStart []int32
+	// The link-major slabs layoutLinks carves once, in link-id order: the
+	// link records, the initial flows, the per-link flow pointer lists, the
+	// VC windows (VCDepth per flow) and the pipeline rings. Recovery
+	// re-issues allocate their flows in a per-job block instead.
+	linkSlab []link
+	flowSlab []flow
+	flowPtrs []*flow
+	bufSlab  []int64
+	pipeSlab []inflight
+	frozen   bool   // initial flows placed; recovery may not add links
 	jobs     []*job // initial jobs (one per tree) + recovery re-issues
 	pending  int    // flit deliveries still outstanding (all jobs, all nodes)
 	bufTotal int    // Σ link.curBuf, maintained on push and retire
@@ -90,8 +100,8 @@ type sim struct {
 }
 
 // linkAt resolves a directed link through the CSR row index; nil when the
-// pair carries no flow. Valid only after freeze. O(log degree), used by
-// the fault/recovery paths only — never by the advance loop.
+// pair carries no flow. O(log degree), used by construction and the
+// fault/recovery paths only — never by the advance loop.
 func (s *sim) linkAt(from, to int) *link {
 	lo, hi := int(s.rowStart[from]), int(s.rowStart[from+1])
 	for lo < hi {
@@ -126,8 +136,7 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	if spec.Op < OpAllreduce || spec.Op > OpBroadcast {
 		return nil, fmt.Errorf("netsim: unknown op %v", spec.Op)
 	}
-	s := &sim{spec: spec, cfg: cfg, n: n, linkMap: make(map[[2]int]*link),
-		engineUsed: make([]int, n), traced: cfg.Trace != nil}
+	s := &sim{spec: spec, cfg: cfg, n: n, engineUsed: make([]int, n), traced: cfg.Trace != nil}
 	s.offsets = make([]int, 0, len(spec.Forest))
 	s.jobs = make([]*job, 0, len(spec.Forest))
 	for i, t := range spec.Forest {
@@ -171,9 +180,11 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	for v := 0; v < n; v++ {
 		s.outputs[v] = outBack[v*s.m : (v+1)*s.m : (v+1)*s.m]
 	}
+	s.layoutLinks()
 	for ti := range spec.Forest {
 		s.addStream(ti, s.offsets[ti], spec.Split[ti])
 	}
+	s.frozen = true
 	s.result.TreeDone = make([]int, len(spec.Forest))
 	s.result.TreeReduceDone = make([]int, len(spec.Forest))
 	for i := range s.result.TreeDone {
@@ -183,45 +194,6 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 		}
 		s.checkJobDone(s.jobs[i], 0) // zero-split or trivially-complete trees
 	}
-
-	// Freeze a deterministic link order for the advance loop.
-	keys := make([][2]int, 0, len(s.linkMap))
-	for k := range s.linkMap {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	s.links = make([]*link, 0, len(keys))
-	for _, k := range keys {
-		s.links = append(s.links, s.linkMap[k])
-	}
-	s.linkMap = nil
-
-	// Replace the construction map with the CSR row index the recovery
-	// re-issues resolve through, and give every link a pipeline sized for
-	// its maximum in-flight load (LinkBandwidth injections per cycle, each
-	// airborne LinkLatency cycles) so injection never grows the backing
-	// array.
-	s.rowStart = make([]int32, n+1)
-	for _, l := range s.links {
-		s.rowStart[l.from+1]++
-	}
-	for v := 0; v < n; v++ {
-		s.rowStart[v+1] += s.rowStart[v]
-	}
-	bw := cfg.LinkBandwidth
-	if bw == 0 {
-		bw = 1
-	}
-	for id, l := range s.links {
-		l.id = int32(id)
-		l.pipeline = make([]inflight, 0, bw*cfg.LinkLatency)
-	}
-	s.frozen = true
 	s.initSampling()
 	if cfg.Engine == EngineEvent {
 		s.initEvent()
@@ -229,28 +201,113 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	return s, nil
 }
 
-// addFlow registers a flow with its directed link. After the link set is
-// frozen (recovery re-issues), the link must already exist — surviving
-// trees only use links their initial flows created — and is resolved
-// through the CSR row index (linkAt) instead of the construction map.
-func (s *sim) addFlow(f *flow) *flow {
-	var l *link
-	if s.frozen {
-		l = s.linkAt(f.from, f.to)
-		if l == nil {
-			panic(fmt.Sprintf("netsim: internal: re-issue on unknown link %d→%d", f.from, f.to))
-		}
-	} else {
-		key := [2]int{f.from, f.to}
-		var ok bool
-		l, ok = s.linkMap[key]
-		if !ok {
-			l = &link{from: f.from, to: f.to}
-			s.linkMap[key] = l
+// phases reports which collective phases the op runs and how many flows
+// one job has: a spanning tree contributes n−1 edges per active phase.
+func (s *sim) phases() (withReduce, withBcast bool, jobFlows int) {
+	withReduce, withBcast = s.spec.Op != OpBroadcast, s.spec.Op != OpReduce
+	if withReduce {
+		jobFlows += s.n - 1
+	}
+	if withBcast {
+		jobFlows += s.n - 1
+	}
+	return withReduce, withBcast, jobFlows
+}
+
+// layoutLinks lays out the link set and its slabs in one counting pass
+// before any flow exists. It enumerates the directed (from, to) pair of
+// every tree edge in every active phase — one pair per initial flow —
+// and sorts them once: each run of equal pairs is one link, so run order
+// gives the link ids, the run starts give flowStart, and the run heads
+// per source give rowStart. Every link then takes its records from the
+// slabs in id order: its flow pointers and pipeline ring as full-cap
+// windows that can never spill into a neighbour's. The pipeline is sized
+// for its maximum in-flight load (LinkBandwidth injections per cycle, each
+// airborne LinkLatency cycles), so injection never grows it.
+func (s *sim) layoutLinks() {
+	withReduce, withBcast, jobFlows := s.phases()
+	pairs := make([]uint64, 0, len(s.spec.Forest)*jobFlows)
+	for _, t := range s.spec.Forest {
+		for v, p := range t.Parent {
+			if p < 0 {
+				continue
+			}
+			if withReduce {
+				pairs = append(pairs, uint64(v)<<32|uint64(p))
+			}
+			if withBcast {
+				pairs = append(pairs, uint64(p)<<32|uint64(v))
+			}
 		}
 	}
-	l.flows = append(l.flows, f)
+	slices.Sort(pairs)
+	nl := 0
+	for i, k := range pairs {
+		if i == 0 || k != pairs[i-1] {
+			nl++
+		}
+	}
+	s.linkSlab = make([]link, nl)
+	s.links = make([]*link, nl)
+	s.rowStart = make([]int32, s.n+1)
+	s.flowStart = make([]int32, nl+1)
+	id := -1
+	for i, k := range pairs {
+		if i > 0 && k == pairs[i-1] {
+			continue
+		}
+		id++
+		l := &s.linkSlab[id]
+		l.from, l.to, l.id = int(k>>32), int(uint32(k)), int32(id)
+		s.links[id] = l
+		s.rowStart[l.from+1]++
+		s.flowStart[id] = int32(i)
+	}
+	s.flowStart[nl] = int32(len(pairs))
+	for v := 0; v < s.n; v++ {
+		s.rowStart[v+1] += s.rowStart[v]
+	}
+
+	bw := s.cfg.LinkBandwidth
+	if bw == 0 {
+		bw = 1
+	}
+	ring := bw * s.cfg.LinkLatency
+	s.flowSlab = make([]flow, len(pairs))
+	s.flowPtrs = make([]*flow, len(pairs))
+	s.bufSlab = make([]int64, len(pairs)*s.cfg.VCDepth)
+	s.pipeSlab = make([]inflight, nl*ring)
+	for id, l := range s.links {
+		lo, hi := s.flowStart[id], s.flowStart[id+1]
+		l.flows = s.flowPtrs[lo:lo:hi]
+		l.pipeline = s.pipeSlab[id*ring : id*ring : (id+1)*ring]
+	}
+}
+
+// addFlow stores fl in slot i of flows, gives it the VC window at the
+// same index of bufs, and registers it with its directed link, resolved
+// through the CSR row index. Before freeze flows and bufs are the
+// link-major slabs and i is ignored: the k-th initial flow of link l goes
+// to slot flowStart[l]+k, the same slot its pointer takes in l.flows, so
+// l.flows keeps creation order and each link's streams, pointers and VC
+// windows sit together in link-id order. After freeze (recovery
+// re-issues) they are the job's own block, and the link — which must
+// already exist, since surviving trees only use links their initial
+// flows created — grows l.flows by append.
+func (s *sim) addFlow(fl flow, flows []flow, bufs []int64, i int) *flow {
+	l := s.linkAt(fl.from, fl.to)
+	if l == nil {
+		panic(fmt.Sprintf("netsim: internal: flow on unknown link %d→%d", fl.from, fl.to))
+	}
+	if !s.frozen {
+		i = int(s.flowStart[l.id]) + len(l.flows)
+	}
+	d := s.cfg.VCDepth
+	f := &flows[i]
+	*f = fl
+	f.buf = bufs[i*d : i*d : (i+1)*d]
 	f.ln = l
+	l.flows = append(l.flows, f)
 	return f
 }
 
@@ -260,10 +317,11 @@ func (s *sim) addFlow(f *flow) *flow {
 // for recovery re-issues, so flow creation order (ascending vertex,
 // reduce before broadcast) is part of the determinism contract.
 //
-// All per-node state, all flows, and all receive buffers of the job live
-// in three contiguous blocks allocated up front: a tree contributes n−1
-// edges per active phase, and credit flow caps every buffer at VCDepth
-// flits, so the sizes are exact.
+// The per-node state is one block per job. An initial job's flows and VC
+// windows go to the link-major slabs (addFlow); a re-issue appends to
+// frozen links whose slab ranges are full, so it carves them from two
+// blocks of its own, sized exactly: a tree contributes n−1 edges per
+// active phase, and credit flow caps every buffer at VCDepth flits.
 func (s *sim) addStream(ti, goff, mt int) *job {
 	t := s.spec.Forest[ti]
 	j := &job{idx: len(s.jobs), tree: ti, goff: goff, m: mt, nodes: make([]nodeTree, s.n)}
@@ -273,23 +331,17 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 			seg:    s.spec.Inputs[v][goff : goff+mt],
 		}
 	}
-	withReduce := s.spec.Op == OpAllreduce || s.spec.Op == OpReduce
-	withBcast := s.spec.Op == OpAllreduce || s.spec.Op == OpBroadcast
-	phases := 0
-	if withReduce {
-		phases++
+	withReduce, withBcast, jobFlows := s.phases()
+	flows, bufs := s.flowSlab, s.bufSlab
+	if s.frozen {
+		flows = make([]flow, jobFlows)
+		bufs = make([]int64, jobFlows*s.cfg.VCDepth)
 	}
-	if withBcast {
-		phases++
-	}
-	nflows := phases * (s.n - 1)
-	flowBlock := make([]flow, 0, nflows)
-	bufBlock := make([]int64, nflows*s.cfg.VCDepth)
+	made := 0
 	newFlow := func(fl flow) *flow {
-		i := len(flowBlock)
-		fl.buf = bufBlock[i*s.cfg.VCDepth : i*s.cfg.VCDepth : (i+1)*s.cfg.VCDepth]
-		flowBlock = append(flowBlock, fl)
-		return &flowBlock[i]
+		f := s.addFlow(fl, flows, bufs, made)
+		made++
+		return f
 	}
 	for v := 0; v < s.n; v++ {
 		nt := &j.nodes[v]
@@ -297,13 +349,13 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 		if p >= 0 {
 			pt := &j.nodes[p]
 			if withReduce {
-				nt.redOut = s.addFlow(newFlow(flow{j: j, tree: ti, phase: phaseReduce,
-					from: v, to: p, m: mt, snd: nt, rcv: pt}))
+				nt.redOut = newFlow(flow{j: j, tree: ti, phase: phaseReduce,
+					from: v, to: p, m: mt, snd: nt, rcv: pt})
 				pt.redIn = append(pt.redIn, nt.redOut)
 			}
 			if withBcast {
-				nt.bcastIn = s.addFlow(newFlow(flow{j: j, tree: ti, phase: phaseBcast,
-					from: p, to: v, m: mt, snd: pt, rcv: nt}))
+				nt.bcastIn = newFlow(flow{j: j, tree: ti, phase: phaseBcast,
+					from: p, to: v, m: mt, snd: pt, rcv: nt})
 				pt.bcastOut = append(pt.bcastOut, nt.bcastIn)
 			}
 		} else {

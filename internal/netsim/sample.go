@@ -86,9 +86,9 @@ type SampleFrame struct {
 	Run RunCounters
 }
 
-// initSampling allocates the reusable sample frame. Called at freeze
-// time, after the deterministic link order exists; the per-link slice is
-// the only allocation sampling ever makes.
+// initSampling allocates the reusable sample frame. Called at the end of
+// construction, after the deterministic link order exists; the per-link
+// slice is the only allocation sampling ever makes.
 func (s *sim) initSampling() {
 	s.sampling = s.cfg.Sample != nil
 	s.lastFaultCycle = -1

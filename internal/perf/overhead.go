@@ -3,20 +3,20 @@ package perf
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // DefaultMaxOverhead is the telemetry budget: sampling may cost at most
 // this fraction of the unsampled hot loop's median ns/op.
 const DefaultMaxOverhead = 0.05
 
-// OverheadPair is one sampled benchmark matched with its unsampled twin.
+// OverheadPair is the unsampled and sampled timing of one benchmark.
 type OverheadPair struct {
-	// Name is the shared sub-benchmark path (e.g. "HotLoop/q=11/lowdepth");
-	// the sampled series carries a "Sampled" suffix on the first segment.
+	// Name is the benchmark that timed both runs (e.g.
+	// "HotLoopSampled/q=11/lowdepth").
 	Name  string `json:"name"`
 	Procs int    `json:"procs"`
-	// BaseNs and SampledNs are the median ns/op of each series.
+	// BaseNs and SampledNs are the medians of the benchmark's
+	// base-ns/op and sampled-ns/op metrics.
 	BaseNs    float64 `json:"base_ns"`
 	SampledNs float64 `json:"sampled_ns"`
 	// Overhead is SampledNs/BaseNs − 1 (negative when sampling measured
@@ -24,66 +24,39 @@ type OverheadPair struct {
 	Overhead float64 `json:"overhead"`
 }
 
-// TelemetryOverhead pairs every benchmark whose first path segment ends
-// in "Sampled" with the suffix-stripped counterpart from the same
-// snapshot (same remaining path, same Procs) and reports the median
-// ns/op ratio. Pairing within one snapshot is deliberate: both series
-// ran back to back on the same machine, so drift between benchmarking
-// sessions — which on a noisy box easily exceeds the 5% budget — cancels
-// out of the ratio.
+// The metrics a sampling-overhead benchmark reports: the mean time of
+// its unsampled and of its sampled run of one spec, which alternate
+// inside every iteration.
+const (
+	baseNsUnit    = "base-ns/op"
+	sampledNsUnit = "sampled-ns/op"
+)
+
+// TelemetryOverhead reads every benchmark that reports both base-ns/op
+// and sampled-ns/op and pairs the medians of the two. The runs behind
+// each pair alternated inside one benchmark, so drift between
+// benchmarking sessions — which on a noisy box easily exceeds the 5%
+// budget — cancels out of the ratio.
 func TelemetryOverhead(s *Snapshot) []OverheadPair {
-	type key struct {
-		name  string
-		procs int
-	}
-	base := make(map[key]float64)
-	for _, b := range s.Benchmarks {
-		if baseNameOf(b.Name) != "" {
-			continue // a sampled series is never a base
-		}
-		if m, ok := b.Metric("ns/op"); ok {
-			base[key{b.Name, b.Procs}] = m.Median
-		}
-	}
 	var pairs []OverheadPair
 	for _, b := range s.Benchmarks {
-		name := baseNameOf(b.Name)
-		if name == "" {
+		base, ok := b.Metric(baseNsUnit)
+		if !ok || base.Median <= 0 {
 			continue
 		}
-		m, ok := b.Metric("ns/op")
+		sampled, ok := b.Metric(sampledNsUnit)
 		if !ok {
 			continue
 		}
-		bn, ok := base[key{name, b.Procs}]
-		if !ok || bn <= 0 {
-			continue
-		}
 		pairs = append(pairs, OverheadPair{
-			Name: name, Procs: b.Procs,
-			BaseNs: bn, SampledNs: m.Median,
-			Overhead: m.Median/bn - 1,
+			Name: b.Name, Procs: b.Procs,
+			BaseNs: base.Median, SampledNs: sampled.Median,
+			Overhead: sampled.Median/base.Median - 1,
 		})
 	}
 	// Benchmarks is sorted by (name, procs), so pairs inherit a
 	// deterministic order.
 	return pairs
-}
-
-// baseNameOf strips the "Sampled" suffix from the first path segment of
-// a sampled benchmark name ("HotLoopSampled/q=11/x" → "HotLoop/q=11/x").
-// It returns "" when the name is not a sampled series.
-func baseNameOf(name string) string {
-	head := name
-	rest := ""
-	if i := strings.IndexByte(name, '/'); i >= 0 {
-		head, rest = name[:i], name[i:]
-	}
-	const suffix = "Sampled"
-	if !strings.HasSuffix(head, suffix) || len(head) == len(suffix) {
-		return ""
-	}
-	return head[:len(head)-len(suffix)] + rest
 }
 
 // OverheadFailures lists every pair above the budget. maxOverhead ≤ 0

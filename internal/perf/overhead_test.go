@@ -11,43 +11,39 @@ func benchNs(name string, procs int, ns float64) BenchSummary {
 		Metrics: []MetricSummary{{Unit: "ns/op", N: 5, Min: ns, Median: ns, Mean: ns, Max: ns}}}
 }
 
-func TestBaseNameOf(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"HotLoopSampled/q=11/lowdepth", "HotLoop/q=11/lowdepth"},
-		{"HotLoopSampled", "HotLoop"},
-		{"HotLoop/q=11/lowdepth", ""},
-		{"Sampled", ""},             // nothing left after stripping
-		{"HotLoop/Sampled/x", ""},   // suffix must be on the first segment
-		{"SampledHotLoop/q=11", ""}, // suffix, not prefix
+// benchPair is one sampling-overhead benchmark line: ns/op for the whole
+// iteration plus the base and sampled runs' own metrics.
+func benchPair(name string, procs int, base, sampled float64) BenchSummary {
+	b := benchNs(name, procs, base+sampled)
+	for _, m := range []struct {
+		unit string
+		ns   float64
+	}{{"base-ns/op", base}, {"sampled-ns/op", sampled}} {
+		b.Metrics = append(b.Metrics, MetricSummary{Unit: m.unit, N: 5, Min: m.ns, Median: m.ns, Mean: m.ns, Max: m.ns})
 	}
-	for _, c := range cases {
-		if got := baseNameOf(c.in); got != c.want {
-			t.Errorf("baseNameOf(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
+	return b
 }
 
 func TestTelemetryOverhead(t *testing.T) {
 	s := &Snapshot{Benchmarks: []BenchSummary{
-		benchNs("HotLoop/q=11/lowdepth", 8, 1000),
-		benchNs("HotLoop/q=11/single", 8, 500),
-		benchNs("HotLoopSampled/q=11/lowdepth", 8, 1030),
-		benchNs("HotLoopSampled/q=11/single", 8, 560),
-		benchNs("HotLoopSampled/q=11/hamiltonian", 8, 700), // no base → skipped
-		benchNs("HotLoop/q=11/lowdepth", 4, 900),           // procs mismatch vs sampled@8 is fine: its own pair is absent
+		benchNs("HotLoop/q=11/lowdepth", 8, 1000), // plain ns/op → not a pair
+		benchPair("HotLoopSampled/q=11/lowdepth", 8, 1000, 1030),
+		benchPair("HotLoopSampled/q=11/single", 8, 500, 560),
+		benchPair("HotLoopSampled/q=11/zero", 8, 0, 700), // no base time → skipped
 		benchNs("Unrelated", 8, 100),
 	}}
 	pairs := TelemetryOverhead(s)
 	if len(pairs) != 2 {
 		t.Fatalf("got %d pairs: %+v", len(pairs), pairs)
 	}
-	if pairs[0].Name != "HotLoop/q=11/lowdepth" || pairs[0].BaseNs != 1000 || pairs[0].SampledNs != 1030 {
+	if pairs[0].Name != "HotLoopSampled/q=11/lowdepth" || pairs[0].Procs != 8 ||
+		pairs[0].BaseNs != 1000 || pairs[0].SampledNs != 1030 {
 		t.Errorf("pair 0: %+v", pairs[0])
 	}
 	if got := pairs[0].Overhead; got < 0.029 || got > 0.031 {
 		t.Errorf("lowdepth overhead %.4f, want ≈0.03", got)
 	}
-	if pairs[1].Name != "HotLoop/q=11/single" {
+	if pairs[1].Name != "HotLoopSampled/q=11/single" {
 		t.Errorf("pair 1: %+v", pairs[1])
 	}
 	if got := pairs[1].Overhead; got < 0.119 || got > 0.121 {
@@ -55,7 +51,7 @@ func TestTelemetryOverhead(t *testing.T) {
 	}
 
 	fails := OverheadFailures(pairs, 0) // 0 → DefaultMaxOverhead
-	if len(fails) != 1 || !strings.Contains(fails[0], "HotLoop/q=11/single") {
+	if len(fails) != 1 || !strings.Contains(fails[0], "HotLoopSampled/q=11/single") {
 		t.Fatalf("failures: %v", fails)
 	}
 	if fails := OverheadFailures(pairs, 0.15); len(fails) != 0 {
@@ -67,7 +63,7 @@ func TestTelemetryOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"# Telemetry overhead (budget 5.0%)", "OVER BUDGET", "| HotLoop/q=11/lowdepth |"} {
+	for _, want := range []string{"# Telemetry overhead (budget 5.0%)", "OVER BUDGET", "| HotLoopSampled/q=11/lowdepth |"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q in:\n%s", want, out)
 		}
