@@ -1,4 +1,4 @@
-.PHONY: build test lint selfcheck hotcheck verify bench bench-netsim bench-netsim-event bench-model bench-critpath bench-smoke scorecard scorecard-q31 scorecard-degraded timeline critpath bench-overhead campaign campaign-smoke
+.PHONY: build test lint selfcheck hotcheck verify bench bench-netsim bench-netsim-event bench-model bench-critpath bench-smoke scorecard scorecard-q31 scorecard-degraded timeline critpath critpath-q31 bench-overhead campaign campaign-smoke
 
 build:
 	go build ./...
@@ -70,14 +70,17 @@ bench-netsim-event:
 bench-model:
 	go run ./cmd/benchreport run -label model-local -bench 'Waterfill|WorstCaseLink' -pkg . -count 5
 
-# bench-critpath reruns the critical-path builder benchmark (a fresh
-# critpath.Builder indexing a recorded faulted q=11 m=1024 trace, then
-# Analyze) and writes BENCH_critpath-local.json for comparison against
-# the committed baseline. The wide threshold absorbs runner drift; it
-# only fails if the layer gets three times slower:
+# bench-critpath reruns the critical-path builder benchmarks on a
+# faulted q=11 m=1024 low-depth allreduce: BuilderObserve replays the
+# recorded trace into a fresh critpath.Builder, then Analyze;
+# BuilderLive runs the spec bare and with a builder attached, so its
+# ns/event includes the cache contention with the simulator. Writes
+# BENCH_critpath-local.json for comparison against the committed
+# baseline. The wide threshold absorbs runner drift; it only fails if
+# the layer gets three times slower:
 #   go run ./cmd/benchreport compare -threshold 2.0 BENCH_critpath.json BENCH_critpath-local.json
 bench-critpath:
-	go run ./cmd/benchreport run -label critpath-local -bench BuilderObserve -pkg ./internal/critpath -count 5
+	go run ./cmd/benchreport run -label critpath-local -bench 'BuilderObserve|BuilderLive' -pkg ./internal/critpath -count 5
 
 # bench-smoke is the CI-sized variant: one iteration per benchmark, just
 # enough to prove the pipeline (go test -bench → parser → snapshot)
@@ -126,6 +129,14 @@ timeline:
 # Writes CRITPATH_scorecard.json; exits 1 on violation.
 critpath:
 	go run ./cmd/benchreport critpath -label scorecard
+
+# critpath-q31 runs the critical-path gate at the paper's q=31 (N=993)
+# on the event engine: every embedding fault-free and with the
+# worst-case link failed at cycle 700, serially. Writes
+# CRITPATH_q31.json; exits 1 on violation. CI regenerates it and
+# byte-compares against the committed snapshot.
+critpath-q31:
+	go run ./cmd/benchreport critpath -q 31 -m 16384 -fail-at 700 -engine event -parallel 1 -label q31
 
 # campaign runs the full seeded chaos campaign: 64 randomized fault
 # plans per design point over q ∈ {3,5,7,11} × {low-depth, hamiltonian}

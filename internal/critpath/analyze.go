@@ -266,10 +266,7 @@ func (w *walker) walk(cur node) error {
 		switch cur.kind {
 		case nArrive:
 			s := b.streams[cur.sid]
-			sc, err := eventCycle(s.sends, cur.flit, s, "send")
-			if err != nil {
-				return err
-			}
+			sc := s.sendCycle(cur.flit)
 			w.addSeg(sc, cur.cycle, ClassSerialization, s.key.from, s.key.to, s.tree, s.key.phase, s.key.job)
 			cur = node{kind: nSend, sid: cur.sid, flit: cur.flit, cycle: sc}
 
@@ -370,8 +367,7 @@ func (w *walker) sendPred(cur node, s *stream) (node, error) {
 		}
 		best, bestID := -1, int32(-1)
 		for _, cid := range children {
-			cs := b.streams[cid]
-			ac, err := eventCycle(cs.arrives, cur.flit, cs, "arrival")
+			ac, err := w.arrival(cid, cur.flit)
 			if err != nil {
 				return node{}, err
 			}
@@ -382,8 +378,7 @@ func (w *walker) sendPred(cur node, s *stream) (node, error) {
 		return node{kind: nArrive, sid: bestID, flit: cur.flit, cycle: best}, nil
 	}
 	if in, ok := w.bcastInto[s.key.job][s.key.from]; ok {
-		is := b.streams[in]
-		ac, err := eventCycle(is.arrives, cur.flit, is, "arrival")
+		ac, err := w.arrival(in, cur.flit)
 		if err != nil {
 			return node{}, err
 		}
@@ -407,8 +402,7 @@ func (w *walker) computePred(cur node) (node, error) {
 	j := b.jobs[cur.job]
 	best := node{kind: nBirth, job: cur.job, flit: cur.flit, cycle: w.birthCycle(cur.job)}
 	for _, cid := range w.redInto[cur.job][j.root] {
-		cs := b.streams[cid]
-		ac, err := eventCycle(cs.arrives, cur.flit, cs, "arrival")
+		ac, err := w.arrival(cid, cur.flit)
 		if err != nil {
 			return node{}, err
 		}
@@ -469,16 +463,8 @@ func (w *walker) lastSendOnLink(u, v, c int) (int32, int, int) {
 		if !((s.key.from == u && s.key.to == v) || (s.key.from == v && s.key.to == u)) {
 			continue
 		}
-		// Sends are recorded in flit order; scan back to the last one ≤ c.
-		for k := len(s.sends) - 1; k >= 0; k-- {
-			sc := int(s.sends[k])
-			if sc < 0 || sc > c {
-				continue
-			}
-			if sc > bestCycle {
-				bestSid, bestFlit, bestCycle = s.id, k, sc
-			}
-			break
+		if k := s.sendsBefore(c+1) - 1; k >= 0 && s.sendCycle(k) > bestCycle {
+			bestSid, bestFlit, bestCycle = s.id, k, s.sendCycle(k)
 		}
 	}
 	return bestSid, bestFlit, bestCycle
@@ -510,12 +496,12 @@ func (w *walker) addSeg(start, end int, class Class, from, to, tree, phase, job 
 	})
 }
 
-// eventCycle fetches a per-flit event cycle, erroring when the causal
-// model references an event the trace never recorded.
-func eventCycle(sl []int32, flit int, s *stream, what string) (int, error) {
-	if flit < len(sl) && sl[flit] >= 0 {
-		return int(sl[flit]), nil
+// arrival returns the delivery cycle of a flit on stream sid, erroring
+// when the causal model references an arrival the trace never recorded.
+func (w *walker) arrival(sid int32, flit int) (int, error) {
+	s := w.b.streams[sid]
+	if flit < s.arrived {
+		return s.sendCycle(flit) + w.b.linkLatency, nil
 	}
-	return 0, fmt.Errorf("critpath: missing %s of flit %d on stream job=%d %d→%d phase=%d",
-		what, flit, s.key.job, s.key.from, s.key.to, s.key.phase)
+	return 0, fmt.Errorf("critpath: missing arrival of flit %d on stream %v", flit, s.key)
 }

@@ -25,6 +25,7 @@ package critpath
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"polarfly/internal/faults"
@@ -104,34 +105,55 @@ const (
 // (tree, phase, from, to) identity with flit indices restarting at 0.
 type streamKey struct{ job, from, to, phase int }
 
-// stream accumulates one VC's event history: per-flit send and arrival
-// cycles and the cycles it reported credit stalls.
-type stream struct {
-	id      int32
-	key     streamKey
-	tree    int
-	link    *linkLog // the directed link's injection log, set at creation
-	sends   []int32  // flit → injection cycle, -1 unseen
-	arrives []int32  // flit → delivery cycle, -1 unseen
-	stalls  []int32  // ascending stall cycles, deduplicated
+func (k streamKey) String() string {
+	return fmt.Sprintf("job=%d %d→%d phase=%d", k.job, k.from, k.to, k.phase)
 }
 
-// linkLog is the per-directed-link injection history: one (cycle, stream)
-// entry per send, in emission order (cycles non-decreasing).
-type linkLog struct {
-	cycles  []int32
-	streams []int32 // stream ids, parallel to cycles
+// stream accumulates one VC's event history: one int32 per sent flit
+// and the cycles it reported credit stalls. netsim lands every flit
+// exactly LinkLatency cycles after its send, in flit order, so Observe
+// checks each arrival against that rule and only counts it: flit k
+// arrived at send(k) + LinkLatency for every k below arrived.
+type stream struct {
+	id   int32
+	key  streamKey
+	tree int
+	link *link // the directed link, set at creation
+	// sends[k] is flit k's injection cycle shifted left one bit, the low
+	// bit set when the send was the link's first injection that cycle.
+	sends   []int32
+	arrived int
+	stalls  []int32 // ascending stall cycles, deduplicated
+}
+
+// maxSendCycle is the largest cycle the shifted send log can hold.
+const maxSendCycle = math.MaxInt32 >> 1
+
+// sendCycle returns flit k's injection cycle.
+func (s *stream) sendCycle(k int) int { return int(s.sends[k] >> 1) }
+
+// sendsBefore counts the flits the stream injected before cycle g.
+func (s *stream) sendsBefore(g int) int {
+	return sort.Search(len(s.sends), func(k int) bool { return s.sendCycle(k) >= g })
+}
+
+// link is one directed link's view: the streams that inject on it, in
+// creation order, and the cycle of its latest injection, which decides
+// the first-injection bit of the next send.
+type link struct {
+	last    int32 // -1 before the first injection
+	streams []*stream
 }
 
 // sendAt reports the stream that injected on the link at cycle g (the
-// first one, under trunked LinkBandwidth > 1), or -1.
-func (ll *linkLog) sendAt(g int) int32 {
-	if ll == nil {
-		return -1
-	}
-	i := sort.Search(len(ll.cycles), func(i int) bool { return ll.cycles[i] >= int32(g) })
-	if i < len(ll.cycles) && ll.cycles[i] == int32(g) {
-		return ll.streams[i]
+// first one, under trunked LinkBandwidth > 1), or -1. Only a stream's
+// first send in a cycle can carry the first-injection bit, and that is
+// its first send at or after g.
+func (l *link) sendAt(g int) int32 {
+	for _, s := range l.streams {
+		if k := s.sendsBefore(g); k < len(s.sends) && s.sends[k] == int32(g<<1|1) {
+			return s.id
+		}
 	}
 	return -1
 }
@@ -174,12 +196,12 @@ type Builder struct {
 	// finds it without hashing.
 	byChild [][2][]*stream
 	// links is consulted only when a stream is created.
-	links    map[[2]int]*linkLog
+	links    map[[2]int]*link
 	jobs     []*jobInfo
 	faults   []faultMark
 	recovers []recoverMark
-	// err is the first event that contradicts the stream table; Analyze
-	// reports it.
+	// err is the first event that contradicts the stream table or a send
+	// log's rules; Analyze reports it.
 	err error
 
 	// Completion candidate: the earliest-observed delivery event
@@ -199,7 +221,7 @@ func NewBuilder() *Builder {
 	return &Builder{
 		linkLatency:    1,
 		detectDeadline: 1 + 4*1,
-		links:          make(map[[2]int]*linkLog),
+		links:          make(map[[2]int]*link),
 	}
 }
 
@@ -218,23 +240,37 @@ func (b *Builder) Attach(cfg *netsim.Config) {
 	}
 	prev := cfg.Trace
 	cfg.Trace = func(ev netsim.TraceEvent) {
-		b.Observe(ev)
+		b.observe(&ev)
 		if prev != nil {
 			prev(ev)
 		}
 	}
 }
 
-// stream returns the stream of a send, arrive or stall event, creating
-// it (and resolving its link log) on first sight. It returns nil and
-// records the error Analyze reports when the event cannot name a stream,
-// or when its (job, phase, child) slot already holds a stream with other
-// endpoints: merging the two would corrupt both histories.
-func (b *Builder) stream(ev netsim.TraceEvent) *stream {
+// stream returns the stream of a send, arrive or stall event: the
+// (job, phase, child) slot's stream when its endpoints match, which is
+// every event but a stream's first, or else what newStream returns.
+func (b *Builder) stream(ev *netsim.TraceEvent) *stream {
 	child := ev.From
 	if ev.Phase == phaseBcast {
 		child = ev.To
 	}
+	if uint(ev.Job) < uint(len(b.byChild)) && uint(ev.Phase) <= phaseBcast {
+		if row := b.byChild[ev.Job][ev.Phase]; uint(child) < uint(len(row)) {
+			if s := row[child]; s != nil && s.key.from == ev.From && s.key.to == ev.To {
+				return s
+			}
+		}
+	}
+	return b.newStream(ev, child)
+}
+
+// newStream creates the stream of an event's empty (job, phase, child)
+// slot and resolves its link. It returns nil and records the error
+// Analyze reports when the event cannot name a stream, or when the slot
+// already holds a stream with other endpoints: merging the two would
+// corrupt both histories.
+func (b *Builder) newStream(ev *netsim.TraceEvent, child int) *stream {
 	if ev.Job < 0 || child < 0 || (ev.Phase != phaseReduce && ev.Phase != phaseBcast) {
 		b.fail(fmt.Errorf("critpath: %v event at cycle %d names no stream (job=%d %d→%d phase=%d)",
 			ev.Kind, ev.Cycle, ev.Job, ev.From, ev.To, ev.Phase))
@@ -244,27 +280,26 @@ func (b *Builder) stream(ev netsim.TraceEvent) *stream {
 		b.byChild = append(b.byChild, [2][]*stream{})
 	}
 	row := &b.byChild[ev.Job][ev.Phase]
-	if child < len(*row) {
-		if s := (*row)[child]; s != nil {
-			if s.key.from != ev.From || s.key.to != ev.To {
-				b.fail(fmt.Errorf("critpath: %v event at cycle %d on %d→%d, but job %d phase %d already streams %d→%d for node %d",
-					ev.Kind, ev.Cycle, ev.From, ev.To, ev.Job, ev.Phase, s.key.from, s.key.to, child))
-				return nil
-			}
-			return s
-		}
-	} else {
+	if child >= len(*row) {
 		*row = append(*row, make([]*stream, child+1-len(*row))...)
 	}
-	key := [2]int{ev.From, ev.To}
-	ll, ok := b.links[key]
-	if !ok {
-		ll = &linkLog{}
-		b.links[key] = ll
+	if s := (*row)[child]; s != nil {
+		b.fail(fmt.Errorf("critpath: %v event at cycle %d on %d→%d, but job %d phase %d already streams %d→%d for node %d",
+			ev.Kind, ev.Cycle, ev.From, ev.To, ev.Job, ev.Phase, s.key.from, s.key.to, child))
+		return nil
 	}
+	key := [2]int{ev.From, ev.To}
+	l, ok := b.links[key]
+	if !ok {
+		l = &link{last: -1}
+		b.links[key] = l
+	}
+	// Most streams send dozens of flits; starting the log at 16 skips
+	// its three smallest growth steps for 64 bytes.
 	s := &stream{id: int32(len(b.streams)),
 		key:  streamKey{job: ev.Job, from: ev.From, to: ev.To, phase: ev.Phase},
-		tree: ev.Tree, link: ll}
+		tree: ev.Tree, link: l, sends: make([]int32, 0, 16)}
+	l.streams = append(l.streams, s)
 	(*row)[child] = s
 	b.streams = append(b.streams, s)
 	return s
@@ -293,22 +328,44 @@ func setAt(sl *[]int32, idx, cycle int) {
 }
 
 // Observe consumes one trace event.
-func (b *Builder) Observe(ev netsim.TraceEvent) {
+func (b *Builder) Observe(ev netsim.TraceEvent) { b.observe(&ev) }
+
+func (b *Builder) observe(ev *netsim.TraceEvent) {
 	switch ev.Kind {
 	case netsim.TraceSend:
 		s := b.stream(ev)
 		if s == nil {
 			return
 		}
-		setAt(&s.sends, ev.Flit, ev.Cycle)
-		s.link.cycles = append(s.link.cycles, int32(ev.Cycle))
-		s.link.streams = append(s.link.streams, s.id)
+		l := s.link
+		if ev.Cycle < 0 || ev.Cycle > maxSendCycle {
+			b.fail(fmt.Errorf("critpath: send at cycle %d on stream %v is outside the send log's range [0, %d]",
+				ev.Cycle, s.key, maxSendCycle))
+			return
+		}
+		if ev.Flit != len(s.sends) || ev.Cycle < int(l.last) {
+			b.fail(fmt.Errorf("critpath: send of flit %d at cycle %d on stream %v is out of order: want flit %d at cycle %d or later",
+				ev.Flit, ev.Cycle, s.key, len(s.sends), max(l.last, 0)))
+			return
+		}
+		enc := int32(ev.Cycle) << 1
+		if int32(ev.Cycle) != l.last {
+			l.last = int32(ev.Cycle)
+			enc |= 1
+		}
+		s.sends = append(s.sends, enc)
 	case netsim.TraceArrive:
 		s := b.stream(ev)
 		if s == nil {
 			return
 		}
-		setAt(&s.arrives, ev.Flit, ev.Cycle)
+		k := s.arrived
+		if ev.Flit != k || k >= len(s.sends) || ev.Cycle != s.sendCycle(k)+b.linkLatency {
+			b.fail(fmt.Errorf("critpath: arrival of flit %d at cycle %d on stream %v breaks the link rule: want flit %d at its send + %d",
+				ev.Flit, ev.Cycle, s.key, k, b.linkLatency))
+			return
+		}
+		s.arrived++
 		if ev.Phase == phaseBcast {
 			b.noteDelivery(ev.Cycle, true, s.id, ev.Job, ev.Flit)
 		}

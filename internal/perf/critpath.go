@@ -253,9 +253,10 @@ func recoveryLatencies(recs []netsim.Recovery, failAt int) []int {
 // CritPathFailures lists every violation of the critical-path contract:
 // a blame split that does not sum exactly to the cycle count,
 // unattributed residue, a fault-free run not dominated by link
-// serialization on a maximally utilized link, or a faulted run whose
-// fault-detect+recovery blame disagrees with the measured recovery
-// latency. Empty means the critpath gate passes.
+// serialization on a maximally utilized link, or a faulted run that
+// measured no recovery or whose fault-detect+recovery blame disagrees
+// with the measured recovery latency. Empty means the critpath gate
+// passes.
 func CritPathFailures(points []CritPathPoint) []string {
 	var fails []string
 	for _, pt := range points {
@@ -301,6 +302,11 @@ func (pt CritPathPoint) failures() []string {
 		return fails
 	}
 	switch {
+	case pt.RecoveriesMeasured == 0:
+		// A run that ends before its fault activates, or rides it out
+		// without a round, never tested the recovery blame at all.
+		fails = append(fails, fmt.Sprintf(
+			"%s: no recovery despite link %v failing at cycle %d", id, pt.FailedLink, pt.FailAt))
 	case pt.RecoveriesOnPath > pt.RecoveriesMeasured:
 		fails = append(fails, fmt.Sprintf(
 			"%s: path traversed %d recovery rounds, the run measured only %d",

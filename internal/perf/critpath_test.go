@@ -146,10 +146,15 @@ func TestCritPathFailures(t *testing.T) {
 			RecoveriesMeasured: 1, RecoveriesOnPath: 1,
 			RecoveryBlameCycles: 40, MeasuredRecoveryCycles: 41},
 		{Embedding: "broken", Cycles: 100, AnalysisError: "no delivery event"},
+		{Embedding: "unfaulted", Faulted: true, FailedLink: []int{0, 1}, FailAt: 2000,
+			Cycles: 1248, ConservationOK: true},
 	}
 	fails := CritPathFailures(points)
-	if len(fails) != 4 {
-		t.Fatalf("%d failures, want 4: %v", len(fails), fails)
+	if len(fails) != 5 {
+		t.Fatalf("%d failures, want 5: %v", len(fails), fails)
+	}
+	if want := "q=0 unfaulted faulted: no recovery despite link [0 1] failing at cycle 2000"; fails[4] != want {
+		t.Errorf("faulted point without a recovery reported %q, want %q", fails[4], want)
 	}
 	if got := CritPathFailures(points[:2]); len(got) != 0 {
 		t.Errorf("healthy points reported failures: %v", got)
