@@ -60,15 +60,17 @@ bench-netsim:
 bench-netsim-event:
 	go run ./cmd/benchreport run -label netsim-event-local -bench 'EventLoop|EngineScale' -pkg ./internal/netsim -count 3
 
-# bench-model reruns the Algorithm 1 model benchmarks (the waterfill on
-# the q=11 and q=37 low-depth and Hamiltonian forests, and the single-link
-# worst case at q=11) and writes BENCH_model-local.json for comparison
-# against the committed baseline. The wide threshold absorbs runner drift
-# while still failing if the interned kernel's order-of-magnitude speedup
+# bench-model reruns the planning-stage benchmarks: ER_q construction up
+# to q=37, Instance.Embed for the low-depth, Hamiltonian and single-tree
+# forests at q=11 and q=37, the Algorithm 1 waterfill on the q=11 and q=37
+# low-depth and Hamiltonian forests, and the single-link worst case at
+# q=11. Writes BENCH_model-local.json for comparison against the
+# committed baseline. The wide threshold absorbs runner drift while still
+# failing if the interned kernel's or the hash-free graph's speedup
 # evaporates:
 #   go run ./cmd/benchreport compare -threshold 2.0 BENCH_model.json BENCH_model-local.json
 bench-model:
-	go run ./cmd/benchreport run -label model-local -bench 'Waterfill|WorstCaseLink' -pkg . -count 5
+	go run ./cmd/benchreport run -label model-local -bench 'Waterfill|WorstCaseLink|Embed|TopologyConstruction' -pkg . -count 5
 
 # bench-critpath reruns the critical-path builder benchmarks on a
 # faulted q=11 m=1024 low-depth allreduce: BuilderObserve replays the

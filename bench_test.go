@@ -232,6 +232,28 @@ func BenchmarkWaterfill(b *testing.B) {
 	}
 }
 
+// BenchmarkEmbed measures the embedding stage of planning: Instance.Embed
+// for each forest at q=11 and at the planning order q=37, from tree
+// construction through the Algorithm 1 evaluation. Run it with
+// make bench-model.
+func BenchmarkEmbed(b *testing.B) {
+	for _, q := range []int{11, 37} {
+		inst, err := core.NewInstance(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range []core.EmbeddingKind{core.LowDepth, core.Hamiltonian, core.SingleTree} {
+			b.Run(fmt.Sprintf("q=%d/%v", q, kind), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := inst.Embed(kind); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkWorstCaseLink measures the single-link worst-case search on the
 // q=11 low-depth and Hamiltonian embeddings, the set-up of the degraded
 // scorecard and the critical-path sweep's faulted points.
@@ -331,9 +353,10 @@ func BenchmarkTopologyComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkTopologyConstruction measures ER_q generation across scales.
+// BenchmarkTopologyConstruction measures ER_q generation across scales,
+// up to the planning order q=37. Run it with make bench-model.
 func BenchmarkTopologyConstruction(b *testing.B) {
-	for _, q := range []int{7, 13, 19} {
+	for _, q := range []int{7, 13, 19, 37} {
 		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := er.New(q); err != nil {

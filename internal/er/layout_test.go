@@ -214,6 +214,23 @@ func TestLemma72CentersShareOnlyStarter(t *testing.T) {
 	}
 }
 
+func TestCentersPairwiseNonAdjacent(t *testing.T) {
+	// The centers lie on the tangent line w^⊥, which meets any other
+	// center's polar line only at w, so no two centers are adjacent.
+	// trees.LowDepthForest relies on this to track Algorithm 3's
+	// available edges per center.
+	for _, q := range oddQs {
+		l := buildLayout(t, q)
+		for i, a := range l.Centers {
+			for _, b := range l.Centers[i+1:] {
+				if l.PG.G.HasEdge(a, b) {
+					t.Errorf("q=%d: centers %d and %d are adjacent", q, a, b)
+				}
+			}
+		}
+	}
+}
+
 func TestLayoutDeterministicWithDefaultStarter(t *testing.T) {
 	a := buildLayout(t, 7)
 	b := buildLayout(t, 7)

@@ -111,7 +111,7 @@ func (g *Graph) MaxFlow(s, t int) int {
 		panic("graph: MaxFlow with s == t")
 	}
 	d := newDinic(g.n)
-	for e := range g.edges {
+	for _, e := range g.Edges() {
 		d.addEdge(e.U, e.V, 1, 1)
 	}
 	return d.maxflow(s, t)

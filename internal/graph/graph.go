@@ -13,6 +13,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -45,11 +46,13 @@ func (e Edge) Other(w int) int {
 	panic(fmt.Sprintf("graph: %d is not an endpoint of %v", w, e))
 }
 
-// Graph is a simple undirected graph on vertices 0..N-1.
+// Graph is a simple undirected graph on vertices 0..N-1. Each vertex keeps
+// one ascending row of its neighbors, so adjacency is a binary search,
+// Neighbors is a copy and Edges is a walk, with no hashing and no sort.
 type Graph struct {
-	n     int
-	adj   []map[int]bool
-	edges map[Edge]bool
+	n   int
+	adj [][]int // adj[v]: v's neighbors, ascending
+	m   int
 }
 
 // New returns an empty graph on n vertices.
@@ -57,18 +60,14 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	g := &Graph{n: n, adj: make([]map[int]bool, n), edges: make(map[Edge]bool)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]bool)
-	}
-	return g
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.edges) }
+func (g *Graph) M() int { return g.m }
 
 func (g *Graph) checkVertex(v int) {
 	if v < 0 || v >= g.n {
@@ -81,23 +80,28 @@ func (g *Graph) checkVertex(v int) {
 func (g *Graph) AddEdge(u, v int) {
 	g.checkVertex(u)
 	g.checkVertex(v)
-	e := NewEdge(u, v)
-	if g.edges[e] {
+	NewEdge(u, v) // panics on a self-loop
+	i, found := slices.BinarySearch(g.adj[u], v)
+	if found {
 		return
 	}
-	g.edges[e] = true
-	g.adj[u][v] = true
-	g.adj[v][u] = true
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[v] = slices.Insert(g.adj[v], j, u)
+	g.m++
 }
 
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
 	g.checkVertex(u)
 	g.checkVertex(v)
-	if u == v {
-		return false
-	}
-	return g.adj[u][v]
+	return g.adjacent(u, v)
+}
+
+// adjacent is HasEdge for vertices already known to be in range.
+func (g *Graph) adjacent(u, v int) bool {
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // Degree returns the degree of v.
@@ -106,37 +110,31 @@ func (g *Graph) Degree(v int) int {
 	return len(g.adj[v])
 }
 
-// Neighbors returns the neighbors of v in ascending order.
+// Neighbors returns the neighbors of v in ascending order, in a fresh
+// slice the caller may keep or modify.
 func (g *Graph) Neighbors(v int) []int {
 	g.checkVertex(v)
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
+	return append(make([]int, 0, len(g.adj[v])), g.adj[v]...)
 }
 
 // Edges returns all edges sorted by (U, V).
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	out := make([]Edge, 0, g.m)
+	for u, row := range g.adj {
+		// The row is ascending, so the neighbors above u are its tail.
+		i, _ := slices.BinarySearch(row, u)
+		for _, v := range row[i:] {
+			out = append(out, Edge{u, v})
 		}
-		return out[i].V < out[j].V
-	})
+	}
 	return out
 }
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for e := range g.edges {
-		c.AddEdge(e.U, e.V)
+	c := &Graph{n: g.n, adj: make([][]int, g.n), m: g.m}
+	for v, row := range g.adj {
+		c.adj[v] = slices.Clone(row)
 	}
 	return c
 }
@@ -165,9 +163,9 @@ func (g *Graph) BFSDistances(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		// Sorted neighbor order keeps the queue (and any traversal built
-		// on it) deterministic; distances alone would not need it.
-		for _, u := range g.Neighbors(v) {
+		// Ascending rows keep the queue (and any traversal built on it)
+		// deterministic; distances alone would not need it.
+		for _, u := range g.adj[v] {
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
@@ -216,14 +214,18 @@ func (g *Graph) Diameter() int {
 func (g *Graph) CountCommonNeighbors(u, v int) int {
 	g.checkVertex(u)
 	g.checkVertex(v)
+	// Merge the two ascending rows.
 	a, b := g.adj[u], g.adj[v]
-	if len(b) < len(a) {
-		a, b = b, a
-	}
 	count := 0
-	for w := range a {
-		if b[w] {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
 			count++
+			a, b = a[1:], b[1:]
 		}
 	}
 	return count
@@ -261,10 +263,10 @@ func (g *Graph) Girth() int {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			// Sorted neighbors pin down which BFS tree (and so which
+			// Ascending rows pin down which BFS tree (and so which
 			// parent pointers) this scan builds, making the per-source
 			// cycle bound reproducible run to run.
-			for _, u := range g.Neighbors(v) {
+			for _, u := range g.adj[v] {
 				if dist[u] == -1 {
 					dist[u] = dist[v] + 1
 					parent[u] = v
@@ -296,14 +298,15 @@ func (g *Graph) DegreeSequence() []int {
 
 // IsSpanningConnectedAcyclic reports whether the given edge set forms a
 // spanning tree of g: exactly n−1 edges, all present in g, connecting every
-// vertex, with no cycle.
+// vertex, with no cycle. Endpoints may come in either order; a self-loop
+// or an endpoint outside [0, n) makes the set invalid.
 func (g *Graph) IsSpanningConnectedAcyclic(edges []Edge) bool {
 	if len(edges) != g.n-1 {
 		return false
 	}
 	uf := newUnionFind(g.n)
 	for _, e := range edges {
-		if e.U < 0 || e.V >= g.n || !g.edges[NewEdge(e.U, e.V)] {
+		if e.U < 0 || e.U >= g.n || e.V < 0 || e.V >= g.n || !g.adjacent(e.U, e.V) {
 			return false
 		}
 		if !uf.union(e.U, e.V) {

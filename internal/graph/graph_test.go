@@ -212,6 +212,30 @@ func TestIsSpanningConnectedAcyclic(t *testing.T) {
 	}
 }
 
+func TestIsSpanningConnectedAcyclicEdgeForms(t *testing.T) {
+	g := pathGraph(3)
+	for _, tc := range []struct {
+		name  string
+		edges []Edge
+		want  bool
+	}{
+		{"valid tree", []Edge{{0, 1}, {1, 2}}, true},
+		{"reversed endpoints", []Edge{{1, 0}, {2, 1}}, true},
+		{"self-loop", []Edge{{0, 1}, {2, 2}}, false},
+		{"negative U", []Edge{{0, 1}, {-1, 2}}, false},
+		{"U past n", []Edge{{0, 1}, {3, 2}}, false},
+		{"negative V", []Edge{{0, 1}, {2, -1}}, false},
+		{"V past n", []Edge{{0, 1}, {2, 3}}, false},
+		{"edge not in graph", []Edge{{0, 2}, {1, 2}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := g.IsSpanningConnectedAcyclic(tc.edges); got != tc.want {
+				t.Errorf("IsSpanningConnectedAcyclic(%v) = %v, want %v", tc.edges, got, tc.want)
+			}
+		})
+	}
+}
+
 func TestRandomMaximalIndependentSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {

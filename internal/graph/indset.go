@@ -27,7 +27,7 @@ func (g *Graph) RandomMaximalIndependentSet(rng *rand.Rand) []int {
 		}
 		set = append(set, v)
 		blocked[v] = true
-		for u := range g.adj[v] {
+		for _, u := range g.adj[v] {
 			blocked[u] = true
 		}
 	}
@@ -62,7 +62,7 @@ func (g *Graph) IsMaximalIndependentSet(set []int) bool {
 			continue
 		}
 		extendable := true
-		for u := range g.adj[v] {
+		for _, u := range g.adj[v] {
 			if in[u] {
 				extendable = false
 				break
@@ -129,7 +129,7 @@ func (g *Graph) MaximumIndependentSet() []int {
 		// Branch 1: include v; drop its neighbors from the candidates.
 		var pruned []int
 		for _, u := range rest {
-			if !g.adj[v][u] {
+			if !g.adjacent(v, u) {
 				pruned = append(pruned, u)
 			}
 		}

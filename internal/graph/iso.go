@@ -24,7 +24,7 @@ func Isomorphic(g, h *Graph) ([]int, bool) {
 	// Invariant signature: (degree, sorted multiset of neighbor degrees).
 	sig := func(gr *Graph, v int) string {
 		ds := make([]int, 0, gr.Degree(v))
-		for u := range gr.adj[v] {
+		for _, u := range gr.adj[v] {
 			ds = append(ds, gr.Degree(u))
 		}
 		sort.Ints(ds)
@@ -76,8 +76,8 @@ func Isomorphic(g, h *Graph) ([]int, bool) {
 				continue
 			}
 			ok := true
-			for u := range g.adj[v] {
-				if m := mapping[u]; m != -1 && !h.adj[w][m] {
+			for _, u := range g.adj[v] {
+				if m := mapping[u]; m != -1 && !h.adjacent(w, m) {
 					ok = false
 					break
 				}
@@ -90,13 +90,13 @@ func Isomorphic(g, h *Graph) ([]int, bool) {
 			// in h. Since we verified every mapped g-neighbor maps to an
 			// h-neighbor, equality of counts implies exact correspondence.
 			mappedNbrsG := 0
-			for u := range g.adj[v] {
+			for _, u := range g.adj[v] {
 				if mapping[u] != -1 {
 					mappedNbrsG++
 				}
 			}
 			mappedNbrsH := 0
-			for u := range h.adj[w] {
+			for _, u := range h.adj[w] {
 				if usedBy(mapping, order[:i], u) {
 					mappedNbrsH++
 				}
@@ -152,7 +152,7 @@ func connectedOrder(g *Graph, sig []string, count map[string]int) []int {
 			v := queue[0]
 			queue = queue[1:]
 			order = append(order, v)
-			for _, u := range g.Neighbors(v) {
+			for _, u := range g.adj[v] {
 				if !visited[u] {
 					visited[u] = true
 					queue = append(queue, u)
@@ -176,8 +176,8 @@ func VerifyMapping(g, h *Graph, m []int) bool {
 		}
 		seen[w] = true
 	}
-	for e := range g.edges {
-		if !h.HasEdge(m[e.U], m[e.V]) {
+	for _, e := range g.Edges() {
+		if !h.adjacent(m[e.U], m[e.V]) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"polarfly/internal/bandwidth"
@@ -140,6 +141,24 @@ func (s *sim) degradedRate(u, v, now int) (rate float64, ok bool) {
 		ok = true
 	}
 	return rate, ok
+}
+
+// degradableLinks returns the directed links a LinkDegraded fault names,
+// both directions and each once: the only links whose token buckets can
+// ever open, and so the only ones the advance loop refills.
+func (s *sim) degradableLinks() []*link {
+	var out []*link
+	for _, f := range s.cfg.Faults.Faults {
+		if f.Kind != faults.LinkDegraded {
+			continue
+		}
+		for _, key := range [2][2]int{{f.U, f.V}, {f.V, f.U}} {
+			if l := s.linkAt(key[0], key[1]); l != nil && !slices.Contains(out, l) {
+				out = append(out, l)
+			}
+		}
+	}
+	return out
 }
 
 // engineStalled reports whether node's reduction engine is frozen at

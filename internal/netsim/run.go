@@ -95,6 +95,7 @@ type sim struct {
 	stalled     []bool          // per node: reduction engine frozen
 	deadTree    []bool          // per forest tree: aborted by recovery
 	quarantined map[[2]int]bool // undirected links detected as failed
+	degLinks    []*link         // links a LinkDegraded fault names
 
 	result Result
 }
@@ -181,6 +182,9 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 		s.outputs[v] = outBack[v*s.m : (v+1)*s.m : (v+1)*s.m]
 	}
 	s.layoutLinks()
+	if s.faultsOn {
+		s.degLinks = s.degradableLinks()
+	}
 	for ti := range spec.Forest {
 		s.addStream(ti, s.offsets[ti], spec.Split[ti])
 	}
@@ -552,16 +556,15 @@ func (s *sim) advance() (int, error) {
 		// 4. Link arbitration: LinkBandwidth flits per directed link per
 		//    cycle (default 1), round-robin over virtual channels with
 		//    data and credit. Degraded links refill their token buckets
-		//    first, whether or not they are visited.
-		if s.faultsOn {
-			for _, l := range s.links {
-				if l.degraded {
-					// Token bucket: refill at the degraded rate, burst
-					// capped so idle cycles cannot bank unbounded credit.
-					l.degBudget += l.degRate
-					if burst := maxf(1, l.degRate); l.degBudget > burst {
-						l.degBudget = burst
-					}
+		//    first, whether or not they are visited; only links a
+		//    LinkDegraded fault names can be degraded.
+		for _, l := range s.degLinks {
+			if l.degraded {
+				// Token bucket: refill at the degraded rate, burst capped
+				// so idle cycles cannot bank unbounded credit.
+				l.degBudget += l.degRate
+				if burst := maxf(1, l.degRate); l.degBudget > burst {
+					l.degBudget = burst
 				}
 			}
 		}

@@ -22,10 +22,18 @@ func LowDepthForest(l *er.Layout) ([]*Tree, error) {
 	n := pg.N()
 	q := pg.Q
 
-	// E_a: the available-edge set of Algorithm 3 (line 1).
-	available := make(map[graph.Edge]bool, pg.G.M())
-	for _, e := range pg.G.Edges() {
-		available[e] = true
+	// E_a, the available-edge set of Algorithm 3 (line 1), only ever loses
+	// edges that attach a center (line 11). The centers are the starter
+	// quadric's neighbors, which are pairwise non-adjacent: they lie on
+	// the tangent line w^⊥, which meets any other center's polar line only
+	// at w. So each such edge has exactly one center endpoint, and E_a is
+	// kept as one flag per slot of each center's neighbor row:
+	// taken[j][k] marks the edge from center j to its k-th neighbor.
+	rows := make([][]int, q)
+	taken := make([][]bool, q)
+	for j, c := range l.Centers {
+		rows[j] = pg.G.Neighbors(c)
+		taken[j] = make([]bool, len(rows[j]))
 	}
 
 	forest := make([]*Tree, 0, q)
@@ -39,7 +47,7 @@ func LowDepthForest(l *er.Layout) ([]*Tree, error) {
 
 		// Lines 4-5: level 1 — all neighbors of the root (covers C_i, the
 		// starter quadric w and the non-starter quadric w_i).
-		level1 := pg.G.Neighbors(root)
+		level1 := rows[i]
 		for _, u := range level1 {
 			parent[u] = root
 		}
@@ -63,16 +71,15 @@ func LowDepthForest(l *er.Layout) ([]*Tree, error) {
 			}
 			vj := l.Centers[j]
 			attached := false
-			for _, u := range pg.G.Neighbors(vj) {
-				e := graph.NewEdge(u, vj)
-				if !available[e] {
+			for k, u := range rows[j] {
+				if taken[j][k] {
 					continue
 				}
 				if parent[u] == -2 || u == vj {
 					continue // u must already be in T_i
 				}
 				parent[vj] = u
-				delete(available, e)
+				taken[j][k] = true
 				attached = true
 				break
 			}

@@ -71,11 +71,29 @@ func FromParent(root int, parent []int) (*Tree, error) {
 	return t, nil
 }
 
+// buildChildren lays every child list out in one shared slice: a counting
+// pass sizes each parent's block, then children append into their
+// parent's full-cap window in ascending vertex order. Leaves keep nil.
 func (t *Tree) buildChildren() {
 	n := len(t.Parent)
-	t.children = make([][]int, n)
+	start := make([]int, n+1) // start[p]..start[p+1] is p's block
+	for _, p := range t.Parent {
+		if p >= 0 {
+			start[p+1]++
+		}
+	}
 	for v := 0; v < n; v++ {
-		if p := t.Parent[v]; p >= 0 {
+		start[v+1] += start[v]
+	}
+	flat := make([]int, start[n])
+	t.children = make([][]int, n)
+	for p := 0; p < n; p++ {
+		if start[p] < start[p+1] {
+			t.children[p] = flat[start[p]:start[p]:start[p+1]]
+		}
+	}
+	for v, p := range t.Parent {
+		if p >= 0 {
 			t.children[p] = append(t.children[p], v)
 		}
 	}

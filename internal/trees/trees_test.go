@@ -1,6 +1,7 @@
 package trees
 
 import (
+	"slices"
 	"testing"
 
 	"polarfly/internal/er"
@@ -51,8 +52,11 @@ func TestFromParentValid(t *testing.T) {
 			t.Errorf("Depth[%d] = %d, want %d", v, tr.Depth[v], d)
 		}
 	}
-	if len(tr.Children(0)) != 2 || len(tr.Children(1)) != 1 || len(tr.Children(3)) != 0 {
-		t.Error("children wrong")
+	// Children come in ascending vertex order; a leaf has none.
+	for v, want := range [][]int{{1, 2}, {3}, nil, nil} {
+		if got := tr.Children(v); !slices.Equal(got, want) {
+			t.Errorf("Children(%d) = %v, want %v", v, got, want)
+		}
 	}
 	if len(tr.Edges()) != 3 {
 		t.Error("edge count wrong")
