@@ -52,7 +52,7 @@ const (
 	ClassCreditStall
 	// ClassFaultDetect blames detection latency: the slice of a
 	// (fault, recovery] interval up to the timeout deadline
-	// (LinkLatency + FaultDetectTimeout).
+	// (netsim.DetectDeadline).
 	ClassFaultDetect
 	// ClassRecovery blames the re-split: the remainder of a
 	// (fault, recovery] interval beyond the detection deadline.
@@ -185,8 +185,7 @@ type recoverMark struct {
 // Attach it with Attach (chaining any existing hook) or feed Observe
 // directly; events must arrive in the simulator's deterministic order.
 type Builder struct {
-	linkLatency    int
-	detectDeadline int // LinkLatency + FaultDetectTimeout, defaults applied
+	linkLatency int
 
 	streams []*stream
 	// byChild[job][phase][child] is the stream on the edge between child
@@ -214,29 +213,22 @@ type Builder struct {
 	doneFlit   int
 }
 
-// NewBuilder returns an empty builder with LinkLatency 1 and the
-// corresponding default detection deadline; Attach overrides both from
-// the run's Config.
+// NewBuilder returns an empty builder with LinkLatency 1; Attach
+// overrides it from the run's Config.
 func NewBuilder() *Builder {
 	return &Builder{
-		linkLatency:    1,
-		detectDeadline: 1 + 4*1,
-		links:          make(map[[2]int]*link),
+		linkLatency: 1,
+		links:       make(map[[2]int]*link),
 	}
 }
 
 // Attach hooks the builder into a simulation config, chaining any trace
-// hook already installed, and adopts the config's link latency and fault
-// detection deadline (replicating Config.validate's defaulting, which
-// runs on a copy). Call before netsim.Run.
+// hook already installed, and adopts the config's link latency, from
+// which the fault detection deadline follows (netsim.DetectDeadline).
+// Call before netsim.Run.
 func (b *Builder) Attach(cfg *netsim.Config) {
 	if cfg.LinkLatency >= 1 {
 		b.linkLatency = cfg.LinkLatency
-		fdt := cfg.FaultDetectTimeout
-		if fdt == 0 {
-			fdt = 4 * cfg.LinkLatency
-		}
-		b.detectDeadline = cfg.LinkLatency + fdt
 	}
 	prev := cfg.Trace
 	cfg.Trace = func(ev netsim.TraceEvent) {

@@ -171,16 +171,21 @@ func BenchmarkEventLoop(b *testing.B) {
 // still visits every link every cycle, the wake-set policy only the
 // active ones. q=31/lowdepth/engine=* is the repository benchmark's
 // sim-q31 fabric (low-depth forest, m=1024, LinkLatency 1, VCDepth 4),
-// where every link is busy and ns/flit is the per-flit cost at scale. The
-// committed BENCH_netsim-event.json records all four subbenches, and CI's
-// compare gate fails if the wake-set policy's advantage evaporates.
+// where every link is busy and ns/flit is the per-flit cost at scale.
+// q=31/faulted/engine=event is the headline point under a fault plan
+// whose one LinkDown is scheduled after the run's last cycle (10176), so
+// it never fires: its gap to q=31/engine=event is what a fault plan alone
+// costs. The committed BENCH_netsim-event.json records all five
+// subbenches, and CI's compare gate fails if the wake-set policy's
+// advantage evaporates.
 func BenchmarkEngineScale(b *testing.B) {
+	ham := benchSpec(b, 31, 4096, "hamiltonian")
 	points := []struct {
 		name string
 		spec Spec
 		cfg  Config
 	}{
-		{"q=31", benchSpec(b, 31, 4096, "hamiltonian"), Config{LinkLatency: 10, VCDepth: 16}},
+		{"q=31", ham, Config{LinkLatency: 10, VCDepth: 16}},
 		{"q=31/lowdepth", benchSpec(b, 31, 1024, "lowdepth"), Config{LinkLatency: 1, VCDepth: 4}},
 	}
 	for _, pt := range points {
@@ -192,12 +197,18 @@ func BenchmarkEngineScale(b *testing.B) {
 			})
 		}
 	}
+	link := firstTreeLink(ham, 0)
+	faulted := Config{LinkLatency: 10, VCDepth: 16, Engine: EngineEvent, Faults: &faults.Plan{
+		Faults: []faults.Fault{{Kind: faults.LinkDown, U: link[0], V: link[1], At: 100000}}}}
+	b.Run("q=31/faulted/engine=event", func(b *testing.B) {
+		benchAdvance(b, ham, faulted)
+	})
 }
 
 // BenchmarkHotLoopFaulted measures the faulted hot path at q=11: the
-// per-flow send timestamps, the timeout scan, one mid-run link-down, and
-// the recovery re-issue. The single-tree baseline is excluded — any link
-// failure kills its only tree and the run aborts.
+// per-cycle fault-plan checks, one mid-run link-down, loss detection from
+// the loss list, and the recovery re-issue. The single-tree baseline is
+// excluded — any link failure kills its only tree and the run aborts.
 func BenchmarkHotLoopFaulted(b *testing.B) {
 	for _, kind := range []string{"lowdepth", "hamiltonian"} {
 		spec := benchSpec(b, 11, 8192, kind)

@@ -15,11 +15,14 @@ package netsim
 // reference loop in reference_test.go.
 //
 // Fault-plan runs never skip: fault windows open and close on absolute
-// cycles, detection deadlines expire on absolute cycles, and degraded
-// token buckets refill fractionally every cycle, so the policy processes
-// each cycle in turn (still visiting only woken links). Faulted
-// scorecards run at small q, where that costs little; the large-N points
-// this policy exists for are fault-free.
+// cycles, a broken stream's detection deadline expires on an absolute
+// cycle, and degraded token buckets refill fractionally every cycle, so
+// the policy processes each cycle in turn. Each processed cycle still
+// visits only woken links, and the fault engine adds no per-link work of
+// its own: detection walks only the streams that have dropped a flit,
+// and the refill only the links a LinkDegraded fault names. A plan that
+// never fires therefore costs about what a fault-free run costs
+// (BenchmarkEngineScale/q=31/faulted).
 
 // evInf is the "no constraint" sentinel for the incremental minima and
 // horizon terms.

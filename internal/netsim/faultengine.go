@@ -284,12 +284,13 @@ func (s *sim) purgePipeline(l *link, now int) int {
 	}
 	// A healthy flow's pipeline entries are exactly flits
 	// [arrived, arrived+count) in order; track the per-flow position so
-	// each drop names its true flit index.
+	// each drop names its true flit index. A stream's first entry is its
+	// oldest outstanding flit, sent LinkLatency cycles before it was due.
 	pos := make(map[*flow]int)
 	for _, fl := range l.pipeline[l.pipeHead:] {
 		k := fl.f.arrived + pos[fl.f]
 		pos[fl.f]++
-		fl.f.lost = true
+		s.noteLoss(fl.f, fl.arrive-s.cfg.LinkLatency)
 		s.result.DroppedFlits++
 		l.dropped++
 		s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: fl.f.tree, Phase: fl.f.phase,
@@ -301,49 +302,70 @@ func (s *sim) purgePipeline(l *link, now int) int {
 	return n
 }
 
-// detectAndRecover scans every virtual channel for an overdue oldest
-// outstanding flit (healthy flits arrive after exactly LinkLatency
-// cycles, so an age beyond LinkLatency+FaultDetectTimeout proves loss),
-// then runs one recovery round: quarantine the suspect links, abort every
-// tree crossing them, purge their flows, and re-issue the aborted
-// elements over the surviving trees with a backlog-aware waterfill split.
-// It reports whether a recovery happened.
-func (s *sim) detectAndRecover(now int) (bool, error) {
-	deadline := s.cfg.LinkLatency + s.cfg.FaultDetectTimeout
+// DetectDeadline is how many cycles a stream's first dropped flit may
+// age before detection declares the stream's link failed: LinkLatency,
+// the flight time every healthy flit takes exactly, plus a 4·LinkLatency
+// margin. Only a dropped flit can go overdue, so the margin guards
+// against no false positive; it fixes when each recovery fires.
+func DetectDeadline(linkLatency int) int { return linkLatency + 4*linkLatency }
+
+// noteLoss records a stream's first dropped flit, sent at cycle sendCycle,
+// and queues the stream for detection. Later drops on an already broken
+// stream change nothing: detection times a stream from its first loss,
+// and every later flit is discarded anyway.
+func (s *sim) noteLoss(f *flow, sendCycle int) {
+	if f.lost {
+		return
+	}
+	f.lost = true
+	f.lostAt = sendCycle
+	s.lossList = append(s.lossList, f)
+}
+
+// detectLoss returns the undirected links, canonicalised u < v and
+// sorted, of every broken stream whose first dropped flit is older than
+// DetectDeadline at cycle now. A healthy flit lands exactly LinkLatency
+// cycles after it is sent, so a stream can only go overdue by losing a
+// flit, and the loss list holds every stream that has; streams of jobs a
+// recovery already aborted leave the list here.
+func (s *sim) detectLoss(now int) [][2]int {
+	deadline := DetectDeadline(s.cfg.LinkLatency)
 	var suspects [][2]int
-	seen := make(map[[2]int]bool)
-	for _, l := range s.links {
-		for _, f := range l.flows {
-			if f.sentAtLen() == 0 || now-f.oldestSentAt() <= deadline {
-				continue
-			}
-			u, v := l.from, l.to
-			if u > v {
-				u, v = v, u
-			}
-			key := [2]int{u, v}
-			if !seen[key] {
-				seen[key] = true
-				suspects = append(suspects, key)
-			}
-			break
+	kept := s.lossList[:0]
+	for _, f := range s.lossList {
+		if f.j.dead {
+			continue
+		}
+		kept = append(kept, f)
+		if now-f.lostAt <= deadline {
+			continue
+		}
+		key := [2]int{f.from, f.to}
+		if key[0] > key[1] {
+			key[0], key[1] = key[1], key[0]
+		}
+		if !slices.Contains(suspects, key) {
+			suspects = append(suspects, key)
 		}
 	}
-	if len(suspects) == 0 {
-		return false, nil
-	}
-	if len(s.result.Recoveries) >= s.cfg.MaxRecoveries {
-		return false, fmt.Errorf("%w: round %d at cycle %d (cap %d)",
-			ErrRecoveryLimit, len(s.result.Recoveries)+1, now, s.cfg.MaxRecoveries)
-	}
-	sort.Slice(suspects, func(i, j int) bool {
-		if suspects[i][0] != suspects[j][0] {
-			return suspects[i][0] < suspects[j][0]
+	s.lossList = kept
+	slices.SortFunc(suspects, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
 		}
-		return suspects[i][1] < suspects[j][1]
+		return a[1] - b[1]
 	})
-	for _, key := range suspects {
-		s.quarantined[key] = true
+	return suspects
+}
+
+// recoverFrom runs one recovery round over the sorted suspect links:
+// abort every tree crossing them, purge their flows, and re-issue the
+// aborted elements over the surviving trees with a backlog-aware
+// waterfill split.
+func (s *sim) recoverFrom(now int, suspects [][2]int) error {
+	if len(s.result.Recoveries) >= s.cfg.MaxRecoveries {
+		return fmt.Errorf("%w: round %d at cycle %d (cap %d)",
+			ErrRecoveryLimit, len(s.result.Recoveries)+1, now, s.cfg.MaxRecoveries)
 	}
 
 	// Abort every tree crossing a suspect link. Trees that already
@@ -436,7 +458,7 @@ func (s *sim) detectAndRecover(now int) (bool, error) {
 		}
 	}
 	if len(alive) == 0 {
-		return false, fmt.Errorf("%w: %d suspect links %v killed all %d trees at cycle %d",
+		return fmt.Errorf("%w: %d suspect links %v killed all %d trees at cycle %d",
 			ErrAllTreesLost, len(suspects), suspects, len(s.spec.Forest), now)
 	}
 	firstNewJob := len(s.jobs)
@@ -467,7 +489,7 @@ func (s *sim) detectAndRecover(now int) (bool, error) {
 		}
 		split, err := bandwidth.BacklogAwareSplit(reissued, backlog, model.PerTree)
 		if err != nil {
-			return false, fmt.Errorf("netsim: internal: re-issue split: %w", err)
+			return fmt.Errorf("netsim: internal: re-issue split: %w", err)
 		}
 		// Walk the aborted ranges, carving each survivor's share into
 		// contiguous jobs.
@@ -526,7 +548,7 @@ func (s *sim) detectAndRecover(now int) (bool, error) {
 	s.emit(TraceEvent{Cycle: now, Kind: TraceRecover, Tree: -1, Phase: -1,
 		From: suspects[0][0], To: suspects[0][1], Flit: reissued, Value: int64(remaining),
 		Job: firstNewJob})
-	return true, nil
+	return nil
 }
 
 // treeUsesAny reports whether the tree's parent links include any of the

@@ -69,12 +69,6 @@ type Config struct {
 	// a link fault simply stop making progress, so the run ends in a
 	// *ProgressError carrying the stalled-tree diagnostic.
 	DisableRecovery bool
-	// FaultDetectTimeout is how many cycles beyond LinkLatency a virtual
-	// channel waits for its oldest outstanding flit before declaring it
-	// lost. Healthy flits always arrive after exactly LinkLatency cycles,
-	// so any value ≥ 0 is free of false positives. Defaults to
-	// 4·LinkLatency when zero.
-	FaultDetectTimeout int
 	// MaxRecoveries bounds recovery nesting: faults landing while a prior
 	// recovery's re-issues are still in flight trigger further recovery
 	// rounds, and each round quarantines at least one fresh link, so the
@@ -178,12 +172,6 @@ func (c *Config) validate() error {
 	}
 	if c.ProgressTimeout == 0 {
 		c.ProgressTimeout = DefaultProgressTimeout
-	}
-	if c.FaultDetectTimeout < 0 {
-		return fmt.Errorf("netsim: FaultDetectTimeout must be ≥ 0, got %d", c.FaultDetectTimeout)
-	}
-	if c.FaultDetectTimeout == 0 {
-		c.FaultDetectTimeout = 4 * c.LinkLatency
 	}
 	if c.MaxRecoveries < 0 {
 		return fmt.Errorf("netsim: MaxRecoveries must be ≥ 0, got %d", c.MaxRecoveries)
@@ -422,45 +410,13 @@ type flow struct {
 	bufHead int
 	bufBase int
 
-	// Fault bookkeeping, maintained only when a fault plan is present.
-	// sentAt records the injection cycle of every outstanding flit (FIFO:
-	// append on send, pop on accepted arrival, head-indexed like buf; the
-	// credit window bounds it by VCDepth entries); lost marks a stream
-	// that dropped a flit, so later arrivals are discarded rather than
-	// pushed at the wrong prefix index.
-	sentAt     []int
-	sentAtHead int
-	lost       bool // lint:cold: set only under an active fault plan
+	// Fault bookkeeping, written only under an active fault plan: lost
+	// marks a stream that dropped a flit, so later arrivals are discarded
+	// rather than pushed at the wrong prefix index, and lostAt is the send
+	// cycle of its first dropped flit, from which detection times it out.
+	lostAt int
+	lost   bool // lint:cold: set only under an active fault plan
 }
-
-// pushSentAt records an injection cycle, allocating the fixed VCDepth
-// window on first use (fault-plan runs only) and compacting popped space
-// so the array never grows.
-func (f *flow) pushSentAt(now, vcDepth int) {
-	if f.sentAt == nil {
-		f.sentAt = make([]int, 0, vcDepth)
-	}
-	if len(f.sentAt) == cap(f.sentAt) && f.sentAtHead > 0 {
-		n := copy(f.sentAt, f.sentAt[f.sentAtHead:])
-		f.sentAt = f.sentAt[:n]
-		f.sentAtHead = 0
-	}
-	f.sentAt = append(f.sentAt, now)
-}
-
-// popSentAt retires the oldest outstanding injection cycle.
-func (f *flow) popSentAt() {
-	f.sentAtHead++
-	if f.sentAtHead == len(f.sentAt) {
-		f.sentAt = f.sentAt[:0]
-		f.sentAtHead = 0
-	}
-}
-
-// sentAtLen is the number of outstanding injection records; oldestSentAt
-// is only valid when it is non-zero.
-func (f *flow) sentAtLen() int    { return len(f.sentAt) - f.sentAtHead }
-func (f *flow) oldestSentAt() int { return f.sentAt[f.sentAtHead] }
 
 func (f *flow) push(v int64) {
 	if len(f.buf) == cap(f.buf) && f.bufHead > 0 {

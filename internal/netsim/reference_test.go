@@ -10,9 +10,10 @@ import (
 // renames (and its doc comment's hot-path claim) as the oracle both
 // policies are compared against. It scans children for readiness
 // instead of reading the incremental minima, releases credit for every
-// flow, and knows nothing of wake sets, so a missing wake rule or a stale
-// census in advance shows up as a byte difference against it. Only tests
-// run it.
+// flow, detects loss by scanning every flow's send log instead of walking
+// the loss list, and knows nothing of wake sets, so a missing wake rule, a
+// stale census or a missed loss in advance shows up as a byte difference
+// against it. Only tests run it.
 
 // referenceReduceReady returns how many reduced flits node nt could emit so far:
 // bounded by the slowest child stream (its own input is always available).
@@ -148,11 +149,49 @@ func (s *sim) referenceRootCompute(now int) {
 	}
 }
 
+// referenceDetect is the detection scan advance ran before loss detection
+// moved onto the loss list: every virtual channel whose oldest outstanding
+// flit in its send log (injection cycles, appended on send and popped on
+// accepted arrival) is older than LinkLatency plus a 4·LinkLatency timeout
+// marks its undirected link suspect. It returns the suspects sorted.
+func (s *sim) referenceDetect(now int, sentAt map[*flow][]int) [][2]int {
+	deadline := s.cfg.LinkLatency + 4*s.cfg.LinkLatency
+	var suspects [][2]int
+	seen := make(map[[2]int]bool)
+	for _, l := range s.links {
+		for _, f := range l.flows {
+			if log := sentAt[f]; len(log) == 0 || now-log[0] <= deadline {
+				continue
+			}
+			u, v := l.from, l.to
+			if u > v {
+				u, v = v, u
+			}
+			key := [2]int{u, v}
+			if !seen[key] {
+				seen[key] = true
+				suspects = append(suspects, key)
+			}
+			break
+		}
+	}
+	sort.Slice(suspects, func(i, j int) bool {
+		if suspects[i][0] != suspects[j][0] {
+			return suspects[i][0] < suspects[j][0]
+		}
+		return suspects[i][1] < suspects[j][1]
+	})
+	return suspects
+}
+
 // referenceCycleLoop advances the simulation one cycle at a time until every flit
 // is delivered, returning the cycle count.
 func (s *sim) referenceCycleLoop() (int, error) {
 	now := 0
 	idle := 0
+	// sentAt is each flow's send log for referenceDetect, kept on
+	// fault-plan runs only.
+	sentAt := make(map[*flow][]int)
 	for s.pending > 0 {
 		now++
 		progressed := false
@@ -187,8 +226,8 @@ func (s *sim) referenceCycleLoop() (int, error) {
 				s.result.DeliveredFlits++
 				k := f.arrived
 				f.arrived++
-				if s.faultsOn && f.sentAtLen() > 0 {
-					f.popSentAt()
+				if log := sentAt[f]; len(log) > 0 {
+					sentAt[f] = log[1:]
 				}
 				if s.traced {
 					s.emit(TraceEvent{Cycle: now, Kind: TraceArrive, Tree: f.tree, Phase: f.phase,
@@ -218,11 +257,10 @@ func (s *sim) referenceCycleLoop() (int, error) {
 		//     outstanding flit is overdue identify failed links; the trees
 		//     crossing them abort and re-issue over the survivors.
 		if s.faultsOn && !s.cfg.DisableRecovery {
-			recovered, err := s.detectAndRecover(now)
-			if err != nil {
-				return 0, err
-			}
-			if recovered {
+			if suspects := s.referenceDetect(now, sentAt); len(suspects) > 0 {
+				if err := s.recoverFrom(now, suspects); err != nil {
+					return 0, err
+				}
 				progressed = true
 			}
 		}
@@ -287,7 +325,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 				val := s.flitValue(f, f.sent)
 				f.sent++
 				if s.faultsOn {
-					f.pushSentAt(now, s.cfg.VCDepth)
+					sentAt[f] = append(sentAt[f], now)
 				}
 				s.result.FlitsSent++
 				if s.sampling && f.phase == phaseReduce {

@@ -91,11 +91,11 @@ type sim struct {
 	// Fault-engine state; zero-valued and untouched on fault-free runs.
 	// lint:cold
 	faultsOn    bool
-	faultActive []bool          // per plan fault: currently in its window
-	stalled     []bool          // per node: reduction engine frozen
-	deadTree    []bool          // per forest tree: aborted by recovery
-	quarantined map[[2]int]bool // undirected links detected as failed
-	degLinks    []*link         // links a LinkDegraded fault names
+	faultActive []bool  // per plan fault: currently in its window
+	stalled     []bool  // per node: reduction engine frozen
+	deadTree    []bool  // per forest tree: aborted by recovery
+	degLinks    []*link // links a LinkDegraded fault names
+	lossList    []*flow // broken streams awaiting detection (noteLoss)
 
 	result Result
 }
@@ -172,7 +172,6 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 		s.faultActive = make([]bool, len(cfg.Faults.Faults))
 		s.stalled = make([]bool, n)
 		s.deadTree = make([]bool, len(spec.Forest))
-		s.quarantined = make(map[[2]int]bool)
 	}
 
 	// One contiguous backing array for all n result rows.
@@ -527,15 +526,14 @@ func (s *sim) advance() (int, error) {
 		}
 		progressed = s.deliver(links, now) || progressed
 
-		// 1b. Loss detection and recovery: virtual channels whose oldest
-		//     outstanding flit is overdue identify failed links; the trees
-		//     crossing them abort and re-issue over the survivors.
+		// 1b. Loss detection and recovery: streams whose first dropped
+		//     flit is overdue identify failed links; the trees crossing
+		//     them abort and re-issue over the survivors.
 		if s.faultsOn && !s.cfg.DisableRecovery {
-			recovered, err := s.detectAndRecover(now)
-			if err != nil {
-				return 0, err
-			}
-			if recovered {
+			if suspects := s.detectLoss(now); len(suspects) > 0 {
+				if err := s.recoverFrom(now, suspects); err != nil {
+					return 0, err
+				}
 				progressed = true
 				if ev != nil {
 					s.rewake()
@@ -636,9 +634,6 @@ func (s *sim) deliver(links []*link, now int) bool {
 			k := f.arrived
 			f.arrived++
 			nt := f.rcv
-			if s.faultsOn && f.sentAtLen() > 0 {
-				f.popSentAt()
-			}
 			if s.traced {
 				s.emit(TraceEvent{Cycle: now, Kind: TraceArrive, Tree: f.tree, Phase: f.phase,
 					From: f.from, To: f.to, Flit: k, Value: fl.val, Job: f.j.idx})
@@ -863,9 +858,6 @@ func (s *sim) arbitrate(links []*link, now int) bool {
 			k := f.sent
 			val := s.flitValue(f, k)
 			f.sent++
-			if s.faultsOn {
-				f.pushSentAt(now, s.cfg.VCDepth)
-			}
 			s.result.FlitsSent++
 			if s.sampling && f.phase == phaseReduce {
 				s.reduceFlits++
@@ -877,7 +869,7 @@ func (s *sim) arbitrate(links []*link, now int) bool {
 			if l.failed {
 				// The physical layer fails silently: the sender spends its
 				// cycle, the flit evaporates, the stream is broken.
-				f.lost = true
+				s.noteLoss(f, now)
 				s.result.DroppedFlits++
 				l.dropped++
 				s.emit(TraceEvent{Cycle: now, Kind: TraceDrop, Tree: f.tree, Phase: f.phase,

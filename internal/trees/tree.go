@@ -43,12 +43,13 @@ func FromParent(root int, parent []int) (*Tree, error) {
 		t.Depth[v] = -1
 	}
 	t.Depth[root] = 0
+	var chain []int // one buffer for every walk
 	for v := 0; v < n; v++ {
 		if t.Depth[v] >= 0 {
 			continue
 		}
 		// Walk up to a vertex of known depth, then unwind.
-		var chain []int
+		chain = chain[:0]
 		u := v
 		for t.Depth[u] < 0 {
 			chain = append(chain, u)

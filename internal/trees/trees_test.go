@@ -298,3 +298,25 @@ func TestValidateSpanningRejects(t *testing.T) {
 		t.Error("tree using non-graph edge accepted")
 	}
 }
+
+// TestFromParentAllocsFlat pins FromParent's allocation count to a
+// constant: its depth walks share one buffer, so a low-depth tree costs
+// the same number of allocations at q=37 (N=1407) as at q=5 (N=31).
+func TestFromParentAllocsFlat(t *testing.T) {
+	allocs := func(q int) float64 {
+		forest, err := LowDepthForest(layout(t, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := forest[0]
+		return testing.AllocsPerRun(10, func() {
+			if _, err := FromParent(tr.Root, tr.Parent); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(5), allocs(37)
+	if large != small {
+		t.Errorf("FromParent makes %v allocations on a q=37 low-depth tree, %v at q=5; want the same count", large, small)
+	}
+}
