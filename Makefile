@@ -44,8 +44,9 @@ bench:
 
 # bench-netsim reruns the q=11 hot-loop benchmarks (fault-free and
 # faulted) and writes BENCH_netsim-local.json for comparison against the
-# committed pre-optimization baseline:
-#   go run ./cmd/benchreport compare BENCH_netsim.json BENCH_netsim-local.json
+# committed recording of the current code. The threshold fails any
+# ns/op, B/op or allocs/op more than 50% above the recording:
+#   go run ./cmd/benchreport compare -threshold 0.5 BENCH_netsim.json BENCH_netsim-local.json
 bench-netsim:
 	go run ./cmd/benchreport run -label netsim-local -bench HotLoop -pkg ./internal/netsim -count 5
 

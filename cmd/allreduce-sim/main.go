@@ -339,9 +339,7 @@ func (o *observers) attach(e *core.Embedding, faulted bool, c *netsim.Config) *o
 	r := &observed{kind: e.Kind}
 	if o.traceOut != "" || o.metricsOut != "" {
 		r.col = obsv.NewCollector()
-		r.col.LinkLatency = o.latency
-		r.col.SpanMergeGap = o.latency
-		c.Trace = r.col.Observe
+		r.col.Attach(c)
 	}
 	if o.tsOut != "" {
 		r.rig = newTSRig(o.q, o.m, o.sampleEvery, o.tsWindows, e, faulted, c)

@@ -236,7 +236,7 @@ type pointSpec struct {
 	inputs   [][]int64
 	want     []int64
 	links    [][2]int // topology edge list, canonical and sorted
-	maxStall int      // engine-stall / degraded window cap, < ProgressTimeout
+	maxStall int      // engine-stall / degraded window cap, < netsim.DefaultProgressTimeout
 }
 
 // runResult is one run's contribution, merged per point in input order.

@@ -115,10 +115,10 @@ type Embedding struct {
 	// MaxDepth is the deepest tree in the forest (latency proxy).
 	MaxDepth int
 	// LinkB is the per-link bandwidth (flits/cycle) the model was
-	// evaluated at. Embed uses 1.0; WithLinkBandwidth reprices it for
-	// trunked-link configurations. Degrade and SubsetEmbedding preserve
-	// it, so degraded predictions stay comparable to the original run.
-	// Zero is read as 1.0 (a zero-value Embedding predates this field).
+	// evaluated at. Embed uses 1.0, the rate of every netsim link.
+	// Degrade and SubsetEmbedding preserve it, so degraded predictions
+	// stay comparable to the original model. Zero is read as 1.0 (a
+	// zero-value Embedding predates this field).
 	LinkB float64
 }
 
@@ -128,19 +128,6 @@ func (e *Embedding) linkB() float64 {
 		return e.LinkB
 	}
 	return 1.0
-}
-
-// WithLinkBandwidth returns a copy of the embedding with the Algorithm 1
-// model re-evaluated at link bandwidth b (flits/cycle), matching a
-// netsim.Config with the same LinkBandwidth.
-func (e *Embedding) WithLinkBandwidth(b float64) (*Embedding, error) {
-	if b <= 0 {
-		return nil, fmt.Errorf("core: link bandwidth %g, must be > 0", b)
-	}
-	out := *e
-	out.LinkB = b
-	out.Model = bandwidth.ForForest(e.Forest, b)
-	return &out, nil
 }
 
 // Embed derives the requested embedding. For Hamiltonian it uses

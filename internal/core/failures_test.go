@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"polarfly/internal/bandwidth"
 	"polarfly/internal/faults"
 	"polarfly/internal/graph"
 	"polarfly/internal/netsim"
@@ -315,19 +316,25 @@ func TestWorstCaseLink(t *testing.T) {
 	}
 }
 
-// TestDegradePreservesLinkBandwidth is the satellite-1 regression: the
-// survivors' model must be evaluated at the original embedding's link
-// bandwidth, not hard-coded 1.0.
+// repriced returns a copy of the embedding with its model evaluated at
+// link bandwidth b, as a caller that builds its own Embedding sets LinkB.
+func repriced(e *Embedding, b float64) *Embedding {
+	out := *e
+	out.LinkB = b
+	out.Model = bandwidth.ForForest(e.Forest, b)
+	return &out
+}
+
+// TestDegradePreservesLinkBandwidth: the survivors' model must be
+// evaluated at the original embedding's link bandwidth, not hard-coded
+// 1.0.
 func TestDegradePreservesLinkBandwidth(t *testing.T) {
 	in := instance(t, 5)
 	e, err := in.Embed(Hamiltonian)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e4, err := e.WithLinkBandwidth(4.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e4 := repriced(e, 4.0)
 	if e4.Model.Aggregate != 4.0*e.Model.Aggregate {
 		t.Fatalf("repriced aggregate %f, want %f", e4.Model.Aggregate, 4.0*e.Model.Aggregate)
 	}
@@ -350,9 +357,6 @@ func TestDegradePreservesLinkBandwidth(t *testing.T) {
 	}
 	if sub.LinkB != 4.0 || sub.Model.Aggregate != 8.0 {
 		t.Errorf("subset at LinkB=4: LinkB=%g aggregate=%f, want 4 and 8", sub.LinkB, sub.Model.Aggregate)
-	}
-	if _, err := e.WithLinkBandwidth(0); err == nil {
-		t.Error("WithLinkBandwidth(0) accepted")
 	}
 }
 
@@ -431,11 +435,7 @@ func TestWorstCaseLinkMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e3, err := e.WithLinkBandwidth(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, emb := range []*Embedding{e, e3} {
+			for _, emb := range []*Embedding{e, repriced(e, 3)} {
 				link, deg, err := WorstCaseLink(emb)
 				if err != nil {
 					t.Fatal(err)

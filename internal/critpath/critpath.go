@@ -119,18 +119,17 @@ type stream struct {
 	key  streamKey
 	tree int
 	link *link // the directed link, set at creation
-	// sends[k] is flit k's injection cycle shifted left one bit, the low
-	// bit set when the send was the link's first injection that cycle.
+	// sends[k] is flit k's injection cycle.
 	sends   []int32
 	arrived int
 	stalls  []int32 // ascending stall cycles, deduplicated
 }
 
-// maxSendCycle is the largest cycle the shifted send log can hold.
-const maxSendCycle = math.MaxInt32 >> 1
+// maxSendCycle is the largest cycle the send log can hold.
+const maxSendCycle = math.MaxInt32
 
 // sendCycle returns flit k's injection cycle.
-func (s *stream) sendCycle(k int) int { return int(s.sends[k] >> 1) }
+func (s *stream) sendCycle(k int) int { return int(s.sends[k]) }
 
 // sendsBefore counts the flits the stream injected before cycle g.
 func (s *stream) sendsBefore(g int) int {
@@ -138,20 +137,17 @@ func (s *stream) sendsBefore(g int) int {
 }
 
 // link is one directed link's view: the streams that inject on it, in
-// creation order, and the cycle of its latest injection, which decides
-// the first-injection bit of the next send.
+// creation order, and the cycle of its latest injection. netsim injects
+// at most one flit per link per cycle, so a send cycle names its stream.
 type link struct {
 	last    int32 // -1 before the first injection
 	streams []*stream
 }
 
-// sendAt reports the stream that injected on the link at cycle g (the
-// first one, under trunked LinkBandwidth > 1), or -1. Only a stream's
-// first send in a cycle can carry the first-injection bit, and that is
-// its first send at or after g.
+// sendAt reports the stream that injected on the link at cycle g, or -1.
 func (l *link) sendAt(g int) int32 {
 	for _, s := range l.streams {
-		if k := s.sendsBefore(g); k < len(s.sends) && s.sends[k] == int32(g<<1|1) {
+		if k := s.sendsBefore(g); k < len(s.sends) && s.sendCycle(k) == g {
 			return s.id
 		}
 	}
@@ -335,17 +331,13 @@ func (b *Builder) observe(ev *netsim.TraceEvent) {
 				ev.Cycle, s.key, maxSendCycle))
 			return
 		}
-		if ev.Flit != len(s.sends) || ev.Cycle < int(l.last) {
+		if ev.Flit != len(s.sends) || ev.Cycle <= int(l.last) {
 			b.fail(fmt.Errorf("critpath: send of flit %d at cycle %d on stream %v is out of order: want flit %d at cycle %d or later",
-				ev.Flit, ev.Cycle, s.key, len(s.sends), max(l.last, 0)))
+				ev.Flit, ev.Cycle, s.key, len(s.sends), int(l.last)+1))
 			return
 		}
-		enc := int32(ev.Cycle) << 1
-		if int32(ev.Cycle) != l.last {
-			l.last = int32(ev.Cycle)
-			enc |= 1
-		}
-		s.sends = append(s.sends, enc)
+		l.last = int32(ev.Cycle)
+		s.sends = append(s.sends, int32(ev.Cycle))
 	case netsim.TraceArrive:
 		s := b.stream(ev)
 		if s == nil {

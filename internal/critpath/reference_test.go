@@ -102,14 +102,14 @@ func (b *referenceBuilder) Observe(ev netsim.TraceEvent) {
 // fill encodes the recording into the embedded Builder's per-stream
 // send logs, arrival counts and links. It fails where the recording
 // breaks a derivation: a stream's arrivals must be a prefix of its
-// sends, each at exactly send + LinkLatency, and the first-injection bit
-// goes to the first logged injector of each (link, cycle).
+// sends, each at exactly send + LinkLatency, and a link must log at most
+// one injection per cycle, so that a send cycle names its stream.
 func (b *referenceBuilder) fill() error {
-	first := make(map[[3]int]int32) // (from, to, cycle) → first injector
 	for key, ll := range b.logs {
-		for i, c := range ll.cycles {
-			if i == 0 || ll.cycles[i-1] != c {
-				first[[3]int{key[0], key[1], int(c)}] = ll.streams[i]
+		for i := 1; i < len(ll.cycles); i++ {
+			if ll.cycles[i] == ll.cycles[i-1] {
+				return fmt.Errorf("link %d→%d: streams %d and %d both injected at cycle %d",
+					key[0], key[1], ll.streams[i-1], ll.streams[i], ll.cycles[i])
 			}
 		}
 	}
@@ -126,12 +126,8 @@ func (b *referenceBuilder) fill() error {
 			if c < 0 {
 				return fmt.Errorf("stream %v: flit %d never sent, but flit %d was", s.key, k, len(sends)-1)
 			}
-			enc := c << 1
-			if (k == 0 || sends[k-1] != c) && first[[3]int{s.key.from, s.key.to, int(c)}] == s.id {
-				enc |= 1
-			}
-			s.sends = append(s.sends, enc)
 		}
+		s.sends = sends
 		key := [2]int{s.key.from, s.key.to}
 		l, ok := b.links[key]
 		if !ok {
@@ -191,8 +187,8 @@ func (r diffRun) String() string {
 	if r.cfg.Faults != nil {
 		plan = fmt.Sprint(r.cfg.Faults.Faults)
 	}
-	return fmt.Sprintf("q=%d %v %v m=%d latency=%d vc=%d bw=%d %s",
-		r.q, r.kind, r.op, r.m, r.cfg.LinkLatency, r.cfg.VCDepth, r.cfg.LinkBandwidth, plan)
+	return fmt.Sprintf("q=%d %v %v m=%d latency=%d vc=%d %s",
+		r.q, r.kind, r.op, r.m, r.cfg.LinkLatency, r.cfg.VCDepth, plan)
 }
 
 // embedCache builds each (q, kind) embedding once per test binary.
@@ -303,10 +299,9 @@ func randomPlan(rng *rand.Rand, e *core.Embedding) *faults.Plan {
 // TestBuilderMatchesReference is the stream table's oracle check: at
 // q ∈ {3,5,7}, every embedding under all three collectives fault-free,
 // and allreduce under seeded random fault plans over all six fault kinds
-// (netsim injects faults into allreduce only), each on single and
-// trunked links (the first-injection bit only matters at LinkBandwidth
-// 2), the table-indexed Builder must keep the reference's send logs and
-// Analyze to the same JSON or error text as the map-keyed reference.
+// (netsim injects faults into allreduce only), the table-indexed Builder
+// must keep the reference's send logs and Analyze to the same JSON or
+// error text as the map-keyed reference.
 func TestBuilderMatchesReference(t *testing.T) {
 	qs := []int{3, 5, 7}
 	plans := 6
@@ -321,8 +316,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 		for _, kind := range kinds {
 			for _, op := range ops {
 				r := diffRun{q: q, kind: kind, op: op, m: 192,
-					cfg: netsim.Config{LinkLatency: 1 + rng.Intn(3), VCDepth: 1 + rng.Intn(5),
-						LinkBandwidth: 1 + rng.Intn(2)}}
+					cfg: netsim.Config{LinkLatency: 1 + rng.Intn(3), VCDepth: 1 + rng.Intn(5)}}
 				if compareWithReference(t, r) {
 					compared++
 				}
@@ -334,8 +328,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 					continue
 				}
 				r := diffRun{q: q, kind: kind, op: netsim.OpAllreduce, m: 256,
-					cfg: netsim.Config{LinkLatency: 1 + rng.Intn(3), VCDepth: 1 + rng.Intn(5),
-						LinkBandwidth: 1 + rng.Intn(2), Faults: plan}}
+					cfg: netsim.Config{LinkLatency: 1 + rng.Intn(3), VCDepth: 1 + rng.Intn(5), Faults: plan}}
 				if compareWithReference(t, r) {
 					faulted++
 				}
@@ -352,19 +345,19 @@ func TestBuilderMatchesReference(t *testing.T) {
 
 // FuzzBuilderMatchesReference widens TestBuilderMatchesReference to
 // fuzz-chosen runs: the bytes pick q ∈ {3,5,7}, the embedding, the
-// collective, the vector length, the fabric (link bandwidth 1 or 2) and
-// — for allreduce — the seed of a random fault plan.
+// collective, the vector length, the fabric and — for allreduce — the
+// seed of a random fault plan.
 func FuzzBuilderMatchesReference(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint8(0), uint8(40), uint8(1), uint8(3), uint8(0), int64(1), true)
-	f.Add(uint8(1), uint8(2), uint8(0), uint8(90), uint8(2), uint8(1), uint8(1), int64(7), true)
-	f.Add(uint8(2), uint8(0), uint8(2), uint8(10), uint8(0), uint8(4), uint8(1), int64(3), false)
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(63), uint8(3), uint8(0), uint8(0), int64(9), false)
-	f.Fuzz(func(t *testing.T, qi, ki, oi, mi, li, vi, bi uint8, seed int64, faulted bool) {
+	f.Add(uint8(0), uint8(1), uint8(0), uint8(40), uint8(1), uint8(3), int64(1), true)
+	f.Add(uint8(1), uint8(2), uint8(0), uint8(90), uint8(2), uint8(1), int64(7), true)
+	f.Add(uint8(2), uint8(0), uint8(2), uint8(10), uint8(0), uint8(4), int64(3), false)
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(63), uint8(3), uint8(0), int64(9), false)
+	f.Fuzz(func(t *testing.T, qi, ki, oi, mi, li, vi uint8, seed int64, faulted bool) {
 		q := []int{3, 5, 7}[int(qi)%3]
 		kind := []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}[int(ki)%3]
 		op := []netsim.Op{netsim.OpAllreduce, netsim.OpReduce, netsim.OpBroadcast}[int(oi)%3]
 		r := diffRun{q: q, kind: kind, op: op, m: 1 + int(mi)%160,
-			cfg: netsim.Config{LinkLatency: 1 + int(li)%4, VCDepth: 1 + int(vi)%6, LinkBandwidth: 1 + int(bi)%2}}
+			cfg: netsim.Config{LinkLatency: 1 + int(li)%4, VCDepth: 1 + int(vi)%6}}
 		if faulted && op == netsim.OpAllreduce {
 			r.cfg.Faults = randomPlan(rand.New(rand.NewSource(seed)), cachedEmbedding(t, q, kind))
 		}
@@ -411,9 +404,11 @@ func TestStreamTableRejectsForeignEndpoints(t *testing.T) {
 
 // TestBuilderRejectsBrokenSendLog: the walk derives every arrival from
 // the send log (netsim lands each flit exactly LinkLatency cycles after
-// its send, in flit order) and packs each send cycle with a flag bit
-// into an int32, so a trace that breaks either rule must make Analyze
-// fail instead of yielding a path built on arrivals that never happened.
+// its send, in flit order), names a link's sender by its send cycle
+// (netsim injects at most one flit per link per cycle) and keeps each
+// send cycle in an int32, so a trace that breaks any of these rules must
+// make Analyze fail instead of yielding a path built on sends and
+// arrivals that never happened.
 func TestBuilderRejectsBrokenSendLog(t *testing.T) {
 	ev := func(kind netsim.TraceEventKind, cycle, flit int) netsim.TraceEvent {
 		return netsim.TraceEvent{Cycle: cycle, Kind: kind, Phase: phaseReduce, From: 1, To: 0, Flit: flit, Job: 0}
@@ -430,6 +425,8 @@ func TestBuilderRejectsBrokenSendLog(t *testing.T) {
 		{"out-of-order arrival", []netsim.TraceEvent{send(1, 0), send(2, 1), arrive(3, 1)}, "breaks the link rule"},
 		{"send skips a flit", []netsim.TraceEvent{send(1, 0), send(2, 2)}, "out of order"},
 		{"send before the link's last", []netsim.TraceEvent{send(5, 0), send(4, 1)}, "out of order"},
+		{"two sends on a link in one cycle", []netsim.TraceEvent{send(5, 0),
+			{Cycle: 5, Kind: netsim.TraceSend, Phase: phaseReduce, From: 1, To: 0, Flit: 0, Job: 1}}, "out of order"},
 		{"cycle too large", []netsim.TraceEvent{send(maxSendCycle+1, 0)}, "outside the send log's range"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -446,28 +443,5 @@ func TestBuilderRejectsBrokenSendLog(t *testing.T) {
 	b.Observe(send(maxSendCycle, 0))
 	if b.err != nil {
 		t.Errorf("send at the log's last cycle %d rejected: %v", maxSendCycle, b.err)
-	}
-}
-
-// TestSendAtPicksFirstInjector: on a trunked link two streams can
-// inject in one cycle, and the gap classifier must see the one that
-// went first, not the one created first.
-func TestSendAtPicksFirstInjector(t *testing.T) {
-	b := NewBuilder()
-	send := func(job, cycle, flit int) {
-		b.Observe(netsim.TraceEvent{Cycle: cycle, Kind: netsim.TraceSend, Phase: phaseReduce,
-			From: 1, To: 0, Flit: flit, Job: job})
-	}
-	send(0, 1, 0) // stream 0 is created first
-	send(1, 2, 0) // stream 1 injects first in cycle 2
-	send(0, 2, 1)
-	if b.err != nil {
-		t.Fatal(b.err)
-	}
-	l := b.links[[2]int{1, 0}]
-	for g, want := range map[int]int32{0: -1, 1: 0, 2: 1, 3: -1} {
-		if got := l.sendAt(g); got != want {
-			t.Errorf("sendAt(%d) = %d, want %d", g, got, want)
-		}
 	}
 }

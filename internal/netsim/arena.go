@@ -31,8 +31,8 @@ type ArenaFootprint struct {
 	// LinkBytes is the link slab, the link index and the rowStart and
 	// flowStart indexes.
 	LinkBytes int64
-	// PipelineBytes is the in-flight ring slab (LinkBandwidth ×
-	// LinkLatency slots per link).
+	// PipelineBytes is the in-flight ring slab (LinkLatency slots per
+	// link).
 	PipelineBytes int64
 	// OutputBytes is the shared n×m result matrix.
 	OutputBytes int64

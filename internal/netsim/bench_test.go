@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"testing"
 
 	"polarfly/internal/bandwidth"
@@ -54,24 +53,6 @@ func benchSpec(b testing.TB, q, m int, kind string) Spec {
 		b.Fatal(err)
 	}
 	return Spec{Topology: topo, Forest: forest, Split: split, Inputs: randInputs(topo.N(), m, 1)}
-}
-
-// BenchmarkSimulator measures simulator throughput (wall time per simulated
-// allreduce) for the three embeddings on ER_7.
-func BenchmarkSimulator(b *testing.B) {
-	for _, kind := range []string{"single", "lowdepth", "hamiltonian"} {
-		spec := benchSpec(b, 7, 2048, kind)
-		b.Run(kind, func(b *testing.B) {
-			cfg := Config{LinkLatency: 5, VCDepth: 8}
-			for i := 0; i < b.N; i++ {
-				res, err := Run(spec, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Cycles), "simcycles")
-			}
-		})
-	}
 }
 
 // hotLoopCfg is the fabric point shared by the hot-loop benchmarks: deep
@@ -237,21 +218,6 @@ func BenchmarkHotLoopFaulted(b *testing.B) {
 					b.Fatal("faulted benchmark performed no recovery")
 				}
 				b.ReportMetric(float64(res.Cycles), "simcycles")
-			}
-		})
-	}
-}
-
-// BenchmarkSimulatorScaling measures wall time as the instance grows.
-func BenchmarkSimulatorScaling(b *testing.B) {
-	for _, q := range []int{5, 9, 13} {
-		spec := benchSpec(b, q, 1024, "lowdepth")
-		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
-			cfg := Config{LinkLatency: 5, VCDepth: 8}
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(spec, cfg); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

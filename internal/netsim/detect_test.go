@@ -91,9 +91,6 @@ func TestDetectionClosedForm(t *testing.T) {
 							recovered = true
 						}
 					}
-					if err := cfg.validate(); err != nil {
-						t.Fatal(err)
-					}
 					s, err := newSim(tc.spec, cfg)
 					if err != nil {
 						t.Fatal(err)

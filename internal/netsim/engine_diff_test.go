@@ -46,9 +46,6 @@ func runCapture(spec Spec, cfg Config, engine Engine) engineRun {
 func runReference(spec Spec, cfg Config) engineRun {
 	cfg.Engine = EngineCycle
 	return capture(cfg, func(cfg Config) (*Result, error) {
-		if err := cfg.validate(); err != nil {
-			return nil, err
-		}
 		s, err := newSim(spec, cfg)
 		if err != nil {
 			return nil, err
@@ -232,13 +229,12 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceVariants covers the configuration axes the main
-// matrix holds fixed: deep pipelines, trunked links, a rate-limited
-// reduction engine, reduce/broadcast-only collectives, and the
-// no-recovery abort path (every policy must emit the same ProgressError
-// at the same cycle).
+// matrix holds fixed: deep pipelines, a rate-limited reduction engine,
+// reduce/broadcast-only collectives, and the progress-timeout abort path
+// (every policy must emit the same ProgressError at the same cycle).
 func TestEngineEquivalenceVariants(t *testing.T) {
 	spec := benchSpec(t, 5, 512, "lowdepth")
-	u, v := firstTreeEdge(spec)
+	_, v := firstTreeEdge(spec)
 
 	variants := []struct {
 		name string
@@ -247,7 +243,6 @@ func TestEngineEquivalenceVariants(t *testing.T) {
 	}{
 		{"deep-latency", Config{LinkLatency: 10, VCDepth: 16}, OpAllreduce},
 		{"latency-bound", Config{LinkLatency: 8, VCDepth: 3}, OpAllreduce},
-		{"trunked", Config{LinkLatency: 2, VCDepth: 6, LinkBandwidth: 3}, OpAllreduce},
 		{"engine-rate", Config{LinkLatency: 2, VCDepth: 4, EngineRate: 1}, OpAllreduce},
 		{"reduce-only", Config{LinkLatency: 3, VCDepth: 2}, OpReduce},
 		{"bcast-only", Config{LinkLatency: 3, VCDepth: 2}, OpBroadcast},
@@ -264,12 +259,15 @@ func TestEngineEquivalenceVariants(t *testing.T) {
 
 	t.Run("no-recovery-stall", func(t *testing.T) {
 		t.Parallel()
-		c := Config{LinkLatency: 3, VCDepth: 2, ProgressTimeout: 200, DisableRecovery: true,
+		// A combining router frozen for good loses nothing, so no recovery
+		// fires: the trees it reduces for stall until the timeout.
+		c := Config{LinkLatency: 3, VCDepth: 2,
 			Faults: &faults.Plan{Faults: []faults.Fault{
-				{Kind: faults.LinkDown, U: u, V: v, At: 50},
+				{Kind: faults.EngineStall, Node: v, At: 50},
 			}}}
-		if ref := compareEngines(t, spec, c); ref.err == nil {
-			t.Fatal("expected the reference loop to abort")
+		var pe *ProgressError
+		if ref := compareEngines(t, spec, c); !errors.As(ref.err, &pe) {
+			t.Fatalf("expected a ProgressError from the reference loop, got %v", ref.err)
 		}
 	})
 
@@ -342,14 +340,15 @@ func fuzzPlan(b *fuzzBytes, spec Spec) *faults.Plan {
 // FuzzEngines drives both advance policies against the reference loop on
 // inputs the fixed matrices above never build. The fuzz bytes choose a
 // small PolarFly and embedding, the collective, the fabric (LinkLatency
-// 1–6, VCDepth 1–6, LinkBandwidth 0–3, EngineRate 0–2), a fault plan over
-// all six fault kinds (applied to allreduce only), and last a split of the
-// vector over the trees, zero entries included. Every policy must
-// reproduce the reference run byte for byte (Result JSON, trace, frames,
-// error text), every completed run must conserve flits: FlitsSent ==
-// DeliveredFlits + DroppedFlits, and the link-major layout must match the
-// reference construction (checkLinkLayout). The fixed matrices above stay as
-// the deterministic seed set.
+// 1–6, VCDepth 1–6, EngineRate 0–2), a fault plan over all six fault
+// kinds (applied to allreduce only), and last a split of the vector over
+// the trees, zero entries included. Every policy must reproduce the
+// reference run byte for byte (Result JSON, trace, frames, error text);
+// every completed run must conserve flits (FlitsSent == DeliveredFlits +
+// DroppedFlits) and have no more recovery rounds than dead trees, since
+// each round aborts at least one live tree; and the link-major layout
+// must match the reference construction (checkLinkLayout). The fixed
+// matrices above stay as the deterministic seed set.
 func FuzzEngines(f *testing.F) {
 	type base struct {
 		name string
@@ -364,27 +363,26 @@ func FuzzEngines(f *testing.F) {
 			bases = append(bases, base{fmt.Sprintf("q=%d/%s", q, kind), benchSpec(f, q, 8, kind)})
 		}
 	}
-	// Seeds: a zero-length vector, each collective on a trunked,
-	// rate-limited fabric, and one plan per fault kind on the q=3 and q=5
-	// low-depth forests (bases 3 and 8).
+	// Seeds: a zero-length vector, each collective on a rate-limited
+	// fabric, and one plan per fault kind on the q=3 and q=5 low-depth
+	// forests (bases 3 and 8).
 	f.Add([]byte{0})
 	for op := byte(0); op < 3; op++ {
-		f.Add([]byte{9, op, 3, 2, 3, 2, 0, 15, 0, 10})
+		f.Add([]byte{9, op, 3, 2, 2, 0, 15, 0, 10})
 	}
 	for k := byte(0); k < 6; k++ {
 		window := byte(30) // [40, 62)
 		if k == byte(faults.LinkDown) || k == byte(faults.RouterDown) {
 			window = 0 // permanent
 		}
-		f.Add([]byte{3 + 5*(k%2), 0, 2, 1, 0, 0, 1, k, 5, 4, 40, window, 70, 2, 24, 24, 24, 24, 24})
+		f.Add([]byte{3 + 5*(k%2), 0, 2, 1, 0, 1, k, 5, 4, 40, window, 70, 2, 24, 24, 24, 24, 24})
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
 		bs := bases[b.pick(len(bases))]
 		spec := bs.spec
 		spec.Op = Op(b.pick(3))
-		cfg := Config{LinkLatency: 1 + b.pick(6), VCDepth: 1 + b.pick(6),
-			LinkBandwidth: b.pick(4), EngineRate: b.pick(3)}
+		cfg := Config{LinkLatency: 1 + b.pick(6), VCDepth: 1 + b.pick(6), EngineRate: b.pick(3)}
 		if plan := fuzzPlan(&b, spec); spec.Op == OpAllreduce {
 			cfg.Faults = plan
 		}
@@ -397,9 +395,17 @@ func FuzzEngines(f *testing.F) {
 		spec.Inputs = randInputs(spec.Topology.N(), m, int64(len(data)))
 		checkLinkLayout(t, spec, cfg)
 		ref := compareEngines(t, spec, cfg)
-		if r := ref.res; ref.err == nil && r.FlitsSent != r.DeliveredFlits+r.DroppedFlits {
+		if ref.err != nil {
+			return
+		}
+		r := ref.res
+		if r.FlitsSent != r.DeliveredFlits+r.DroppedFlits {
 			t.Fatalf("%s: flits not conserved: sent %d, delivered %d, dropped %d",
 				bs.name, r.FlitsSent, r.DeliveredFlits, r.DroppedFlits)
+		}
+		if len(r.Recoveries) > len(r.DeadTrees) {
+			t.Fatalf("%s: %d recovery rounds but only %d dead trees %v",
+				bs.name, len(r.Recoveries), len(r.DeadTrees), r.DeadTrees)
 		}
 	})
 }

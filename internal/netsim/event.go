@@ -225,7 +225,7 @@ func (s *sim) nextEventCycle(now, lastProgress int) int {
 	if ev.rootNext || ev.nxt.n > 0 || ev.conNext.n > 0 {
 		return now + 1
 	}
-	next := lastProgress + s.cfg.ProgressTimeout + 1
+	next := lastProgress + DefaultProgressTimeout + 1
 	for i := range ev.wheel {
 		if ev.wheel[i].n > 0 && ev.wheelDue[i] < next {
 			next = ev.wheelDue[i]

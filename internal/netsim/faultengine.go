@@ -20,16 +20,16 @@ import (
 var ErrAllTreesLost = errors.New("netsim: all trees lost to link faults")
 
 // ErrRecoveryLimit reports that a fault schedule forced more recovery
-// rounds than Config.MaxRecoveries allows — the bounded-nesting backstop
-// for adversarial storms. The run state is abandoned, not corrupted: the
-// error classifies the schedule, it does not mask a hang.
+// rounds than Config.MaxRecoveries allows. Each round aborts at least one
+// live tree, so a run has at most as many rounds as its forest has trees,
+// and only a cap lowered below that is reached. The run state is
+// abandoned, not corrupted: the error classifies the schedule, it does
+// not mask a hang.
 var ErrRecoveryLimit = errors.New("netsim: recovery round limit exceeded")
 
 // ProgressError is the deadlock diagnostic returned when no flit moves
-// for Config.ProgressTimeout consecutive cycles. Beyond the headline
-// numbers it names the trees that still owe deliveries and the directed
-// link with the most unacknowledged flits — with recovery disabled, that
-// is the faulted link.
+// for DefaultProgressTimeout consecutive cycles. Beyond the headline
+// numbers it names the trees that still owe deliveries.
 type ProgressError struct {
 	// Cycle is when the simulator gave up.
 	Cycle int
@@ -41,17 +41,11 @@ type ProgressError struct {
 	LastProgressCycle int
 	// StalledTrees lists forest trees with undelivered targets, sorted.
 	StalledTrees []int
-	// WorstLink is the directed link with the most sent-but-unarrived
-	// flits ({-1, -1} when nothing is outstanding anywhere), and
-	// WorstLinkOutstanding that count.
-	WorstLink            [2]int
-	WorstLinkOutstanding int
 }
 
 func (e *ProgressError) Error() string {
-	return fmt.Sprintf("netsim: no progress for %d cycles at cycle %d (%d flits pending; last progress at cycle %d; stalled trees %v; worst link %d→%d with %d unacknowledged flits)",
-		e.IdleCycles, e.Cycle, e.PendingFlits, e.LastProgressCycle,
-		e.StalledTrees, e.WorstLink[0], e.WorstLink[1], e.WorstLinkOutstanding)
+	return fmt.Sprintf("netsim: no progress for %d cycles at cycle %d (%d flits pending; last progress at cycle %d; stalled trees %v)",
+		e.IdleCycles, e.Cycle, e.PendingFlits, e.LastProgressCycle, e.StalledTrees)
 }
 
 // progressError assembles the diagnostic state for the timeout abort.
@@ -61,7 +55,6 @@ func (s *sim) progressError(now, idle int) *ProgressError {
 		IdleCycles:        idle,
 		PendingFlits:      s.pending,
 		LastProgressCycle: now - idle,
-		WorstLink:         [2]int{-1, -1},
 	}
 	stalled := make(map[int]bool)
 	for _, j := range s.jobs {
@@ -79,16 +72,6 @@ func (s *sim) progressError(now, idle int) *ProgressError {
 		e.StalledTrees = append(e.StalledTrees, ti)
 	}
 	sort.Ints(e.StalledTrees)
-	for _, l := range s.links {
-		outstanding := 0
-		for _, f := range l.flows {
-			outstanding += f.sent - f.arrived
-		}
-		if outstanding > e.WorstLinkOutstanding {
-			e.WorstLinkOutstanding = outstanding
-			e.WorstLink = [2]int{l.from, l.to}
-		}
-	}
 	return e
 }
 
@@ -361,7 +344,9 @@ func (s *sim) detectLoss(now int) [][2]int {
 // recoverFrom runs one recovery round over the sorted suspect links:
 // abort every tree crossing them, purge their flows, and re-issue the
 // aborted elements over the surviving trees with a backlog-aware
-// waterfill split.
+// waterfill split. Every suspect link carries an overdue stream of a live
+// job, whose tree is still alive and crosses the link, so each round
+// aborts at least one tree.
 func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 	if len(s.result.Recoveries) >= s.cfg.MaxRecoveries {
 		return fmt.Errorf("%w: round %d at cycle %d (cap %d)",
@@ -467,11 +452,7 @@ func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 		for i, ti := range alive {
 			forest[i] = s.spec.Forest[ti]
 		}
-		linkB := float64(s.cfg.LinkBandwidth)
-		if s.cfg.LinkBandwidth == 0 {
-			linkB = 1
-		}
-		model := bandwidth.ForForest(forest, linkB)
+		model := bandwidth.ForForest(forest, 1)
 		backlog := make([]int, len(alive))
 		for i, ti := range alive {
 			for _, j := range s.jobs {

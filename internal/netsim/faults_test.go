@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"polarfly/internal/bandwidth"
@@ -242,42 +244,93 @@ func TestEngineStallDelaysRun(t *testing.T) {
 	}
 }
 
-// TestDisableRecoveryReturnsProgressError pins the satellite-2 contract:
-// with recovery off, a faulted link strands the run and the timeout
-// error names the stalled tree and the failed link.
-func TestDisableRecoveryReturnsProgressError(t *testing.T) {
-	spec := lineSpec(t, 5, 256)
+// TestEngineStallReturnsProgressError: an engine stall loses nothing, so
+// no recovery fires, and one that outlasts the progress timeout strands
+// the run. Both policies abort at the first cycle past the timeout with
+// a diagnostic naming the stalled tree.
+func TestEngineStallReturnsProgressError(t *testing.T) {
+	spec := lineSpec(t, 5, 256) // root is node 2
 	plan := &faults.Plan{Faults: []faults.Fault{
-		{Kind: faults.LinkDown, U: 1, V: 2, At: 50},
+		{Kind: faults.EngineStall, Node: 2, At: 50}, // never ends
 	}}
-	cfg := Config{LinkLatency: 2, VCDepth: 4, ProgressTimeout: 200,
-		Faults: plan, DisableRecovery: true}
-	_, err := Run(spec, cfg)
-	if err == nil {
-		t.Fatal("faulted run with recovery disabled completed")
+	for _, e := range []Engine{EngineCycle, EngineEvent} {
+		_, err := Run(spec, Config{LinkLatency: 2, VCDepth: 4, Faults: plan, Engine: e})
+		var pe *ProgressError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%v: err = %v (%T), want *ProgressError", e, err, err)
+		}
+		if pe.IdleCycles != DefaultProgressTimeout+1 || pe.Cycle != pe.LastProgressCycle+pe.IdleCycles {
+			t.Errorf("%v: gave up at cycle %d after %d idle cycles from %d, want %d idle cycles",
+				e, pe.Cycle, pe.IdleCycles, pe.LastProgressCycle, DefaultProgressTimeout+1)
+		}
+		if pe.LastProgressCycle < 50 {
+			t.Errorf("%v: last progress at cycle %d, before the stall began", e, pe.LastProgressCycle)
+		}
+		if pe.PendingFlits <= 0 {
+			t.Errorf("%v: PendingFlits = %d, want > 0", e, pe.PendingFlits)
+		}
+		if !reflect.DeepEqual(pe.StalledTrees, []int{0}) {
+			t.Errorf("%v: StalledTrees = %v, want [0]", e, pe.StalledTrees)
+		}
 	}
-	var pe *ProgressError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v (%T), want *ProgressError", err, err)
+}
+
+// TestNewSimValidatesConfig: newSim itself validates the config and
+// fills its defaults, so a simulator built without Run — as the
+// advance-loop benchmarks build theirs — refuses an invalid fabric and
+// recovers from a firing link failure under the default recovery cap.
+func TestNewSimValidatesConfig(t *testing.T) {
+	spec, _ := buildPolarSpec(t, 5, 1200, "lowdepth")
+	if _, err := newSim(spec, Config{VCDepth: 4}); err == nil {
+		t.Error("newSim accepted LinkLatency 0")
 	}
-	if pe.IdleCycles <= 200 {
-		t.Errorf("IdleCycles = %d, want > ProgressTimeout 200", pe.IdleCycles)
+	link := firstTreeLink(spec, 0)
+	s, err := newSim(spec, Config{LinkLatency: 3, VCDepth: 6, Faults: &faults.Plan{Faults: []faults.Fault{
+		{Kind: faults.LinkDown, U: link[0], V: link[1], At: 150}}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pe.PendingFlits <= 0 {
-		t.Errorf("PendingFlits = %d, want > 0", pe.PendingFlits)
+	now, err := s.advance()
+	if err != nil {
+		t.Fatalf("advance: %v", err)
 	}
-	if pe.LastProgressCycle >= pe.Cycle {
-		t.Errorf("LastProgressCycle %d not before Cycle %d", pe.LastProgressCycle, pe.Cycle)
+	res, err := s.finalize(now)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pe.StalledTrees, []int{0}) {
-		t.Errorf("StalledTrees = %v, want [0]", pe.StalledTrees)
+	if len(res.Recoveries) == 0 {
+		t.Fatal("the link failure fired no recovery")
 	}
-	wl := pe.WorstLink
-	if !(wl == [2]int{1, 2} || wl == [2]int{2, 1}) {
-		t.Errorf("WorstLink = %v, want the faulted link 1-2", wl)
+	checkOutputs(t, spec, res)
+}
+
+// TestDetectionBeatsTimeoutAtMaxLatency pins the LinkLatency bound. On a
+// one-link fabric whose only flit is lost at injection in cycle 1, nothing
+// moves afterwards: detection is due at cycle 1 + DetectDeadline + 1 and
+// the progress timeout at cycle 1 + DefaultProgressTimeout + 1. At the
+// largest accepted latency the two coincide and detection, which runs
+// first in the cycle, classifies the loss; one cycle more is refused.
+func TestDetectionBeatsTimeoutAtMaxLatency(t *testing.T) {
+	g := graph.New(2)
+	g.AddEdge(0, 1)
+	tr, err := trees.FromParent(0, []int{-1, 0})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pe.WorstLinkOutstanding <= 0 {
-		t.Errorf("WorstLinkOutstanding = %d, want > 0", pe.WorstLinkOutstanding)
+	spec := Spec{Topology: g, Forest: []*trees.Tree{tr}, Split: []int{1}, Inputs: randInputs(2, 1, 3)}
+	plan := &faults.Plan{Faults: []faults.Fault{{Kind: faults.LinkDown, U: 0, V: 1, At: 1}}}
+	if DetectDeadline(maxLinkLatency) != DefaultProgressTimeout {
+		t.Fatalf("DetectDeadline(%d) = %d, want the progress timeout %d",
+			maxLinkLatency, DetectDeadline(maxLinkLatency), DefaultProgressTimeout)
+	}
+	for _, e := range []Engine{EngineCycle, EngineEvent} {
+		_, err := Run(spec, Config{LinkLatency: maxLinkLatency, VCDepth: 1, Faults: plan, Engine: e})
+		if !errors.Is(err, ErrAllTreesLost) || !strings.Contains(err.Error(), fmt.Sprintf("at cycle %d", DefaultProgressTimeout+2)) {
+			t.Errorf("%v: err = %v, want ErrAllTreesLost at cycle %d", e, err, DefaultProgressTimeout+2)
+		}
+		if _, err := Run(spec, Config{LinkLatency: maxLinkLatency + 1, VCDepth: 1, Engine: e}); err == nil {
+			t.Errorf("%v: LinkLatency %d accepted", e, maxLinkLatency+1)
+		}
 	}
 }
 

@@ -19,14 +19,11 @@ import (
 // slab slots.
 func checkLinkLayout(t *testing.T, spec Spec, cfg Config) {
 	t.Helper()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
 	s, err := newSim(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := referenceLinks(spec, cfg)
+	ref := referenceLinks(spec, s.cfg)
 	if len(s.links) != len(ref.links) {
 		t.Fatalf("%d links, reference %d", len(s.links), len(ref.links))
 	}
@@ -34,7 +31,7 @@ func checkLinkLayout(t *testing.T, spec Spec, cfg Config) {
 		t.Fatalf("rowStart %v, reference %v", s.rowStart, ref.rowStart)
 	}
 	d := cfg.VCDepth
-	ring := max(cfg.LinkBandwidth, 1) * cfg.LinkLatency
+	ring := cfg.LinkLatency
 	nflows := int(s.flowStart[len(s.links)])
 	if len(s.flowSlab) != nflows || len(s.flowPtrs) != nflows || len(s.bufSlab) != nflows*d ||
 		len(s.linkSlab) != len(s.links) || len(s.pipeSlab) != len(s.links)*ring {
@@ -75,9 +72,9 @@ func checkLinkLayout(t *testing.T, spec Spec, cfg Config) {
 	}
 }
 
-// layoutCfg trunks the links so the pipeline rings hold more than one
-// flit per cycle of latency.
-var layoutCfg = Config{LinkLatency: 3, VCDepth: 2, LinkBandwidth: 2}
+// layoutCfg gives every VC window two slots and every pipeline ring
+// three.
+var layoutCfg = Config{LinkLatency: 3, VCDepth: 2}
 
 // TestLinkLayoutMatchesReference checks the link-major layout against the
 // reference construction on every embedding and collective of the small
@@ -129,9 +126,6 @@ func TestLinkLayoutMatchesReference(t *testing.T) {
 			{Kind: faults.LinkDown, U: u, V: v, At: 120},
 		}}}
 		checkLinkLayout(t, spec, cfg)
-		if err := cfg.validate(); err != nil {
-			t.Fatal(err)
-		}
 		s, err := newSim(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -202,9 +196,6 @@ func TestArenaMatchesSlabs(t *testing.T) {
 					sp.Op = op
 					cfg := layoutCfg
 					cfg.Engine = e
-					if err := cfg.validate(); err != nil {
-						t.Fatal(err)
-					}
 					s, err := newSim(sp, cfg)
 					if err != nil {
 						t.Fatal(err)

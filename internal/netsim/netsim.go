@@ -39,11 +39,6 @@ type Config struct {
 	// pipeline when VCDepth < LinkLatency (the latency-bandwidth product
 	// argument of §1.2).
 	VCDepth int
-	// ProgressTimeout aborts the run if no flit moves for this many
-	// consecutive cycles (a deadlock diagnostic; the credit protocol is
-	// deadlock-free, so hitting it indicates a malformed embedding).
-	// Defaults to DefaultProgressTimeout when zero.
-	ProgressTimeout int
 	// EngineRate caps how many reduction flits a router's arithmetic
 	// engine may produce per cycle (combined across all trees reducing at
 	// that router, including roots). Zero means unlimited — the §5.1
@@ -55,26 +50,19 @@ type Config struct {
 	// deterministic order. Tracing large runs is expensive; intended for
 	// debugging and fine-grained analysis. lint:cold
 	Trace func(TraceEvent)
-	// LinkBandwidth is the number of flits a directed link can accept per
-	// cycle (trunked links). Zero means 1. All analytic comparisons in
-	// this repository use 1; higher values scale the fabric uniformly.
-	LinkBandwidth int
 	// Faults is the deterministic fault plan injected into the run; nil
-	// runs fault-free. Link faults drop flits and (unless DisableRecovery
-	// is set) trigger timeout detection and tree-level recovery; degraded
-	// links and engine stalls only slow the run down. Fault injection is
-	// supported for OpAllreduce only. lint:cold
+	// runs fault-free. Link faults drop flits and trigger timeout
+	// detection and tree-level recovery; degraded links and engine stalls
+	// only slow the run down. Fault injection is supported for
+	// OpAllreduce only. lint:cold
 	Faults *faults.Plan
-	// DisableRecovery turns off loss detection and recovery: trees hit by
-	// a link fault simply stop making progress, so the run ends in a
-	// *ProgressError carrying the stalled-tree diagnostic.
-	DisableRecovery bool
-	// MaxRecoveries bounds recovery nesting: faults landing while a prior
-	// recovery's re-issues are still in flight trigger further recovery
-	// rounds, and each round quarantines at least one fresh link, so the
-	// natural bound is the link count — this cap turns a pathological
-	// schedule into the classified ErrRecoveryLimit sentinel instead of
-	// unbounded churn. Defaults to DefaultMaxRecoveries when zero.
+	// MaxRecoveries caps the recovery rounds of one run; the round past
+	// the cap fails with the classified ErrRecoveryLimit. Every round
+	// aborts at least the tree of the overdue stream that triggered it,
+	// so a completed run has len(Result.Recoveries) ≤ len(Result.DeadTrees)
+	// and the forest size is the natural bound; the default never fires
+	// on the paper's forests, and only a lowered cap reaches the error.
+	// Defaults to DefaultMaxRecoveries when zero.
 	MaxRecoveries int
 	// SampleEvery is the telemetry sampling window in cycles: every
 	// SampleEvery cycles (and once after the run ends) the Sample hook
@@ -136,42 +124,41 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("netsim: unknown engine %q (want cycle or event)", s)
 }
 
-// DefaultProgressTimeout is the deadlock-diagnostic threshold applied by
-// every entry point when Config.ProgressTimeout is zero.
+// DefaultProgressTimeout aborts a run with a *ProgressError once no flit
+// has moved for this many consecutive cycles: a deadlock diagnostic. The
+// credit protocol is deadlock-free and every lost stream is recovered
+// within DetectDeadline, so only a malformed embedding or an engine
+// stall longer than the timeout reaches it.
 const DefaultProgressTimeout = 10000
 
+// maxLinkLatency is the largest LinkLatency validate accepts: the one at
+// which DetectDeadline reaches DefaultProgressTimeout, so that loss
+// detection always fires before the run can time out.
+const maxLinkLatency = DefaultProgressTimeout / 5
+
 // DefaultMaxRecoveries is the recovery-round cap applied when
-// Config.MaxRecoveries is zero — far above the link count of any
-// simulated PolarFly, so only a genuinely pathological schedule hits it.
+// Config.MaxRecoveries is zero. A completed run never has more rounds
+// than dead trees, so it is far above any simulated forest.
 const DefaultMaxRecoveries = 1024
 
 // DefaultConfig mirrors a plausible router point: 10-cycle links and
 // buffers matching the latency-bandwidth product.
 func DefaultConfig() Config {
-	return Config{LinkLatency: 10, VCDepth: 10, ProgressTimeout: DefaultProgressTimeout}
+	return Config{LinkLatency: 10, VCDepth: 10}
 }
 
 // validate checks the configuration and fills documented defaults
-// (ProgressTimeout) in place, so every entry point shares one source of
+// (MaxRecoveries) in place, so every entry point shares one source of
 // truth for them.
 func (c *Config) validate() error {
-	if c.LinkLatency < 1 {
-		return fmt.Errorf("netsim: LinkLatency must be ≥ 1, got %d", c.LinkLatency)
+	if c.LinkLatency < 1 || c.LinkLatency > maxLinkLatency {
+		return fmt.Errorf("netsim: LinkLatency must be in [1, %d], got %d", maxLinkLatency, c.LinkLatency)
 	}
 	if c.VCDepth < 1 {
 		return fmt.Errorf("netsim: VCDepth must be ≥ 1, got %d", c.VCDepth)
 	}
 	if c.EngineRate < 0 {
 		return fmt.Errorf("netsim: EngineRate must be ≥ 0, got %d", c.EngineRate)
-	}
-	if c.LinkBandwidth < 0 {
-		return fmt.Errorf("netsim: LinkBandwidth must be ≥ 0, got %d", c.LinkBandwidth)
-	}
-	if c.ProgressTimeout < 0 {
-		return fmt.Errorf("netsim: ProgressTimeout must be ≥ 0, got %d", c.ProgressTimeout)
-	}
-	if c.ProgressTimeout == 0 {
-		c.ProgressTimeout = DefaultProgressTimeout
 	}
 	if c.MaxRecoveries < 0 {
 		return fmt.Errorf("netsim: MaxRecoveries must be ≥ 0, got %d", c.MaxRecoveries)
@@ -330,8 +317,8 @@ type LinkStat struct {
 	From, To int
 	// Flits is the number of flits injected into this link.
 	Flits int
-	// BusyCycles counts cycles in which at least one flit was injected;
-	// with LinkBandwidth 1 it equals Flits.
+	// BusyCycles counts cycles in which a flit was injected; a link
+	// injects at most one flit per cycle, so it equals Flits.
 	BusyCycles int
 	// StallCycles counts cycles in which at least one of the link's
 	// virtual channels had a flit ready but no credit to send it.
@@ -395,11 +382,6 @@ type flow struct {
 	arrived  int // flits delivered to the receiver buffer
 	consumed int // flits retired from the receiver buffer (credits freed)
 
-	// stallCycle is the last cycle a credit stall was recorded for this
-	// stream, so each (stream, cycle) stalls at most once even though the
-	// arbitration scan may revisit the flow.
-	stallCycle int
-
 	// buf holds values for flits [bufBase, bufBase+bufLen()) at positions
 	// buf[bufHead:]. Retiring flits advances bufHead instead of reslicing,
 	// so one fixed VCDepth-capacity window (of the VC-buffer slab, or of a
@@ -459,8 +441,8 @@ type link struct {
 
 	// pipeline[pipeHead:] are the in-flight flits in arrival order.
 	// Delivery advances pipeHead; injection compacts retired space and
-	// appends, so the LinkBandwidth·LinkLatency ring carved from the
-	// pipeline slab is never outgrown.
+	// appends, so the LinkLatency ring carved from the pipeline slab is
+	// never outgrown.
 	pipeline []inflight
 	pipeHead int
 

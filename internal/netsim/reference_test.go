@@ -7,8 +7,9 @@ import (
 
 // The reference loop: the per-cycle loop as it stood before both wake
 // policies moved onto the one advance loop, kept verbatim apart from
-// renames (and its doc comment's hot-path claim) as the oracle both
-// policies are compared against. It scans children for readiness
+// renames (and its doc comment's hot-path claim) and from the Config
+// options since removed (trunked links, disabled recovery, a settable
+// progress timeout), as the oracle both policies are compared against. It scans children for readiness
 // instead of reading the incremental minima, releases credit for every
 // flow, detects loss by scanning every flow's send log instead of walking
 // the loss list, and knows nothing of wake sets, so a missing wake rule, a
@@ -82,17 +83,11 @@ func (s *sim) referenceUpdateConsumed() {
 }
 
 // referenceRootCompute advances every root reduction engine by at most one flit per
-// job per cycle (link rate), recording the final value and delivering it
-// locally.
+// job per cycle (link rate, §5.1), unless EngineRate caps total output,
+// recording the final value and delivering it locally.
 func (s *sim) referenceRootCompute(now int) {
 	if s.spec.Op == OpBroadcast {
 		return // roots already hold their source data
-	}
-	// The reduction engine runs at link rate: up to LinkBandwidth flits
-	// per job per cycle (§5.1), unless EngineRate caps total output.
-	perJob := s.cfg.LinkBandwidth
-	if perJob == 0 {
-		perJob = 1
 	}
 	for _, j := range s.jobs {
 		if j.dead || j.done {
@@ -104,48 +99,46 @@ func (s *sim) referenceRootCompute(now int) {
 		}
 		nt := &j.nodes[root]
 		mt := j.m
-		for slot := 0; slot < perJob; slot++ {
-			if nt.rootComputed >= mt {
-				break
-			}
-			if s.cfg.EngineRate > 0 && s.engineUsed[root] >= s.cfg.EngineRate {
-				break
-			}
-			k := nt.rootComputed
-			ready := true
-			for _, cf := range nt.redIn {
-				if cf.arrived <= k {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				break
-			}
-			v := nt.seg[k]
-			for _, cf := range nt.redIn {
-				v += cf.at(k)
-			}
-			// rootResult aliases s.outputs[root][goff:goff+mt], so this one
-			// write is both the engine output and the local delivery.
-			nt.rootResult[k] = v
-			nt.rootComputed++
-			if nt.rootComputed == mt {
-				s.result.TreeReduceDone[j.tree] = now
-			}
-			nt.delivered++
-			if s.sampling {
-				s.delivered++
-			}
-			s.engineUsed[root]++
-			s.pending--
-			j.remaining--
-			if s.traced {
-				s.emit(TraceEvent{Cycle: now, Kind: TraceRootCompute, Tree: j.tree,
-					From: root, To: root, Flit: k, Value: v, Job: j.idx})
-			}
-			s.checkJobDone(j, now)
+		if nt.rootComputed >= mt {
+			continue
 		}
+		if s.cfg.EngineRate > 0 && s.engineUsed[root] >= s.cfg.EngineRate {
+			continue
+		}
+		k := nt.rootComputed
+		ready := true
+		for _, cf := range nt.redIn {
+			if cf.arrived <= k {
+				ready = false
+				break
+			}
+		}
+		if !ready {
+			continue
+		}
+		v := nt.seg[k]
+		for _, cf := range nt.redIn {
+			v += cf.at(k)
+		}
+		// rootResult aliases s.outputs[root][goff:goff+mt], so this one
+		// write is both the engine output and the local delivery.
+		nt.rootResult[k] = v
+		nt.rootComputed++
+		if nt.rootComputed == mt {
+			s.result.TreeReduceDone[j.tree] = now
+		}
+		nt.delivered++
+		if s.sampling {
+			s.delivered++
+		}
+		s.engineUsed[root]++
+		s.pending--
+		j.remaining--
+		if s.traced {
+			s.emit(TraceEvent{Cycle: now, Kind: TraceRootCompute, Tree: j.tree,
+				From: root, To: root, Flit: k, Value: v, Job: j.idx})
+		}
+		s.checkJobDone(j, now)
 	}
 }
 
@@ -256,7 +249,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 		// 1b. Loss detection and recovery: virtual channels whose oldest
 		//     outstanding flit is overdue identify failed links; the trees
 		//     crossing them abort and re-issue over the survivors.
-		if s.faultsOn && !s.cfg.DisableRecovery {
+		if s.faultsOn {
 			if suspects := s.referenceDetect(now, sentAt); len(suspects) > 0 {
 				if err := s.recoverFrom(now, suspects); err != nil {
 					return 0, err
@@ -275,13 +268,8 @@ func (s *sim) referenceCycleLoop() (int, error) {
 		// 3. Credit release from receiver progress.
 		s.referenceUpdateConsumed()
 
-		// 4. Link arbitration: LinkBandwidth flits per directed link per
-		//    cycle (default 1), round-robin over virtual channels with
-		//    data and credit.
-		linkBW := s.cfg.LinkBandwidth
-		if linkBW == 0 {
-			linkBW = 1
-		}
+		// 4. Link arbitration: one flit per directed link per cycle,
+		//    round-robin over virtual channels with data and credit.
 		for _, l := range s.links {
 			if l.degraded {
 				// Token bucket: refill at the degraded rate, burst capped
@@ -293,7 +281,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 			}
 			nf := len(l.flows)
 			sentThisCycle := 0
-			for i := 0; i < nf && sentThisCycle < linkBW; i++ {
+			for i := 0; i < nf; i++ {
 				if l.degraded && l.degBudget < 1 {
 					break // metered out this cycle
 				}
@@ -352,10 +340,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 				l.rr = (l.rr + i + 1) % nf
 				sentThisCycle++
 				progressed = true
-				// Restart the round-robin scan so fairness is preserved
-				// across the remaining budget.
-				i = -1
-				nf = len(l.flows)
+				break
 			}
 			l.flits += sentThisCycle
 			if sentThisCycle > 0 {
@@ -396,7 +381,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 			idle = 0
 		} else {
 			idle++
-			if idle > s.cfg.ProgressTimeout {
+			if idle > DefaultProgressTimeout {
 				return 0, s.progressError(now, idle)
 			}
 		}
@@ -455,9 +440,8 @@ func referenceLinks(spec Spec, cfg Config) *sim {
 
 	// Replace the construction map with the CSR row index the recovery
 	// re-issues resolve through, and give every link a pipeline sized for
-	// its maximum in-flight load (LinkBandwidth injections per cycle, each
-	// airborne LinkLatency cycles) so injection never grows the backing
-	// array.
+	// its maximum in-flight load (one injection per cycle, each airborne
+	// LinkLatency cycles) so injection never grows the backing array.
 	s.rowStart = make([]int32, n+1)
 	for _, l := range s.links {
 		s.rowStart[l.from+1]++
@@ -465,13 +449,9 @@ func referenceLinks(spec Spec, cfg Config) *sim {
 	for v := 0; v < n; v++ {
 		s.rowStart[v+1] += s.rowStart[v]
 	}
-	bw := cfg.LinkBandwidth
-	if bw == 0 {
-		bw = 1
-	}
 	for id, l := range s.links {
 		l.id = int32(id)
-		l.pipeline = make([]inflight, 0, bw*cfg.LinkLatency)
+		l.pipeline = make([]inflight, 0, cfg.LinkLatency)
 	}
 	s.frozen = true
 	return s.sim

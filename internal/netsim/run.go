@@ -6,13 +6,10 @@ import (
 )
 
 // Run executes one in-network Allreduce and returns the cycle count and the
-// value-verified outputs. It validates the spec first: every tree must be a
-// spanning tree of the topology, the split must match the input length, and
-// all nodes must provide equal-length inputs.
+// value-verified outputs. It validates the config and the spec first:
+// every tree must be a spanning tree of the topology, the split must match
+// the input length, and all nodes must provide equal-length inputs.
 func Run(spec Spec, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	s, err := newSim(spec, cfg)
 	if err != nil {
 		return nil, err
@@ -119,7 +116,12 @@ func (s *sim) linkAt(from, to int) *link {
 	return nil
 }
 
+// newSim validates cfg, filling its defaults, and spec, and builds the
+// simulator state for one run.
 func newSim(spec Spec, cfg Config) (*sim, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	g := spec.Topology
 	if g == nil {
 		return nil, fmt.Errorf("netsim: nil topology")
@@ -225,8 +227,8 @@ func (s *sim) phases() (withReduce, withBcast bool, jobFlows int) {
 // per source give rowStart. Every link then takes its records from the
 // slabs in id order: its flow pointers and pipeline ring as full-cap
 // windows that can never spill into a neighbour's. The pipeline is sized
-// for its maximum in-flight load (LinkBandwidth injections per cycle, each
-// airborne LinkLatency cycles), so injection never grows it.
+// for its maximum in-flight load (one injection per cycle, each airborne
+// LinkLatency cycles), so injection never grows it.
 func (s *sim) layoutLinks() {
 	withReduce, withBcast, jobFlows := s.phases()
 	pairs := make([]uint64, 0, len(s.spec.Forest)*jobFlows)
@@ -271,11 +273,7 @@ func (s *sim) layoutLinks() {
 		s.rowStart[v+1] += s.rowStart[v]
 	}
 
-	bw := s.cfg.LinkBandwidth
-	if bw == 0 {
-		bw = 1
-	}
-	ring := bw * s.cfg.LinkLatency
+	ring := s.cfg.LinkLatency
 	s.flowSlab = make([]flow, len(pairs))
 	s.flowPtrs = make([]*flow, len(pairs))
 	s.bufSlab = make([]int64, len(pairs)*s.cfg.VCDepth)
@@ -446,13 +444,10 @@ func (s *sim) flitValue(f *flow, k int) int64 {
 }
 
 // noteStall records a credit stall: the stream has a flit ready but its
-// VC window is full. Each stream and each link count at most one stall
-// per cycle, because the arbitration scan may revisit a blocked flow.
+// VC window is full. The arbitration scan visits each stream at most once
+// a cycle; a link counts one stall cycle however many of its streams
+// stall in it.
 func (s *sim) noteStall(l *link, f *flow, now int) {
-	if f.stallCycle == now {
-		return
-	}
-	f.stallCycle = now
 	if l.stallMark != now {
 		l.stallMark = now
 		l.stallCycles++
@@ -529,7 +524,7 @@ func (s *sim) advance() (int, error) {
 		// 1b. Loss detection and recovery: streams whose first dropped
 		//     flit is overdue identify failed links; the trees crossing
 		//     them abort and re-issue over the survivors.
-		if s.faultsOn && !s.cfg.DisableRecovery {
+		if s.faultsOn {
 			if suspects := s.detectLoss(now); len(suspects) > 0 {
 				if err := s.recoverFrom(now, suspects); err != nil {
 					return 0, err
@@ -551,11 +546,11 @@ func (s *sim) advance() (int, error) {
 		}
 		s.release(links)
 
-		// 4. Link arbitration: LinkBandwidth flits per directed link per
-		//    cycle (default 1), round-robin over virtual channels with
-		//    data and credit. Degraded links refill their token buckets
-		//    first, whether or not they are visited; only links a
-		//    LinkDegraded fault names can be degraded.
+		// 4. Link arbitration: one flit per directed link per cycle,
+		//    round-robin over virtual channels with data and credit.
+		//    Degraded links refill their token buckets first, whether or
+		//    not they are visited; only links a LinkDegraded fault names
+		//    can be degraded.
 		for _, l := range s.degLinks {
 			if l.degraded {
 				// Token bucket: refill at the degraded rate, burst capped
@@ -596,7 +591,7 @@ func (s *sim) advance() (int, error) {
 		//    cycle under both policies.
 		if progressed {
 			lastProgress = now
-		} else if idle := now - lastProgress; idle > s.cfg.ProgressTimeout {
+		} else if idle := now - lastProgress; idle > DefaultProgressTimeout {
 			return 0, s.progressError(now, idle)
 		}
 	}
@@ -682,21 +677,17 @@ func (s *sim) deliver(links []*link, now int) bool {
 	return progressed
 }
 
-// computeRoots advances every live root reduction engine by up to
-// LinkBandwidth flits (§5.1: the engine runs at link rate), unless
-// EngineRate caps the router's total output, recording the final value
-// and delivering it locally. Under the wake-set policy each computed flit
-// wakes the root's child streams and retires its input buffers this same
-// cycle, and rootNext keeps the next cycle scheduled while any engine
-// still holds computable flits. It reports whether any flit was computed.
+// computeRoots advances every live root reduction engine by one flit
+// (§5.1: the engine runs at link rate), unless EngineRate caps the
+// router's total output, recording the final value and delivering it
+// locally. Under the wake-set policy each computed flit wakes the root's
+// child streams and retires its input buffers this same cycle, and
+// rootNext keeps the next cycle scheduled while any engine still holds
+// computable flits. It reports whether any flit was computed.
 func (s *sim) computeRoots(now int) bool {
 	ev := s.ev
 	if s.spec.Op == OpBroadcast {
 		return false // roots already hold their source data
-	}
-	perJob := s.cfg.LinkBandwidth
-	if perJob == 0 {
-		perJob = 1
 	}
 	progressed := false
 	for _, j := range s.jobs {
@@ -709,15 +700,9 @@ func (s *sim) computeRoots(now int) bool {
 		}
 		nt := &j.nodes[root]
 		mt := j.m
-		for slot := 0; slot < perJob; slot++ {
-			k := nt.rootComputed
-			if k >= mt || nt.reduceReady(mt) <= k {
-				break
-			}
+		if k := nt.rootComputed; k < mt && nt.reduceReady(mt) > k &&
+			(s.cfg.EngineRate == 0 || s.engineUsed[root] < s.cfg.EngineRate) {
 			if s.cfg.EngineRate > 0 {
-				if s.engineUsed[root] >= s.cfg.EngineRate {
-					break
-				}
 				s.engineUsed[root]++
 			}
 			v := nt.seg[k]
@@ -809,26 +794,21 @@ func (s *sim) release(links []*link) {
 	}
 }
 
-// arbitrate injects up to LinkBandwidth flits into each of the given
-// links, round-robin over the virtual channels with data, credit and (for
-// combining senders) a free engine slot. Under the wake-set policy each
-// send schedules its arrival on the wheel and queues the sender's own
-// receive buffers for retirement next cycle, and the closing scan re-arms
-// the link for the next cycle whenever any stream still has data to move
-// — the one rule that keeps stalled, metered and rate-limited streams
-// scanned (and their stalls counted) every cycle, as under the visit-all
-// policy. It reports whether any flit was sent.
+// arbitrate injects at most one flit into each of the given links: the
+// first virtual channel, round-robin from the link's pointer, with data,
+// credit and (for combining senders) a free engine slot. Under the
+// wake-set policy each send schedules its arrival on the wheel and queues
+// the sender's own receive buffers for retirement next cycle, and the
+// closing scan re-arms the link for the next cycle whenever any stream
+// still has data to move — the one rule that keeps stalled, metered and
+// rate-limited streams scanned (and their stalls counted) every cycle, as
+// under the visit-all policy. It reports whether any flit was sent.
 func (s *sim) arbitrate(links []*link, now int) bool {
 	ev := s.ev
-	linkBW := s.cfg.LinkBandwidth
-	if linkBW == 0 {
-		linkBW = 1
-	}
 	progressed := false
 	for _, l := range links {
 		nf := len(l.flows)
-		sent := 0
-		for i := 0; i < nf && sent < linkBW; i++ {
+		for i := 0; i < nf; i++ {
 			if l.degraded && l.degBudget < 1 {
 				break // metered out this cycle
 			}
@@ -908,16 +888,10 @@ func (s *sim) arbitrate(links []*link, now int) bool {
 				l.degBudget--
 			}
 			l.rr = (l.rr + i + 1) % nf
-			sent++
-			// Restart the round-robin scan so fairness is preserved across
-			// the remaining budget.
-			i = -1
-			nf = len(l.flows)
-		}
-		l.flits += sent
-		if sent > 0 {
+			l.flits++
 			l.busyCycles++
 			progressed = true
+			break
 		}
 		if ev != nil {
 			for _, f := range l.flows {

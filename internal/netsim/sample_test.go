@@ -10,7 +10,7 @@ import (
 // TestValidateSampling is the table-driven contract for the hoisted
 // sampling-window validation: bad (SampleEvery, Sample) combinations are
 // rejected by Config.validate with a clear error before any simulation
-// state is built, mirroring the ProgressTimeout hoist.
+// state is built.
 func TestValidateSampling(t *testing.T) {
 	hook := func(*SampleFrame) {}
 	cases := []struct {

@@ -12,17 +12,15 @@ import (
 // Observe directly); it never mutates simulator state, so a run with a
 // collector attached produces bit-identical results to one without.
 type Collector struct {
-	// LinkLatency extends Chrome-trace spans to the flit's arrival; set
-	// by Attach from the Config, 1 if never set.
+	// LinkLatency extends Chrome-trace spans to the flit's arrival and
+	// coalesces them: activity on one stream separated by at most
+	// LinkLatency idle cycles renders as one span (the span's flit count
+	// still reports the true density). Without the merge, round-robin
+	// arbitration under congestion — one flit every other cycle — would
+	// emit one sliver per flit. The stall-run histogram is not affected:
+	// it always uses strictly consecutive cycles. Set by Attach from the
+	// Config, 1 if never set.
 	LinkLatency int
-	// SpanMergeGap coalesces Chrome-trace spans: activity on one stream
-	// separated by at most this many idle cycles renders as one span
-	// (the span's flit count still reports the true density). Without
-	// it, round-robin arbitration under congestion — one flit every
-	// other cycle — would emit one sliver per flit. Attach sets it to
-	// the link latency; 1 if never set. The stall-run histogram is not
-	// affected: it always uses strictly consecutive cycles.
-	SpanMergeGap int
 	// DisableSpans turns off transmit/stall span accumulation. Spans
 	// feed only the Chrome trace exporter, but they are O(bursts) —
 	// under multi-tree round-robin interleaving effectively O(flits) —
@@ -119,13 +117,12 @@ type treeTelemetry struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
 	return &Collector{
-		LinkLatency:  1,
-		SpanMergeGap: 1,
-		links:        make(map[[2]int]*linkTelemetry),
-		trees:        make(map[int]*treeTelemetry),
-		bursts:       make(map[streamKey]*burst),
-		stallOpen:    make(map[streamKey]*burst),
-		stallRuns:    make(map[streamKey]*burst),
+		LinkLatency: 1,
+		links:       make(map[[2]int]*linkTelemetry),
+		trees:       make(map[int]*treeTelemetry),
+		bursts:      make(map[streamKey]*burst),
+		stallOpen:   make(map[streamKey]*burst),
+		stallRuns:   make(map[streamKey]*burst),
 	}
 }
 
@@ -135,7 +132,6 @@ func NewCollector() *Collector {
 func (c *Collector) Attach(cfg *netsim.Config) {
 	if cfg.LinkLatency >= 1 {
 		c.LinkLatency = cfg.LinkLatency
-		c.SpanMergeGap = cfg.LinkLatency
 	}
 	prev := cfg.Trace
 	cfg.Trace = func(ev netsim.TraceEvent) {
@@ -266,12 +262,9 @@ func (c *Collector) Observe(ev netsim.TraceEvent) {
 }
 
 // extendBurst grows the open span burst for key, or closes it into spans
-// and opens a new one once the idle gap exceeds SpanMergeGap.
+// and opens a new one once the idle gap exceeds LinkLatency.
 func (c *Collector) extendBurst(open map[streamKey]*burst, key streamKey, cycle int, xmit bool) {
-	gap := c.SpanMergeGap
-	if gap < 1 {
-		gap = 1
-	}
+	gap := max(c.LinkLatency, 1)
 	b, ok := open[key]
 	if ok && cycle <= b.last+gap {
 		b.last = cycle

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -76,7 +77,9 @@ type Delta struct {
 	Old      float64 `json:"old,omitempty"`
 	New      float64 `json:"new,omitempty"`
 	// Rel is (New−Old)/Old; sign follows the raw values, not the
-	// direction of goodness.
+	// direction of goodness. It is 0 when Old is 0: a rise from a zero
+	// baseline has no finite ratio, and classify counts it as beyond any
+	// threshold.
 	Rel float64 `json:"rel,omitempty"`
 	// Gating marks units whose regressions fail the comparison.
 	Gating bool `json:"gating,omitempty"`
@@ -106,10 +109,11 @@ func (c *Comparison) OK() bool { return c.Regressions == 0 }
 
 // Compare diffs two bench snapshots on their median statistics. A
 // benchmark metric regresses when it moves in the bad direction by more
-// than threshold (relative); only the standard lower-is-better units
-// gate. Benchmarks present on one side only are reported as added or
-// removed (never gating); Matched counts the benchmarks on both sides.
-// Deltas are sorted by (name, procs, unit).
+// than threshold (relative), which any rise from a zero baseline does;
+// only the standard lower-is-better units gate. Benchmarks present on
+// one side only are reported as added or removed (never gating);
+// Matched counts the benchmarks on both sides. Deltas are sorted by
+// (name, procs, unit).
 func Compare(old, new *Snapshot, threshold float64) *Comparison {
 	c := &Comparison{OldLabel: old.Label, NewLabel: new.Label, Threshold: threshold}
 	type key struct {
@@ -180,23 +184,30 @@ func classify(name string, procs int, om, nm MetricSummary, threshold float64) D
 		Old: om.Median, New: nm.Median,
 		Gating: gateUnits[om.Unit],
 	}
+	// rel is the relative change classified against the threshold: Rel,
+	// or +Inf for a rise from a zero baseline (0 → 31,744 allocs/op is a
+	// regression, not a 0% move).
+	rel := 0.0
 	if d.Old > 0 {
 		d.Rel = (d.New - d.Old) / d.Old
+		rel = d.Rel
+	} else if d.New > 0 {
+		rel = math.Inf(1)
 	}
 	lower, known := lowerIsBetter(om.Unit)
 	switch {
 	case !known:
 		// Custom unit: the good direction is unknowable, so report the
 		// movement without judging it.
-		if d.Rel > threshold || d.Rel < -threshold {
+		if rel > threshold || rel < -threshold {
 			d.Kind = DeltaChanged
 		} else {
 			d.Kind = DeltaWithinNoise
 		}
 	default:
-		worse := d.Rel
+		worse := rel
 		if !lower {
-			worse = -d.Rel
+			worse = -rel
 		}
 		switch {
 		case worse > threshold:

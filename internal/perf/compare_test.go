@@ -1,6 +1,9 @@
 package perf
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // snap builds a minimal snapshot whose benchmarks each carry a single
 // observation per unit (so median == value).
@@ -76,6 +79,27 @@ func TestCompare(t *testing.T) {
 			old:      snap("a", bench("BenchmarkX", map[string]float64{"allocs/op": 10})),
 			new:      snap("b", bench("BenchmarkX", map[string]float64{"allocs/op": 20})),
 			wantKind: DeltaRegression, wantUnit: "allocs/op", wantOK: false,
+		},
+		{
+			// The faulted q=31 point moved from 0 to 31,744 allocs/op
+			// between two recordings; a zero baseline has no ratio, but
+			// any rise from it is a regression.
+			name:     "allocs/op rise from zero gates",
+			old:      snap("a", bench("BenchmarkX", map[string]float64{"allocs/op": 0})),
+			new:      snap("b", bench("BenchmarkX", map[string]float64{"allocs/op": 31744})),
+			wantKind: DeltaRegression, wantUnit: "allocs/op", wantOK: false,
+		},
+		{
+			name:     "zero stays zero",
+			old:      snap("a", bench("BenchmarkX", map[string]float64{"allocs/op": 0})),
+			new:      snap("b", bench("BenchmarkX", map[string]float64{"allocs/op": 0})),
+			wantKind: DeltaWithinNoise, wantUnit: "allocs/op", wantOK: true,
+		},
+		{
+			name:     "MB/s rise from zero is an improvement",
+			old:      snap("a", bench("BenchmarkX", map[string]float64{"MB/s": 0})),
+			new:      snap("b", bench("BenchmarkX", map[string]float64{"MB/s": 5})),
+			wantKind: DeltaImprovement, wantUnit: "MB/s", wantOK: true,
 		},
 	}
 	for _, c := range cases {
@@ -188,5 +212,26 @@ func TestDeltaKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(k), got, want)
 		}
+	}
+}
+
+// TestCompareMarkdownRiseFromZero: the markdown puts a rise from a zero
+// baseline among the gating regressions and says where it rose from,
+// instead of printing a +0.0% change.
+func TestCompareMarkdownRiseFromZero(t *testing.T) {
+	cmp := Compare(
+		snap("a", bench("BenchmarkX", map[string]float64{"allocs/op": 0, "ns/op": 100})),
+		snap("b", bench("BenchmarkX", map[string]float64{"allocs/op": 31744, "ns/op": 101})), 0.05)
+	var out strings.Builder
+	if err := WriteCompareMarkdown(&out, cmp); err != nil {
+		t.Fatal(err)
+	}
+	md := out.String()
+	if !strings.Contains(md, "1 regression(s)") ||
+		!strings.Contains(md, "| BenchmarkX | allocs/op | 0 | 31744 | from 0 | **regression** |") {
+		t.Errorf("markdown does not flag the rise from zero:\n%s", md)
+	}
+	if strings.Index(md, "allocs/op") > strings.Index(md, "ns/op") {
+		t.Errorf("the gating regression is not listed first:\n%s", md)
 	}
 }

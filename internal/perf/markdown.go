@@ -92,6 +92,9 @@ func WriteCompareMarkdown(w io.Writer, c *Comparison) error {
 			if d.Kind != DeltaAdded && d.Kind != DeltaRemoved {
 				oldS, newS = formatValue(d.Old), formatValue(d.New)
 				rel = fmt.Sprintf("%+.1f%%", 100*d.Rel)
+				if d.Old <= 0 && d.New > 0 {
+					rel = "from 0"
+				}
 			}
 			if err := writeRow(w, d.Name, d.Unit, oldS, newS, rel, verdict); err != nil {
 				return err
