@@ -52,11 +52,12 @@ bench-netsim:
 
 # bench-netsim-event reruns the wake-set policy benchmarks (the q=11
 # event-policy loop, the q=31 Hamiltonian cycle-vs-event scale point and
-# the q=31 low-depth sim-q31 fabric point under both policies, each with
-# its ns/flit) and writes BENCH_netsim-event-local.json for comparison
-# against the committed baseline. The wide threshold absorbs runner
-# drift while still failing if the wake-set policy's order-of-magnitude
-# advantage at q=31 evaporates:
+# the q=31 sim-q31 fabric points, low-depth and single tree, under both
+# policies, each with its ns/flit) and writes
+# BENCH_netsim-event-local.json for comparison against the committed
+# baseline. The wide threshold absorbs runner drift while still failing
+# if the wake-set policy's order-of-magnitude advantage at q=31
+# evaporates:
 #   go run ./cmd/benchreport compare -threshold 2.0 BENCH_netsim-event.json BENCH_netsim-event-local.json
 bench-netsim-event:
 	go run ./cmd/benchreport run -label netsim-event-local -bench 'EventLoop|EngineScale' -pkg ./internal/netsim -count 3

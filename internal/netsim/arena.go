@@ -93,8 +93,8 @@ func (s *sim) arenaFootprint() ArenaFootprint {
 		}
 	}
 	a.OutputBytes = int64(s.n) * int64(s.m) * 8
-	if s.ev != nil {
-		a.EventBytes = s.ev.footprint()
+	if s.sched != nil {
+		a.EventBytes = s.sched.footprint()
 	}
 	a.TotalBytes = a.NodeTreeBytes + a.FlowBytes + a.VCBufferBytes +
 		a.LinkBytes + a.PipelineBytes + a.OutputBytes + a.EventBytes

@@ -146,19 +146,20 @@ func BenchmarkEventLoop(b *testing.B) {
 }
 
 // BenchmarkEngineScale times the advance loop at q=31 (N=993) under both
-// policies at two fabric points. q=31/engine=* is the cycle-vs-event
+// policies at three fabric points. q=31/engine=* is the cycle-vs-event
 // headline: the Hamiltonian forest with deep pipelines and one short flow
 // per directed link, so most links idle most cycles; the visit-all policy
 // still visits every link every cycle, the wake-set policy only the
-// active ones. q=31/lowdepth/engine=* is the repository benchmark's
-// sim-q31 fabric (low-depth forest, m=1024, LinkLatency 1, VCDepth 4),
-// where every link is busy and ns/flit is the per-flit cost at scale.
-// q=31/faulted/engine=event is the headline point under a fault plan
-// whose one LinkDown is scheduled after the run's last cycle (10176), so
-// it never fires: its gap to q=31/engine=event is what a fault plan alone
-// costs. The committed BENCH_netsim-event.json records all five
-// subbenches, and CI's compare gate fails if the wake-set policy's
-// advantage evaporates.
+// active ones. q=31/lowdepth/engine=* and q=31/single/engine=* are the
+// repository benchmark's sim-q31 fabric (m=1024, LinkLatency 1, VCDepth
+// 4) under the low-depth forest and the single tree, where nearly every
+// link sends nearly every cycle, so the wake-set policy visits every link
+// too, and ns/flit is the per-flit cost at scale. q=31/faulted/engine=event
+// is the headline point under a fault plan whose one LinkDown is
+// scheduled after the run's last cycle (10176), so it never fires: its
+// gap to q=31/engine=event is what a fault plan alone costs. The
+// committed BENCH_netsim-event.json records all seven subbenches, and
+// CI's compare gate fails if the wake-set policy's advantage evaporates.
 func BenchmarkEngineScale(b *testing.B) {
 	ham := benchSpec(b, 31, 4096, "hamiltonian")
 	points := []struct {
@@ -168,6 +169,7 @@ func BenchmarkEngineScale(b *testing.B) {
 	}{
 		{"q=31", ham, Config{LinkLatency: 10, VCDepth: 16}},
 		{"q=31/lowdepth", benchSpec(b, 31, 1024, "lowdepth"), Config{LinkLatency: 1, VCDepth: 4}},
+		{"q=31/single", benchSpec(b, 31, 1024, "single"), Config{LinkLatency: 1, VCDepth: 4}},
 	}
 	for _, pt := range points {
 		for _, engine := range []Engine{EngineCycle, EngineEvent} {

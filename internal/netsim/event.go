@@ -1,28 +1,51 @@
 package netsim
 
-// The wake-set policy (Config.Engine == EngineEvent) runs the advance
-// loop's phases over the links and flows that may act this cycle instead
-// of over all of them, and skips cycles in which nothing can change. It
-// rests on one observation about the per-cycle semantics: a link that
-// has no deliverable flit, no sendable flow and no retiring credit
-// contributes nothing to a cycle — scanning it is pure overhead. The
-// state below is, per upcoming cycle, a *superset* of the links that can
-// act (spurious wakes are harmless; missed wakes are bugs), drained in
-// ascending link-id order so every phase visits links in the visit-all
-// order. DESIGN.md §7h derives why the wake rules cannot miss a
-// congestion or fault edge; the differential harness in
-// engine_diff_test.go checks both policies byte for byte against the
-// reference loop in reference_test.go.
+// The wake-set policy (Config.Engine == EngineEvent) chooses, cycle by
+// cycle, between two orders for the advance loop's phases. On a sparse
+// cycle they run over the links and flows that may act this cycle instead
+// of over all of them, and cycles in which nothing can change are
+// skipped. This rests on one observation about the per-cycle semantics: a
+// link that has no deliverable flit, no sendable flow and no retiring
+// credit contributes nothing to a cycle — scanning it is pure overhead.
+// The state below is, per upcoming cycle, a *superset* of the links that
+// can act (spurious wakes are harmless; missed wakes are bugs), drained
+// in ascending link-id order so every phase visits links in the
+// visit-all order.
+//
+// On a busy fabric that bookkeeping costs more than it saves, so a cycle
+// that follows a dense one visits every link instead, inserting nothing,
+// and so does every cycle after it until a sparse one. A cycle's density
+// is the share of links its arbitration found a flit ready on: the links
+// that sent, plus those that stalled on credit, which the wake sets would
+// re-arm every cycle anyway. After the sparse cycle, reseed rebuilds the
+// schedule from the simulator state; it also seeds the first cycle, and a
+// recovery round on a sparse cycle finishes that cycle visiting every
+// link, so the schedule has one builder. DESIGN.md §7h derives why the
+// wake rules and reseed cannot miss a congestion or fault edge; the
+// differential harness in engine_diff_test.go checks both policies byte
+// for byte against the reference loop in reference_test.go.
 //
 // Fault-plan runs never skip: fault windows open and close on absolute
 // cycles, a broken stream's detection deadline expires on an absolute
 // cycle, and degraded token buckets refill fractionally every cycle, so
-// the policy processes each cycle in turn. Each processed cycle still
+// the policy processes each cycle in turn. Each sparse cycle still
 // visits only woken links, and the fault engine adds no per-link work of
 // its own: detection walks only the streams that have dropped a flit,
 // and the refill only the links a LinkDegraded fault names. A plan that
 // never fires therefore costs about what a fault-free run costs
 // (BenchmarkEngineScale/q=31/faulted).
+
+// The switch thresholds, as shares of the directed links that sent or
+// stalled in one processed cycle: at least 1/denseShare makes the next
+// cycle visit every link, fewer than 1/sparseShare on a visit-all cycle
+// hands the next one back to the wake sets. Per processed cycle, the two
+// orders cost the same at 15–30% of links sending (DESIGN.md §7h); the
+// gap between the thresholds keeps a fabric near the crossover from
+// switching every cycle.
+const (
+	denseShare  = 2
+	sparseShare = 8
+)
 
 // evInf is the "no constraint" sentinel for the incremental minima and
 // horizon terms.
@@ -111,6 +134,17 @@ func (b *linkSet) drainTo(dst, links []*link) int {
 	return k
 }
 
+// reset empties the set. It clears every word, O(universe/64), which is
+// less than one visit-all cycle's link scan.
+func (b *linkSet) reset() {
+	if b.n > 0 {
+		clear(b.l0)
+		clear(b.l1)
+		clear(b.l2)
+		b.n = 0
+	}
+}
+
 // evState is the wake-set policy's bookkeeping. Everything here is a
 // conservative schedule — membership means "may act", never "will act" —
 // so correctness only requires that every state change enqueues the wakes
@@ -144,6 +178,10 @@ type evState struct {
 	// rootNext forces the next cycle to be processed because some root
 	// engine still holds computable flits (budget or rate limited).
 	rootNext bool
+
+	// switches counts the run's changes of order: to visiting every link
+	// (a busy cycle or a recovery round) and back (a reseed).
+	switches int
 }
 
 func (s *sim) initEvent() {
@@ -162,19 +200,8 @@ func (s *sim) initEvent() {
 	for i := range ev.wheel {
 		ev.wheel[i] = newLinkSet(nl)
 	}
-	s.ev = ev
-	// Seed cycle 1: every flow with data at rest (leaf reduce streams;
-	// broadcast roots under OpBroadcast) wakes its link, and the root
-	// engines are scanned on the first processed cycle.
-	for _, l := range s.links {
-		for _, f := range l.flows {
-			if f.sent < f.m && s.senderReady(f) > f.sent {
-				ev.nxt.add(l.id)
-				break
-			}
-		}
-	}
-	ev.rootNext = s.spec.Op != OpBroadcast
+	s.sched = ev
+	s.reseed()
 }
 
 // turn opens a processed cycle: the sets assembled for it become current,
@@ -240,16 +267,72 @@ func (s *sim) nextEventCycle(now, lastProgress int) int {
 	return next
 }
 
-// rewake re-arms the schedule after a recovery round: purges and
-// re-issues move data between streams wholesale, so every populated link
-// goes back into this cycle's arbitration set (re-issued streams
-// arbitrate in their creation cycle) and the root engines are rescanned.
-// Cold: only reachable on fault-plan runs.
-func (s *sim) rewake() {
+// adapt picks the order of the next cycle from the number of links this
+// one's arbitration found a flit ready on (sent or stalled): following
+// the wake sets, a dense count empties them and the next cycles visit
+// every link; visiting every link, a sparse count reseeds the schedule
+// for the next one.
+func (s *sim) adapt(ready int) {
+	nl := len(s.links)
+	if s.ev != nil {
+		if ready > 0 && ready*denseShare >= nl {
+			s.visitAll()
+		}
+	} else if ready*sparseShare < nl {
+		s.reseed()
+		s.sched.switches++
+	}
+}
+
+// visitAll hands the rest of this cycle, and the cycles until adapt
+// reseeds, to the visit-all order: the wake sets are emptied, and the
+// phases, finding s.ev nil, visit every link and insert nothing.
+func (s *sim) visitAll() {
+	ev := s.sched
+	for i := range ev.wheel {
+		ev.wheel[i].reset()
+	}
+	ev.cur.reset()
+	ev.nxt.reset()
+	ev.conNow.reset()
+	ev.conNext.reset()
+	ev.occ.reset()
+	ev.switches++
+	s.ev = nil
+}
+
+// reseed builds the schedule of the cycle after this one from the
+// simulator state alone, into empty wake sets, and makes the phases
+// follow it. It wakes a superset of the links that can act then, however
+// the cycles before were visited: every link with a sendable flow
+// arbitrates; every in-flight flit lands on the wheel at its arrival
+// cycle; every link with buffered flits releases credit, because only a
+// buffered flit can retire; and the root engines are rescanned. It costs
+// O(links + in-flight flits).
+func (s *sim) reseed() {
+	ev := s.sched
 	for _, l := range s.links {
-		if len(l.flows) > 0 {
-			s.ev.cur.add(l.id)
+		if s.sendable(l) {
+			ev.nxt.add(l.id)
+		}
+		for _, fl := range l.pipeline[l.pipeHead:] {
+			ev.wheelAdd(fl.arrive, l.id)
+		}
+		if l.curBuf > 0 {
+			ev.conNext.add(l.id)
 		}
 	}
-	s.ev.rootNext = true
+	ev.rootNext = s.spec.Op != OpBroadcast
+	s.ev = ev
+}
+
+// sendable reports whether any stream of l holds data its sender could
+// inject, credit aside.
+func (s *sim) sendable(l *link) bool {
+	for _, f := range l.flows {
+		if f.sent < f.m && s.senderReady(f) > f.sent {
+			return true
+		}
+	}
+	return false
 }

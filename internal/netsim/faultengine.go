@@ -405,9 +405,6 @@ func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 			if !f.j.dead {
 				kept = append(kept, f)
 			} else {
-				if s.ev != nil && f.bufLen() > 0 {
-					s.ev.occ.add(l.id)
-				}
 				l.curBuf -= f.bufLen()
 				s.bufTotal -= f.bufLen()
 			}

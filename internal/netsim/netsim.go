@@ -76,10 +76,11 @@ type Config struct {
 	Sample func(*SampleFrame)
 	// Engine selects what the one advance loop visits each cycle:
 	// EngineCycle (the zero value) visits every link and flow of every
-	// cycle; EngineEvent visits only the links woken for a cycle and skips
-	// cycles in which no link can act. Results, traces and telemetry frames
-	// are byte-identical either way (see DESIGN.md §7h); the choice is
-	// purely a speed trade-off.
+	// cycle; EngineEvent visits only the links woken for a sparse cycle,
+	// skips cycles in which no link can act, and visits every link while
+	// the fabric is dense. Results, traces and telemetry frames are
+	// byte-identical either way (see DESIGN.md §7h); the choice is purely
+	// a speed trade-off.
 	Engine Engine
 }
 
@@ -89,17 +90,21 @@ type Engine int
 
 const (
 	// EngineCycle processes every simulated cycle and visits every link
-	// and flow in each phase. It measured faster on the q=11 scorecards,
-	// where most links are busy most cycles.
+	// and flow in each phase: no wake bookkeeping at all.
 	EngineCycle Engine = iota
-	// EngineEvent advances directly to the next cycle at which anything can
-	// change (earliest pipeline arrival, pending credit return, root-engine
-	// slot, sample boundary, progress-timeout deadline), visiting only the
-	// links woken for that cycle. It measured 15× faster on the q=31
-	// Hamiltonian m=4096 run, where most links idle most cycles; the
-	// crossover between the two orders is unmeasured. Fault-plan runs
-	// process every cycle so fault windows and detection deadlines are
-	// honoured exactly.
+	// EngineEvent chooses the order cycle by cycle. After a cycle whose
+	// arbitration found a flit ready (sent or credit-stalled) on at least
+	// half of the links, it visits every link, as EngineCycle does, until
+	// a cycle finds one on fewer than an eighth of them. Otherwise it
+	// advances directly to the next cycle at which anything can change
+	// (earliest pipeline arrival, pending credit return, root-engine slot,
+	// sample boundary, progress-timeout deadline), visiting only the
+	// links woken for that cycle. Per processed cycle the two orders
+	// measured equal at 15–30% of links sending; the q=31 Hamiltonian
+	// m=4096 run, where most links idle most cycles, runs about 10×
+	// faster than under EngineCycle, and the dense q=31 sim-q31 fabrics
+	// run within noise of it. Fault-plan runs process every cycle so
+	// fault windows and detection deadlines are honoured exactly.
 	EngineEvent
 )
 
@@ -461,7 +466,6 @@ type link struct {
 
 	// Telemetry accumulators for Result.LinkStats.
 	flits       int
-	busyCycles  int
 	stallCycles int
 	stallMark   int // last cycle counted in stallCycles
 	peakBuf     int

@@ -343,9 +343,6 @@ func (s *sim) referenceCycleLoop() (int, error) {
 				break
 			}
 			l.flits += sentThisCycle
-			if sentThisCycle > 0 {
-				l.busyCycles++
-			}
 		}
 
 		// Track peak buffering (globally and per link) for the

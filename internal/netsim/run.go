@@ -50,11 +50,18 @@ type sim struct {
 	jobs     []*job // initial jobs (one per tree) + recovery re-issues
 	pending  int    // flit deliveries still outstanding (all jobs, all nodes)
 	bufTotal int    // Σ link.curBuf, maintained on push and retire
+	// stalls is Σ link.stallCycles: the (link, cycle) pairs in which
+	// arbitration found a flit ready but no credit. adapt reads its
+	// per-cycle delta.
+	stalls int
 
-	// ev is the wake-set policy's state (wake sets, timing wheel,
-	// retirement queues); nil under EngineCycle, whose phases visit every
-	// link and flow instead.
-	ev *evState
+	// sched is the wake-set policy's state (wake sets, timing wheel,
+	// retirement queues), allocated once; nil under EngineCycle. ev is the
+	// schedule the phases follow this cycle: sched on a sparse cycle of the
+	// wake-set policy, nil on every cycle that visits every link and flow
+	// instead (all of them under EngineCycle).
+	sched *evState
+	ev    *evState
 
 	// traced is cfg.Trace != nil, hoisted so hot-loop emit sites skip
 	// building TraceEvent values on untraced runs. lint:cold
@@ -451,6 +458,7 @@ func (s *sim) noteStall(l *link, f *flow, now int) {
 	if l.stallMark != now {
 		l.stallMark = now
 		l.stallCycles++
+		s.stalls++
 	}
 	s.emit(TraceEvent{Cycle: now, Kind: TraceStall, Tree: f.tree, Phase: f.phase,
 		From: f.from, To: f.to, Flit: f.sent, Value: int64(f.sent - f.consumed), Job: f.j.idx})
@@ -483,19 +491,19 @@ func (s *sim) run() (*Result, error) {
 // advance runs the per-cycle phase sequence — fault transitions, deliver,
 // recover, root compute, credit release, arbitrate, occupancy, sample,
 // progress — until every flit is delivered, returning the cycle count.
-// Config.Engine only chooses what the phases visit: every link and flow
-// in every cycle (EngineCycle), or the links and flows in the wake sets,
-// with idle cycles skipped (EngineEvent). Both policies therefore
-// produce the same results, traces and frames. This is the simulator's
-// hot path: everything reachable from here must stay allocation-free
-// outside the cold tracing/sampling/fault branches.
+// The wake policy only chooses what the phases visit: every link and flow
+// in every cycle (EngineCycle), or, under EngineEvent, the links and
+// flows in the wake sets with idle cycles skipped on sparse cycles and
+// every link after a busy one (adapt). Both policies therefore produce
+// the same results, traces and frames. This is the simulator's hot path:
+// everything reachable from here must stay allocation-free outside the
+// cold tracing/sampling/fault branches.
 //
 //lint:hotpath per-cycle advance loop; allocation here scales with processed cycles × visited links
 func (s *sim) advance() (int, error) {
-	ev := s.ev // nil under EngineCycle: phases visit everything
 	now, lastProgress := 0, 0
 	for s.pending > 0 {
-		if ev != nil {
+		if ev := s.ev; ev != nil {
 			now = s.nextEventCycle(now, lastProgress)
 			ev.turn()
 		} else {
@@ -516,22 +524,24 @@ func (s *sim) advance() (int, error) {
 
 		// 1. Deliver flits whose pipeline delay expires this cycle.
 		links := s.links
-		if ev != nil {
+		if s.ev != nil {
 			links = s.due(now)
 		}
 		progressed = s.deliver(links, now) || progressed
 
 		// 1b. Loss detection and recovery: streams whose first dropped
 		//     flit is overdue identify failed links; the trees crossing
-		//     them abort and re-issue over the survivors.
+		//     them abort and re-issue over the survivors. Purges and
+		//     re-issues move data between streams wholesale, so a sparse
+		//     cycle finishes visiting every link.
 		if s.faultsOn {
 			if suspects := s.detectLoss(now); len(suspects) > 0 {
 				if err := s.recoverFrom(now, suspects); err != nil {
 					return 0, err
 				}
 				progressed = true
-				if ev != nil {
-					s.rewake()
+				if s.ev != nil {
+					s.visitAll()
 				}
 			}
 		}
@@ -541,8 +551,8 @@ func (s *sim) advance() (int, error) {
 
 		// 3. Credit release from receiver progress.
 		links = s.links
-		if ev != nil {
-			links = s.drain(&ev.conNow)
+		if s.ev != nil {
+			links = s.drain(&s.ev.conNow)
 		}
 		s.release(links)
 
@@ -562,16 +572,18 @@ func (s *sim) advance() (int, error) {
 			}
 		}
 		links = s.links
-		if ev != nil {
-			links = s.drain(&ev.cur)
+		if s.ev != nil {
+			links = s.drain(&s.ev.cur)
 		}
-		progressed = s.arbitrate(links, now) || progressed
+		stalls := s.stalls
+		sent := s.arbitrate(links, now)
+		progressed = sent > 0 || progressed
 
 		// 5. Track peak buffering (globally and per link) and publish
 		//    occupancy changes to the trace.
 		links = s.links
-		if ev != nil {
-			links = s.drain(&ev.occ)
+		if s.ev != nil {
+			links = s.drain(&s.ev.occ)
 		}
 		s.noteOccupancy(links, now)
 		if s.bufTotal > s.result.PeakBufferFlits {
@@ -593,6 +605,12 @@ func (s *sim) advance() (int, error) {
 			lastProgress = now
 		} else if idle := now - lastProgress; idle > DefaultProgressTimeout {
 			return 0, s.progressError(now, idle)
+		}
+
+		// 8. Wake policy: the links this cycle's arbitration found a flit
+		//    ready on decide what the next one visits (EngineEvent only).
+		if s.sched != nil {
+			s.adapt(sent + s.stalls - stalls)
 		}
 	}
 	return now, nil
@@ -802,10 +820,11 @@ func (s *sim) release(links []*link) {
 // closing scan re-arms the link for the next cycle whenever any stream
 // still has data to move — the one rule that keeps stalled, metered and
 // rate-limited streams scanned (and their stalls counted) every cycle, as
-// under the visit-all policy. It reports whether any flit was sent.
-func (s *sim) arbitrate(links []*link, now int) bool {
+// under the visit-all policy. It returns the number of links that sent a
+// flit.
+func (s *sim) arbitrate(links []*link, now int) int {
 	ev := s.ev
-	progressed := false
+	sent := 0
 	for _, l := range links {
 		nf := len(l.flows)
 		for i := 0; i < nf; i++ {
@@ -889,20 +908,14 @@ func (s *sim) arbitrate(links []*link, now int) bool {
 			}
 			l.rr = (l.rr + i + 1) % nf
 			l.flits++
-			l.busyCycles++
-			progressed = true
+			sent++
 			break
 		}
-		if ev != nil {
-			for _, f := range l.flows {
-				if f.sent < f.m && s.senderReady(f) > f.sent {
-					ev.nxt.add(l.id)
-					break
-				}
-			}
+		if ev != nil && s.sendable(l) {
+			ev.nxt.add(l.id)
 		}
 	}
-	return progressed
+	return sent
 }
 
 // noteOccupancy updates the given links' peak buffer occupancy and
@@ -986,14 +999,14 @@ func (s *sim) finalize(now int) (*Result, error) {
 		ls := LinkStat{
 			From: l.from, To: l.to,
 			Flits:           l.flits,
-			BusyCycles:      l.busyCycles,
+			BusyCycles:      l.flits,
 			StallCycles:     l.stallCycles,
 			Dropped:         l.dropped,
 			PeakBufferFlits: l.peakBuf,
 			Trees:           len(treeSet),
 		}
 		if now > 0 {
-			ls.Utilization = float64(l.busyCycles) / float64(now)
+			ls.Utilization = float64(l.flits) / float64(now)
 		}
 		s.result.LinkStats = append(s.result.LinkStats, ls)
 	}

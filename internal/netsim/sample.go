@@ -112,7 +112,7 @@ func (s *sim) sampleNow(now int, final bool) {
 	for i, l := range s.links {
 		c := &s.sampleScratch[i]
 		c.Flits = l.flits
-		c.BusyCycles = l.busyCycles
+		c.BusyCycles = l.flits
 		c.StallCycles = l.stallCycles
 		c.Dropped = l.dropped
 		c.Buffered = l.curBuf
