@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tsWindows := fs.Int("ts-windows", 64, "telemetry ring capacity per resolution level (with -ts-out)")
 	critpathOut := fs.String("critpath-out", "", "reconstruct each embedding's causal critical path from the trace stream and write the markdown blame report to this file")
 	progress := fs.Bool("progress", false, "print a heartbeat with simulated cycles/s and an ETA to stderr while simulations run (stdout is unchanged)")
-	engineName := fs.String("engine", "cycle", "netsim wake policy: cycle (visit every link every cycle; faster when most links are busy) or event (visit woken links, skip idle cycles; faster when most links idle, required at q=127 scale); output is byte-identical")
+	engineName := fs.String("engine", "cycle", "netsim wake policy: cycle (visit every link every cycle) or event (visit woken links and skip idle cycles while the fabric is sparse, every link while it is busy: level with cycle on busy fabrics, far faster on sparse ones, required at q=127 scale); output is byte-identical")
 	embeddings := fs.String("embeddings", "", "comma-separated embedding kinds to run in the comparison (low-depth, hamiltonian, single-tree); empty runs the full sweep")
 	maxSimBytes := fs.Int64("max-sim-bytes", 0, "fail if any completed run's simulator arena footprint exceeds this many bytes, on every path that simulates (0 disables; the footprint is deterministic, see netsim.ArenaFootprint)")
 	if err := fs.Parse(args); err != nil {

@@ -268,10 +268,13 @@ func Campaign(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Build each design point's instance and embedding once, serially;
+	// Build each design point's instance and embedding once, serially, and
+	// each q's inputs and their expected sum once for all its embeddings;
 	// runs share them read-only.
 	var specs []*pointSpec
 	for _, q := range cfg.Qs {
+		var inputs [][]int64
+		var want []int64
 		for ki, name := range cfg.Embeddings {
 			kind, err := ParseEmbedding(name)
 			if err != nil {
@@ -285,11 +288,14 @@ func Campaign(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("chaos: q=%d %s: %w", q, name, err)
 			}
-			inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
+			if inputs == nil {
+				inputs = workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
+				want = netsim.ExpectedOutput(inputs)
+			}
 			specs = append(specs, &pointSpec{
 				q: q, kindIdx: ki, kind: kind,
 				inst: inst, e: e, inputs: inputs,
-				want:     netsim.ExpectedOutput(inputs),
+				want:     want,
 				links:    topoLinks(e),
 				maxStall: defaultMaxStall,
 			})

@@ -5,9 +5,9 @@ import "unsafe"
 // ArenaFootprint itemises the simulator's dominant steady-state
 // allocations — the arenas sized at construction time that bound a run's
 // memory: per-(job, node) tree state, the link-major slabs (link records,
-// flows, flow pointer lists, VC receive buffers, pipeline rings) with
-// their indexes, the shared output matrix, and (under EngineEvent) the
-// wake sets. The numbers are computed from slab lengths and
+// flows, flow pointer lists, pipeline rings) with their indexes, the
+// reduction windows, the shared output matrix, and (under EngineEvent)
+// the wake sets. The numbers are computed from slab lengths and
 // unsafe.Sizeof, so both Engine policies report identical footprints for
 // identical specs apart from EventBytes, and the q=127 smoke can gate on
 // a deterministic ceiling instead of process RSS. The visit-all policy
@@ -24,9 +24,11 @@ type ArenaFootprint struct {
 	// lists live in, plus what recovery adds: each re-issued job's flow
 	// block and every pointer list a purge or re-issue moved off the slab.
 	FlowBytes int64
-	// VCBufferBytes is the credit-capped receive windows (VCDepth flits
-	// of 8 bytes per flow): the slab of the initial flows plus each
-	// re-issued job's block.
+	// VCBufferBytes is the value storage behind the credit-capped receive
+	// buffers: the reduction windows (8 bytes per slot, the smallest power
+	// of two ≥ VCDepth slots per node with children and job), the slab of
+	// the initial jobs plus each re-issued job's block. Broadcast values
+	// land in the output matrix (OutputBytes) and take nothing here.
 	VCBufferBytes int64
 	// LinkBytes is the link slab, the link index and the rowStart and
 	// flowStart indexes.
@@ -73,7 +75,7 @@ func (s *sim) arenaFootprint() ArenaFootprint {
 	a.LinkBytes = int64(len(s.linkSlab))*int64(unsafe.Sizeof(link{})) + int64(len(s.links))*ptr +
 		int64(len(s.rowStart)+len(s.flowStart))*4
 	a.FlowBytes = int64(len(s.flowSlab))*flowSz + int64(len(s.flowPtrs))*ptr
-	a.VCBufferBytes = int64(len(s.bufSlab)) * 8
+	a.VCBufferBytes = int64(len(s.accSlab)) * 8
 	a.PipelineBytes = int64(len(s.pipeSlab)) * int64(unsafe.Sizeof(inflight{}))
 	for _, l := range s.links {
 		a.Flows += len(l.flows)
@@ -84,12 +86,14 @@ func (s *sim) arenaFootprint() ArenaFootprint {
 	_, _, jobFlows := s.phases()
 	reissues := int64(len(s.jobs) - len(s.spec.Forest))
 	a.FlowBytes += reissues * int64(jobFlows) * flowSz
-	a.VCBufferBytes += reissues * int64(jobFlows*s.cfg.VCDepth) * 8
-	for _, j := range s.jobs {
+	for i, j := range s.jobs {
 		a.NodeTreeBytes += int64(len(j.nodes)) * ntSz
 		for v := range j.nodes {
 			nt := &j.nodes[v]
 			a.NodeTreeBytes += int64(cap(nt.redIn)+cap(nt.bcastOut)) * ptr
+			if i >= len(s.spec.Forest) {
+				a.VCBufferBytes += int64(cap(nt.acc)) * 8
+			}
 		}
 	}
 	a.OutputBytes = int64(s.n) * int64(s.m) * 8

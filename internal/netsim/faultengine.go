@@ -61,8 +61,8 @@ func (s *sim) progressError(now, idle int) *ProgressError {
 		if j.dead || j.done {
 			continue
 		}
-		for _, nt := range j.nodes {
-			if nt.delivered < nt.target {
+		for v := range j.nodes {
+			if nt := &j.nodes[v]; nt.delivered() < nt.target {
 				stalled[j.tree] = true
 				break
 			}
@@ -384,12 +384,10 @@ func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 		if j.gen+1 > generation {
 			generation = j.gen + 1
 		}
-		minD := j.m
-		for _, nt := range j.nodes {
-			if nt.delivered < minD {
-				minD = nt.delivered
-			}
-			s.pending -= nt.target - nt.delivered
+		minD := j.minDelivered()
+		for v := range j.nodes {
+			nt := &j.nodes[v]
+			s.pending -= nt.target - nt.delivered()
 		}
 		if minD < j.m {
 			ranges = append(ranges, [2]int{j.goff + minD, j.m - minD})
@@ -405,8 +403,8 @@ func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 			if !f.j.dead {
 				kept = append(kept, f)
 			} else {
-				l.curBuf -= f.bufLen()
-				s.bufTotal -= f.bufLen()
+				l.curBuf -= f.arrived - f.consumed
+				s.bufTotal -= f.arrived - f.consumed
 			}
 		}
 		if len(kept) != len(l.flows) {
@@ -456,13 +454,7 @@ func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 				if j.dead || j.tree != ti {
 					continue
 				}
-				minD := j.m
-				for _, nt := range j.nodes {
-					if nt.delivered < minD {
-						minD = nt.delivered
-					}
-				}
-				backlog[i] += j.m - minD
+				backlog[i] += j.m - j.minDelivered()
 			}
 		}
 		split, err := bandwidth.BacklogAwareSplit(reissued, backlog, model.PerTree)
@@ -504,13 +496,7 @@ func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 		if j.dead {
 			continue
 		}
-		minD := j.m
-		for _, nt := range j.nodes {
-			if nt.delivered < minD {
-				minD = nt.delivered
-			}
-		}
-		remaining += j.m - minD
+		remaining += j.m - j.minDelivered()
 	}
 
 	s.result.Recoveries = append(s.result.Recoveries, Recovery{
@@ -527,6 +513,15 @@ func (s *sim) recoverFrom(now int, suspects [][2]int) error {
 		From: suspects[0][0], To: suspects[0][1], Flit: reissued, Value: int64(remaining),
 		Job: firstNewJob})
 	return nil
+}
+
+// minDelivered is the prefix of the job's range that every node holds.
+func (j *job) minDelivered() int {
+	minD := j.m
+	for v := range j.nodes {
+		minD = min(minD, j.nodes[v].delivered())
+	}
+	return minD
 }
 
 // treeUsesAny reports whether the tree's parent links include any of the

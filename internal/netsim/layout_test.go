@@ -14,9 +14,9 @@ import (
 // checkLinkLayout builds spec through newSim and through the reference
 // construction (reference_test.go) and asserts the link-major layout: the same
 // links in the same (from, to) order under the same ids, the same CSR
-// rows, the same flows on every link in creation order, and every
-// initial flow, flow pointer, VC window and pipeline ring at its link's
-// slab slots.
+// rows, the same flows on every link in creation order, every initial
+// flow, flow pointer and pipeline ring at its link's slab slots, and the
+// reduction windows laid out as checkWindows asserts.
 func checkLinkLayout(t *testing.T, spec Spec, cfg Config) {
 	t.Helper()
 	s, err := newSim(spec, cfg)
@@ -30,14 +30,14 @@ func checkLinkLayout(t *testing.T, spec Spec, cfg Config) {
 	if !slices.Equal(s.rowStart, ref.rowStart) {
 		t.Fatalf("rowStart %v, reference %v", s.rowStart, ref.rowStart)
 	}
-	d := cfg.VCDepth
 	ring := cfg.LinkLatency
 	nflows := int(s.flowStart[len(s.links)])
-	if len(s.flowSlab) != nflows || len(s.flowPtrs) != nflows || len(s.bufSlab) != nflows*d ||
+	if len(s.flowSlab) != nflows || len(s.flowPtrs) != nflows ||
 		len(s.linkSlab) != len(s.links) || len(s.pipeSlab) != len(s.links)*ring {
-		t.Fatalf("slab lengths: links %d/%d, flows %d, pointers %d, buffers %d, pipelines %d for %d flows",
-			len(s.linkSlab), len(s.links), len(s.flowSlab), len(s.flowPtrs), len(s.bufSlab), len(s.pipeSlab), nflows)
+		t.Fatalf("slab lengths: links %d/%d, flows %d, pointers %d, pipelines %d for %d flows",
+			len(s.linkSlab), len(s.links), len(s.flowSlab), len(s.flowPtrs), len(s.pipeSlab), nflows)
 	}
+	checkWindows(t, s, cfg.VCDepth)
 	for id, l := range s.links {
 		rl := ref.links[id]
 		if l != &s.linkSlab[id] || l.id != int32(id) || rl.id != int32(id) || l.from != rl.from || l.to != rl.to {
@@ -60,10 +60,6 @@ func checkLinkLayout(t *testing.T, spec Spec, cfg Config) {
 			if f != &s.flowSlab[slot] || s.flowPtrs[slot] != f || f.ln != l {
 				t.Fatalf("link %d→%d flow %d is not at slab slot %d", l.from, l.to, k, slot)
 			}
-			if len(f.buf) != 0 || cap(f.buf) != d || &f.buf[:1][0] != &s.bufSlab[slot*d] {
-				t.Fatalf("link %d→%d flow %d: VC window len %d cap %d is not the slab window of slot %d",
-					l.from, l.to, k, len(f.buf), cap(f.buf), slot)
-			}
 		}
 		if len(l.pipeline) != 0 || cap(l.pipeline) != ring || &l.pipeline[:1][0] != &s.pipeSlab[id*ring] {
 			t.Fatalf("link %d→%d: pipeline len %d cap %d is not ring %d of the slab",
@@ -72,9 +68,42 @@ func checkLinkLayout(t *testing.T, spec Spec, cfg Config) {
 	}
 }
 
-// layoutCfg gives every VC window two slots and every pipeline ring
-// three.
-var layoutCfg = Config{LinkLatency: 3, VCDepth: 2}
+// checkWindows asserts the reduction windows of a freshly built
+// simulator: window is the smallest power of two ≥ vcDepth; in job then
+// vertex order, every node with children of an initial job takes the
+// next window slots of the slab as a full-cap window of its own, every
+// other node has none, and the slab holds exactly those windows.
+func checkWindows(t *testing.T, s *sim, vcDepth int) {
+	t.Helper()
+	w := s.window
+	if w < vcDepth || w&(w-1) != 0 || (w > 1 && w/2 >= vcDepth) {
+		t.Fatalf("window %d slots for VCDepth %d, want the smallest power of two ≥ it", w, vcDepth)
+	}
+	next := 0
+	for _, j := range s.jobs {
+		for v := range j.nodes {
+			nt := &j.nodes[v]
+			if len(nt.redIn) == 0 {
+				if nt.acc != nil {
+					t.Fatalf("job %d node %d has no children but a %d-slot window", j.idx, v, len(nt.acc))
+				}
+				continue
+			}
+			if next+w > len(s.accSlab) || len(nt.acc) != w || cap(nt.acc) != w || &nt.acc[0] != &s.accSlab[next] {
+				t.Fatalf("job %d node %d: window len %d cap %d is not slab slots [%d,%d) of %d",
+					j.idx, v, len(nt.acc), cap(nt.acc), next, next+w, len(s.accSlab))
+			}
+			next += w
+		}
+	}
+	if next != len(s.accSlab) {
+		t.Fatalf("windows take %d slab slots, slab holds %d", next, len(s.accSlab))
+	}
+}
+
+// layoutCfg gives every reduction window four slots (VCDepth 3 rounded up
+// to a power of two) and every pipeline ring three.
+var layoutCfg = Config{LinkLatency: 3, VCDepth: 3}
 
 // TestLinkLayoutMatchesReference checks the link-major layout against the
 // reference construction on every embedding and collective of the small
@@ -142,11 +171,31 @@ func TestLinkLayoutMatchesReference(t *testing.T) {
 			t.Fatalf("no re-issue: %d recoveries, %d jobs", len(res.Recoveries), len(s.jobs))
 		}
 		_, _, jobFlows := s.phases()
-		want := 0
+		accLo := uintptr(unsafe.Pointer(&s.accSlab[0]))
+		accHi := accLo + uintptr(len(s.accSlab))*8
+		want, reissuedSlots := 0, 0
 		for _, j := range s.jobs[len(spec.Forest):] {
 			if !j.dead {
 				want += jobFlows
 			}
+			for v := range j.nodes {
+				nt := &j.nodes[v]
+				slots := 0
+				if len(nt.redIn) > 0 {
+					slots = s.window
+				}
+				if len(nt.acc) != slots || cap(nt.acc) != slots {
+					t.Fatalf("re-issued job %d node %d with %d children: window len %d cap %d, want %d",
+						j.idx, v, len(nt.redIn), len(nt.acc), cap(nt.acc), slots)
+				}
+				if p := uintptr(unsafe.Pointer(unsafe.SliceData(nt.acc))); p >= accLo && p < accHi {
+					t.Fatalf("re-issued job %d node %d: window sits in the initial window slab", j.idx, v)
+				}
+				reissuedSlots += len(nt.acc)
+			}
+		}
+		if got, want := res.Arena.VCBufferBytes, int64(len(s.accSlab)+reissuedSlots)*8; got != want {
+			t.Fatalf("arena counts %d window bytes, slab and re-issued blocks hold %d", got, want)
 		}
 		slabLo := uintptr(unsafe.Pointer(&s.flowSlab[0]))
 		slabHi := slabLo + uintptr(len(s.flowSlab))*unsafe.Sizeof(flow{})
@@ -169,9 +218,6 @@ func TestLinkLayoutMatchesReference(t *testing.T) {
 				got++
 				if p := uintptr(unsafe.Pointer(f)); p >= slabLo && p < slabHi {
 					t.Fatalf("link %d→%d: re-issued flow of job %d sits in the initial flow slab", l.from, l.to, f.j.idx)
-				}
-				if cap(f.buf) != cfg.VCDepth {
-					t.Fatalf("re-issued flow of job %d: VC window cap %d, want %d", f.j.idx, cap(f.buf), cfg.VCDepth)
 				}
 			}
 		}
@@ -211,7 +257,7 @@ func TestArenaMatchesSlabs(t *testing.T) {
 						LinkBytes: int64(len(s.linkSlab))*int64(unsafe.Sizeof(link{})) +
 							int64(len(s.links))*ptr + int64(len(s.rowStart)+len(s.flowStart))*4,
 						FlowBytes:     int64(len(s.flowSlab))*int64(unsafe.Sizeof(flow{})) + int64(len(s.flowPtrs))*ptr,
-						VCBufferBytes: int64(len(s.bufSlab)) * 8,
+						VCBufferBytes: int64(len(s.accSlab)) * 8,
 						PipelineBytes: int64(len(s.pipeSlab)) * int64(unsafe.Sizeof(inflight{})),
 						NodeTreeBytes: a.NodeTreeBytes,
 						OutputBytes:   int64(len(s.outputs)) * int64(s.m) * 8,

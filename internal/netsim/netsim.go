@@ -363,7 +363,11 @@ const (
 	phaseBcast
 )
 
-// flow is one virtual channel: a (directed link, job, phase) stream.
+// flow is one virtual channel: a (directed link, job, phase) stream. It
+// holds counts only: a reduce arrival adds its value into the receiver's
+// reduction window and a broadcast arrival writes the receiver's output
+// row, so the credit-capped receive buffer is the arrived − consumed flits
+// those counters bound, not storage of its own.
 type flow struct {
 	j     *job
 	tree  int // == j.tree, denormalised for the trace hot path
@@ -387,47 +391,12 @@ type flow struct {
 	arrived  int // flits delivered to the receiver buffer
 	consumed int // flits retired from the receiver buffer (credits freed)
 
-	// buf holds values for flits [bufBase, bufBase+bufLen()) at positions
-	// buf[bufHead:]. Retiring flits advances bufHead instead of reslicing,
-	// so one fixed VCDepth-capacity window (of the VC-buffer slab, or of a
-	// re-issued job's block) lasts the whole run: credit flow bounds
-	// occupancy by VCDepth, and push compacts retired space back to the
-	// front before appending.
-	buf     []int64
-	bufHead int
-	bufBase int
-
 	// Fault bookkeeping, written only under an active fault plan: lost
 	// marks a stream that dropped a flit, so later arrivals are discarded
 	// rather than pushed at the wrong prefix index, and lostAt is the send
 	// cycle of its first dropped flit, from which detection times it out.
 	lostAt int
 	lost   bool // lint:cold: set only under an active fault plan
-}
-
-func (f *flow) push(v int64) {
-	if len(f.buf) == cap(f.buf) && f.bufHead > 0 {
-		n := copy(f.buf, f.buf[f.bufHead:])
-		f.buf = f.buf[:n]
-		f.bufHead = 0
-	}
-	f.buf = append(f.buf, v)
-}
-
-func (f *flow) at(k int) int64 { return f.buf[f.bufHead+k-f.bufBase] }
-
-// bufLen is the number of buffered (arrived, unretired) flits.
-func (f *flow) bufLen() int { return len(f.buf) - f.bufHead }
-
-func (f *flow) dropTo(k int) {
-	if k > f.bufBase {
-		f.bufHead += k - f.bufBase
-		f.bufBase = k
-		if f.bufHead == len(f.buf) {
-			f.buf = f.buf[:0]
-			f.bufHead = 0
-		}
-	}
 }
 
 // inflight is a flit inside a link pipeline.
@@ -518,15 +487,22 @@ type nodeTree struct {
 	bcastIn  *flow   // broadcast flow from parent (nil at root)
 	bcastOut []*flow // broadcast flows to children
 
-	// Root only: the pipelined reduction engine output. Aliases the root's
-	// outputs row for the job's global range — engine output and local
-	// delivery were always the same values at the same cycles, so they
-	// share storage and recovery re-issues allocate nothing.
-	rootResult   []int64
-	rootComputed int
+	// acc is the reduction window of a node with children (nil at a
+	// leaf), sim.window slots: each reduce arrival of flit k adds its
+	// value into acc[k mod len(acc)], and the combining send or root
+	// compute of flit k reads and clears that slot (combine). A child
+	// sends flit k only while k − consumed < VCDepth, and its consumed
+	// never passes this node's own progress (redOut.sent, or rootComputed
+	// at a root), so the live indices span at most VCDepth ≤ len(acc)
+	// consecutive flits and never share a slot.
+	acc []int64
+	// out is the node's outputs row for the job's global range: broadcast
+	// arrivals and the root engine write it, and the node's own broadcast
+	// sends read it.
+	out          []int64
+	rootComputed int // root only: flits the reduction engine has produced
 
-	delivered int
-	target    int // flits this node must deliver for its job to finish
+	target int // flits this node must deliver for its job to finish
 
 	// Incremental minima that make the sender-readiness and
 	// broadcast-retirement tests O(1) under both policies:
@@ -539,4 +515,30 @@ type nodeTree struct {
 	redMinCnt   int
 	bcastMin    int
 	bcastMinCnt int
+}
+
+// combine produces reduced flit k — the node's own input plus every
+// child's flit k, summed in its reduction window — and clears the window
+// slot for flit k+len(acc).
+func (nt *nodeTree) combine(k int) int64 {
+	v := nt.seg[k]
+	if nt.acc != nil {
+		i := k & (len(nt.acc) - 1)
+		v += nt.acc[i]
+		nt.acc[i] = 0
+	}
+	return v
+}
+
+// delivered is how many of its target flits the node holds: a broadcast
+// receiver's arrivals, the flits a root's engine computed (all of them
+// from the start under OpBroadcast), and none anywhere else.
+func (nt *nodeTree) delivered() int {
+	switch {
+	case nt.bcastIn != nil:
+		return nt.bcastIn.arrived
+	case nt.parent < 0:
+		return nt.rootComputed
+	}
+	return 0
 }

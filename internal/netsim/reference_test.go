@@ -7,14 +7,45 @@ import (
 
 // The reference loop: the per-cycle loop as it stood before both wake
 // policies moved onto the one advance loop, kept verbatim apart from
-// renames (and its doc comment's hot-path claim) and from the Config
-// options since removed (trunked links, disabled recovery, a settable
-// progress timeout), as the oracle both policies are compared against. It scans children for readiness
-// instead of reading the incremental minima, releases credit for every
-// flow, detects loss by scanning every flow's send log instead of walking
-// the loss list, and knows nothing of wake sets, so a missing wake rule, a
-// stale census or a missed loss in advance shows up as a byte difference
-// against it. Only tests run it.
+// renames (and its doc comment's hot-path claim), from the Config options
+// since removed (trunked links, disabled recovery, a settable progress
+// timeout) and from the value storage since moved out of the flows, as
+// the oracle both policies are compared against. It scans children for
+// readiness instead of reading the incremental minima, releases credit
+// for every flow, detects loss by scanning every flow's send log instead
+// of walking the loss list, and knows nothing of wake sets, so a missing
+// wake rule, a stale census or a missed loss in advance shows up as a byte
+// difference against it. It also keeps flit values its own way: each
+// virtual channel buffers the values of its arrived, unretired flits
+// (referenceVCs), and a send or root compute sums the children's buffered
+// flits, where the simulator combines into per-node reduction windows and
+// forwards broadcasts from the output rows, so a slot clash or a stale
+// window in the simulator shows up as a wrong value. Only tests run it.
+
+// referenceVCs is the reference loop's value storage, next to its send
+// log: the values of each flow's flits [consumed, arrived), oldest first.
+type referenceVCs map[*flow][]int64
+
+// at returns the buffered value of flit k of flow f.
+func (vc referenceVCs) at(f *flow, k int) int64 { return vc[f][k-f.consumed] }
+
+// referenceFlitValue produces the value of flit k on flow f at injection
+// time from the senders' buffered flits.
+func (s *sim) referenceFlitValue(vc referenceVCs, f *flow, k int) int64 {
+	nt := f.snd
+	if f.phase == phaseReduce {
+		v := nt.seg[k]
+		for _, cf := range nt.redIn {
+			v += vc.at(cf, k)
+		}
+		return v
+	}
+	if nt.bcastIn == nil {
+		// The root forwards its engine output, its own result row.
+		return s.outputs[f.from][f.j.goff+k]
+	}
+	return vc.at(nt.bcastIn, k)
+}
 
 // referenceReduceReady returns how many reduced flits node nt could emit so far:
 // bounded by the slowest child stream (its own input is always available).
@@ -45,7 +76,7 @@ func (s *sim) referenceSenderReady(f *flow) int {
 
 // referenceUpdateConsumed advances every flow's consumed counter (credit release)
 // from the receiver's progress, and trims buffers.
-func (s *sim) referenceUpdateConsumed() {
+func (s *sim) referenceUpdateConsumed(vc referenceVCs) {
 	for _, l := range s.links {
 		for _, f := range l.flows {
 			if f.consumed >= f.m {
@@ -75,8 +106,8 @@ func (s *sim) referenceUpdateConsumed() {
 			}
 			if c > f.consumed {
 				l.curBuf -= c - f.consumed
+				vc[f] = vc[f][c-f.consumed:]
 				f.consumed = c
-				f.dropTo(c)
 			}
 		}
 	}
@@ -85,7 +116,7 @@ func (s *sim) referenceUpdateConsumed() {
 // referenceRootCompute advances every root reduction engine by at most one flit per
 // job per cycle (link rate, §5.1), unless EngineRate caps total output,
 // recording the final value and delivering it locally.
-func (s *sim) referenceRootCompute(now int) {
+func (s *sim) referenceRootCompute(vc referenceVCs, now int) {
 	if s.spec.Op == OpBroadcast {
 		return // roots already hold their source data
 	}
@@ -118,16 +149,15 @@ func (s *sim) referenceRootCompute(now int) {
 		}
 		v := nt.seg[k]
 		for _, cf := range nt.redIn {
-			v += cf.at(k)
+			v += vc.at(cf, k)
 		}
-		// rootResult aliases s.outputs[root][goff:goff+mt], so this one
-		// write is both the engine output and the local delivery.
-		nt.rootResult[k] = v
+		// The root's result row is both the engine output and the local
+		// delivery.
+		s.outputs[root][j.goff+k] = v
 		nt.rootComputed++
 		if nt.rootComputed == mt {
 			s.result.TreeReduceDone[j.tree] = now
 		}
-		nt.delivered++
 		if s.sampling {
 			s.delivered++
 		}
@@ -183,8 +213,9 @@ func (s *sim) referenceCycleLoop() (int, error) {
 	now := 0
 	idle := 0
 	// sentAt is each flow's send log for referenceDetect, kept on
-	// fault-plan runs only.
+	// fault-plan runs only; vc holds every flow's buffered values.
 	sentAt := make(map[*flow][]int)
+	vc := make(referenceVCs)
 	for s.pending > 0 {
 		now++
 		progressed := false
@@ -214,7 +245,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 						From: f.from, To: f.to, Flit: -1, Value: fl.val, Job: f.j.idx})
 					continue
 				}
-				f.push(fl.val)
+				vc[f] = append(vc[f], fl.val)
 				l.curBuf++
 				s.result.DeliveredFlits++
 				k := f.arrived
@@ -228,9 +259,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 				}
 				if f.phase == phaseBcast {
 					// Local delivery on arrival.
-					nt := f.rcv
 					s.outputs[f.to][f.j.goff+k] = fl.val
-					nt.delivered++
 					if s.sampling {
 						s.delivered++
 					}
@@ -260,13 +289,13 @@ func (s *sim) referenceCycleLoop() (int, error) {
 
 		// 2. Root reduction engines run at link rate.
 		before := s.pending
-		s.referenceRootCompute(now)
+		s.referenceRootCompute(vc, now)
 		if s.pending != before {
 			progressed = true
 		}
 
 		// 3. Credit release from receiver progress.
-		s.referenceUpdateConsumed()
+		s.referenceUpdateConsumed(vc)
 
 		// 4. Link arbitration: one flit per directed link per cycle,
 		//    round-robin over virtual channels with data and credit.
@@ -310,7 +339,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 						s.engineUsed[f.from]++
 					}
 				}
-				val := s.flitValue(f, f.sent)
+				val := s.referenceFlitValue(vc, f, f.sent)
 				f.sent++
 				if s.faultsOn {
 					sentAt[f] = append(sentAt[f], now)
@@ -390,8 +419,8 @@ func (s *sim) referenceCycleLoop() (int, error) {
 // before the link-major slabs, kept verbatim apart from renames as the
 // oracle the layout pass is compared against (TestLinkLayoutMatchesReference).
 // It registers every flow through a construction map, carves each job's
-// flows and VC buffers from blocks of its own, and freezes the link order
-// with one key sort once every job is built. Only tests run it.
+// flows from a block of its own, and freezes the link order with one key
+// sort once every job is built. Only tests run it.
 
 // referenceSim is a simulator under reference construction: the
 // construction map next to the simulator state it fills.
@@ -485,10 +514,9 @@ func (s *referenceSim) referenceAddFlow(f *flow) *flow {
 // for recovery re-issues, so flow creation order (ascending vertex,
 // reduce before broadcast) is part of the determinism contract.
 //
-// All per-node state, all flows, and all receive buffers of the job live
-// in three contiguous blocks allocated up front: a tree contributes n−1
-// edges per active phase, and credit flow caps every buffer at VCDepth
-// flits, so the sizes are exact.
+// All per-node state and all flows of the job live in two contiguous
+// blocks allocated up front: a tree contributes n−1 edges per active
+// phase, so the sizes are exact.
 func (s *referenceSim) referenceAddStream(ti, goff, mt int) *job {
 	t := s.spec.Forest[ti]
 	j := &job{idx: len(s.jobs), tree: ti, goff: goff, m: mt, nodes: make([]nodeTree, s.n)}
@@ -509,12 +537,9 @@ func (s *referenceSim) referenceAddStream(ti, goff, mt int) *job {
 	}
 	nflows := phases * (s.n - 1)
 	flowBlock := make([]flow, 0, nflows)
-	bufBlock := make([]int64, nflows*s.cfg.VCDepth)
 	newFlow := func(fl flow) *flow {
-		i := len(flowBlock)
-		fl.buf = bufBlock[i*s.cfg.VCDepth : i*s.cfg.VCDepth : (i+1)*s.cfg.VCDepth]
 		flowBlock = append(flowBlock, fl)
-		return &flowBlock[i]
+		return &flowBlock[len(flowBlock)-1]
 	}
 	for v := 0; v < s.n; v++ {
 		nt := &j.nodes[v]
@@ -531,18 +556,10 @@ func (s *referenceSim) referenceAddStream(ti, goff, mt int) *job {
 					from: p, to: v, m: mt, snd: pt, rcv: nt}))
 				pt.bcastOut = append(pt.bcastOut, nt.bcastIn)
 			}
-		} else {
-			// The root's reduction-engine output is the root's result row:
-			// both were always written with identical values at identical
-			// times, so they share the outputs storage (and recovery
-			// re-issues reuse it instead of allocating fresh scratch).
-			nt.rootResult = s.outputs[v][goff : goff+mt]
-			if s.spec.Op == OpBroadcast {
-				// The root sources its own input; it is trivially done.
-				copy(nt.rootResult, nt.seg)
-				nt.rootComputed = mt
-				nt.delivered = mt
-			}
+		} else if s.spec.Op == OpBroadcast {
+			// The root sources its own input; it is trivially done.
+			copy(s.outputs[v][goff:goff+mt], nt.seg)
+			nt.rootComputed = mt
 		}
 		// Completion targets per op: everyone for allreduce/broadcast,
 		// only the root for reduce.
@@ -554,8 +571,8 @@ func (s *referenceSim) referenceAddStream(ti, goff, mt int) *job {
 		default:
 			nt.target = mt
 		}
-		s.pending += nt.target - nt.delivered
-		j.remaining += nt.target - nt.delivered
+		s.pending += nt.target - nt.delivered()
+		j.remaining += nt.target - nt.delivered()
 	}
 	// Seed the incremental minima (see nodeTree): every in-stream starts
 	// at arrived == 0 and every out-stream at sent == 0, so the census is

@@ -33,19 +33,24 @@ type sim struct {
 	// alone would cost a gigabyte for a fabric whose links number ~2M.
 	rowStart []int32
 	// flowStart[id] is link id's first slot in the flow slabs
-	// (flowStart[len(links)] == len(flowSlab)): the link's initial flows,
-	// their pointers and their VC windows occupy slots
-	// [flowStart[id], flowStart[id+1]) in creation order.
+	// (flowStart[len(links)] == len(flowSlab)): the link's initial flows
+	// and their pointers occupy slots [flowStart[id], flowStart[id+1]) in
+	// creation order.
 	flowStart []int32
 	// The link-major slabs layoutLinks carves once, in link-id order: the
-	// link records, the initial flows, the per-link flow pointer lists, the
-	// VC windows (VCDepth per flow) and the pipeline rings. Recovery
-	// re-issues allocate their flows in a per-job block instead.
+	// link records, the initial flows, the per-link flow pointer lists and
+	// the pipeline rings. Recovery re-issues allocate their flows in a
+	// per-job block instead.
 	linkSlab []link
 	flowSlab []flow
 	flowPtrs []*flow
-	bufSlab  []int64
 	pipeSlab []inflight
+	// accSlab holds the initial jobs' reduction windows (nodeTree.acc),
+	// window slots for each node with children, in job then vertex order;
+	// recovery re-issues carve theirs from a block of their own. window is
+	// the smallest power of two ≥ VCDepth.
+	accSlab  []int64
+	window   int
 	frozen   bool   // initial flows placed; recovery may not add links
 	jobs     []*job // initial jobs (one per tree) + recovery re-issues
 	pending  int    // flit deliveries still outstanding (all jobs, all nodes)
@@ -146,7 +151,10 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	if spec.Op < OpAllreduce || spec.Op > OpBroadcast {
 		return nil, fmt.Errorf("netsim: unknown op %v", spec.Op)
 	}
-	s := &sim{spec: spec, cfg: cfg, n: n, engineUsed: make([]int, n), traced: cfg.Trace != nil}
+	s := &sim{spec: spec, cfg: cfg, n: n, engineUsed: make([]int, n), traced: cfg.Trace != nil, window: 1}
+	for s.window < cfg.VCDepth {
+		s.window <<= 1
+	}
 	s.offsets = make([]int, 0, len(spec.Forest))
 	s.jobs = make([]*job, 0, len(spec.Forest))
 	for i, t := range spec.Forest {
@@ -195,6 +203,17 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	}
 	for ti := range spec.Forest {
 		s.addStream(ti, s.offsets[ti], spec.Split[ti])
+	}
+	// The initial jobs' reduction windows: one slab, sized once every
+	// job's children are known, carved in job then vertex order.
+	windows := 0
+	for _, j := range s.jobs {
+		windows += j.combining()
+	}
+	s.accSlab = make([]int64, windows*s.window)
+	accs := s.accSlab
+	for _, j := range s.jobs {
+		accs = j.takeWindows(accs, s.window)
 	}
 	s.frozen = true
 	s.result.TreeDone = make([]int, len(spec.Forest))
@@ -283,7 +302,6 @@ func (s *sim) layoutLinks() {
 	ring := s.cfg.LinkLatency
 	s.flowSlab = make([]flow, len(pairs))
 	s.flowPtrs = make([]*flow, len(pairs))
-	s.bufSlab = make([]int64, len(pairs)*s.cfg.VCDepth)
 	s.pipeSlab = make([]inflight, nl*ring)
 	for id, l := range s.links {
 		lo, hi := s.flowStart[id], s.flowStart[id+1]
@@ -292,17 +310,16 @@ func (s *sim) layoutLinks() {
 	}
 }
 
-// addFlow stores fl in slot i of flows, gives it the VC window at the
-// same index of bufs, and registers it with its directed link, resolved
-// through the CSR row index. Before freeze flows and bufs are the
-// link-major slabs and i is ignored: the k-th initial flow of link l goes
-// to slot flowStart[l]+k, the same slot its pointer takes in l.flows, so
-// l.flows keeps creation order and each link's streams, pointers and VC
-// windows sit together in link-id order. After freeze (recovery
-// re-issues) they are the job's own block, and the link — which must
+// addFlow stores fl in slot i of flows and registers it with its
+// directed link, resolved through the CSR row index. Before freeze flows
+// is the link-major slab and i is ignored: the k-th initial flow of link
+// l goes to slot flowStart[l]+k, the same slot its pointer takes in
+// l.flows, so l.flows keeps creation order and each link's streams and
+// pointers sit together in link-id order. After freeze (recovery
+// re-issues) it is the job's own block, and the link — which must
 // already exist, since surviving trees only use links their initial
 // flows created — grows l.flows by append.
-func (s *sim) addFlow(fl flow, flows []flow, bufs []int64, i int) *flow {
+func (s *sim) addFlow(fl flow, flows []flow, i int) *flow {
 	l := s.linkAt(fl.from, fl.to)
 	if l == nil {
 		panic(fmt.Sprintf("netsim: internal: flow on unknown link %d→%d", fl.from, fl.to))
@@ -310,10 +327,8 @@ func (s *sim) addFlow(fl flow, flows []flow, bufs []int64, i int) *flow {
 	if !s.frozen {
 		i = int(s.flowStart[l.id]) + len(l.flows)
 	}
-	d := s.cfg.VCDepth
 	f := &flows[i]
 	*f = fl
-	f.buf = bufs[i*d : i*d : (i+1)*d]
 	f.ln = l
 	l.flows = append(l.flows, f)
 	return f
@@ -325,11 +340,12 @@ func (s *sim) addFlow(fl flow, flows []flow, bufs []int64, i int) *flow {
 // for recovery re-issues, so flow creation order (ascending vertex,
 // reduce before broadcast) is part of the determinism contract.
 //
-// The per-node state is one block per job. An initial job's flows and VC
-// windows go to the link-major slabs (addFlow); a re-issue appends to
-// frozen links whose slab ranges are full, so it carves them from two
-// blocks of its own, sized exactly: a tree contributes n−1 edges per
-// active phase, and credit flow caps every buffer at VCDepth flits.
+// The per-node state is one block per job. An initial job's flows go to
+// the link-major slabs (addFlow), and newSim carves its reduction windows
+// from the window slab once every initial job is built; a re-issue
+// appends to frozen links whose slab ranges are full, so it carves both
+// from blocks of its own, sized exactly: a tree contributes n−1 edges per
+// active phase and one window per node with children.
 func (s *sim) addStream(ti, goff, mt int) *job {
 	t := s.spec.Forest[ti]
 	j := &job{idx: len(s.jobs), tree: ti, goff: goff, m: mt, nodes: make([]nodeTree, s.n)}
@@ -337,17 +353,17 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 		j.nodes[v] = nodeTree{
 			parent: t.Parent[v],
 			seg:    s.spec.Inputs[v][goff : goff+mt],
+			out:    s.outputs[v][goff : goff+mt],
 		}
 	}
 	withReduce, withBcast, jobFlows := s.phases()
-	flows, bufs := s.flowSlab, s.bufSlab
+	flows := s.flowSlab
 	if s.frozen {
 		flows = make([]flow, jobFlows)
-		bufs = make([]int64, jobFlows*s.cfg.VCDepth)
 	}
 	made := 0
 	newFlow := func(fl flow) *flow {
-		f := s.addFlow(fl, flows, bufs, made)
+		f := s.addFlow(fl, flows, made)
 		made++
 		return f
 	}
@@ -366,18 +382,10 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 					from: p, to: v, m: mt, snd: pt, rcv: nt})
 				pt.bcastOut = append(pt.bcastOut, nt.bcastIn)
 			}
-		} else {
-			// The root's reduction-engine output is the root's result row:
-			// both were always written with identical values at identical
-			// times, so they share the outputs storage (and recovery
-			// re-issues reuse it instead of allocating fresh scratch).
-			nt.rootResult = s.outputs[v][goff : goff+mt]
-			if s.spec.Op == OpBroadcast {
-				// The root sources its own input; it is trivially done.
-				copy(nt.rootResult, nt.seg)
-				nt.rootComputed = mt
-				nt.delivered = mt
-			}
+		} else if s.spec.Op == OpBroadcast {
+			// The root sources its own input; it is trivially done.
+			copy(nt.out, nt.seg)
+			nt.rootComputed = mt
 		}
 		// Completion targets per op: everyone for allreduce/broadcast,
 		// only the root for reduce.
@@ -389,8 +397,8 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 		default:
 			nt.target = mt
 		}
-		s.pending += nt.target - nt.delivered
-		j.remaining += nt.target - nt.delivered
+		s.pending += nt.target - nt.delivered()
+		j.remaining += nt.target - nt.delivered()
 	}
 	// Seed the incremental minima (see nodeTree): every in-stream starts
 	// at arrived == 0 and every out-stream at sent == 0, so the census is
@@ -405,8 +413,35 @@ func (s *sim) addStream(ti, goff, mt int) *job {
 			nt.bcastMinCnt = len(nt.bcastOut)
 		}
 	}
+	if s.frozen {
+		j.takeWindows(make([]int64, j.combining()*s.window), s.window)
+	}
 	s.jobs = append(s.jobs, j)
 	return j
+}
+
+// combining counts the job's nodes with children, one reduction window
+// each.
+func (j *job) combining() int {
+	c := 0
+	for v := range j.nodes {
+		if len(j.nodes[v].redIn) > 0 {
+			c++
+		}
+	}
+	return c
+}
+
+// takeWindows gives each of the job's nodes with children, in vertex
+// order, the next w slots of accs as its reduction window, and returns
+// the slots left over.
+func (j *job) takeWindows(accs []int64, w int) []int64 {
+	for v := range j.nodes {
+		if nt := &j.nodes[v]; len(nt.redIn) > 0 {
+			nt.acc, accs = accs[:w:w], accs[w:]
+		}
+	}
+	return accs
 }
 
 // reduceReady returns how many reduced flits node nt could emit so far:
@@ -434,20 +469,15 @@ func (s *sim) senderReady(f *flow) int {
 	return nt.bcastIn.arrived
 }
 
-// flitValue produces the value of flit k on flow f at injection time.
+// flitValue produces the value of flit k on flow f at injection time: a
+// reduce send combines the sender's window slot with its own input, a
+// broadcast send reads the sender's own output row, which its engine
+// (root) or its parent's stream wrote.
 func (s *sim) flitValue(f *flow, k int) int64 {
-	nt := f.snd
 	if f.phase == phaseReduce {
-		v := nt.seg[k]
-		for _, cf := range nt.redIn {
-			v += cf.at(k)
-		}
-		return v
+		return f.snd.combine(k)
 	}
-	if nt.bcastIn == nil {
-		return nt.rootResult[k]
-	}
-	return nt.bcastIn.at(k)
+	return f.snd.out[k]
 }
 
 // noteStall records a credit stall: the stream has a flit ready but its
@@ -640,7 +670,6 @@ func (s *sim) deliver(links []*link, now int) bool {
 				continue
 			}
 			progressed = true
-			f.push(fl.val)
 			l.curBuf++
 			s.bufTotal++
 			s.result.DeliveredFlits++
@@ -653,26 +682,29 @@ func (s *sim) deliver(links []*link, now int) bool {
 			}
 			if f.phase == phaseBcast {
 				// Local delivery on arrival.
-				s.outputs[f.to][f.j.goff+k] = fl.val
-				nt.delivered++
+				nt.out[k] = fl.val
 				if s.sampling {
 					s.delivered++
 				}
 				s.pending--
 				f.j.remaining--
 				s.checkJobDone(f.j, now)
-			} else if k == nt.redMin {
-				// Census upkeep: f sat at the minimum and moved up one.
-				nt.redMinCnt--
-				if nt.redMinCnt == 0 {
-					nt.redMin++
-					c := 0
-					for _, cf := range nt.redIn {
-						if cf.arrived == nt.redMin {
-							c++
+			} else {
+				// Combine on arrival: flit k joins its window slot.
+				nt.acc[k&(len(nt.acc)-1)] += fl.val
+				if k == nt.redMin {
+					// Census upkeep: f sat at the minimum and moved up one.
+					nt.redMinCnt--
+					if nt.redMinCnt == 0 {
+						nt.redMin++
+						c := 0
+						for _, cf := range nt.redIn {
+							if cf.arrived == nt.redMin {
+								c++
+							}
 						}
+						nt.redMinCnt = c
 					}
-					nt.redMinCnt = c
 				}
 			}
 			if ev != nil {
@@ -723,18 +755,14 @@ func (s *sim) computeRoots(now int) bool {
 			if s.cfg.EngineRate > 0 {
 				s.engineUsed[root]++
 			}
-			v := nt.seg[k]
-			for _, cf := range nt.redIn {
-				v += cf.at(k)
-			}
-			// rootResult aliases s.outputs[root][goff:goff+mt], so this one
-			// write is both the engine output and the local delivery.
-			nt.rootResult[k] = v
+			// The root's output row is both the engine output its
+			// broadcast sends read and the local delivery.
+			v := nt.combine(k)
+			nt.out[k] = v
 			nt.rootComputed++
 			if nt.rootComputed == mt {
 				s.result.TreeReduceDone[j.tree] = now
 			}
-			nt.delivered++
 			if s.sampling {
 				s.delivered++
 			}
@@ -764,7 +792,7 @@ func (s *sim) computeRoots(now int) bool {
 }
 
 // release advances the consumed counters (credit release) of the given
-// links' flows from their receivers' progress and trims their buffers.
+// links' flows from their receivers' progress.
 // Under the wake-set policy freed credit wakes the link for this cycle's
 // arbitration: credit is released in phase 3 and links arbitrate in
 // phase 4, so a same-cycle send on the freed window is the per-cycle
@@ -800,7 +828,6 @@ func (s *sim) release(links []*link) {
 				l.curBuf -= c - f.consumed
 				s.bufTotal -= c - f.consumed
 				f.consumed = c
-				f.dropTo(c)
 				if ev != nil {
 					ev.occ.add(l.id)
 					if f.sent < f.m {
@@ -831,7 +858,11 @@ func (s *sim) arbitrate(links []*link, now int) int {
 			if l.degraded && l.degBudget < 1 {
 				break // metered out this cycle
 			}
-			f := l.flows[(l.rr+i)%nf]
+			at := l.rr + i // l.rr < nf, so one wrap suffices
+			if at >= nf {
+				at -= nf
+			}
+			f := l.flows[at]
 			if f.sent >= f.m {
 				continue // stream finished
 			}
@@ -906,7 +937,11 @@ func (s *sim) arbitrate(links []*link, now int) int {
 			if l.degraded {
 				l.degBudget--
 			}
-			l.rr = (l.rr + i + 1) % nf
+			at++
+			if at == nf {
+				at = 0
+			}
+			l.rr = at
 			l.flits++
 			sent++
 			break
@@ -961,9 +996,9 @@ func (s *sim) finalize(now int) (*Result, error) {
 				return nil, fmt.Errorf("netsim: internal: flow tree=%d phase=%d %d→%d ended at sent=%d arrived=%d of %d",
 					f.tree, f.phase, f.from, f.to, f.sent, f.arrived, f.m)
 			}
-			if f.consumed != f.m || f.bufLen() != 0 {
+			if f.consumed != f.m {
 				return nil, fmt.Errorf("netsim: internal: flow tree=%d %d→%d left %d flits buffered",
-					f.tree, f.from, f.to, f.bufLen())
+					f.tree, f.from, f.to, f.arrived-f.consumed)
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func TestScorePointMatchesCollector(t *testing.T) {
 			for _, kind := range counterKinds {
 				cfg := DefaultScorecardConfig()
 				cfg.M = m
-				got, err := scorePoint(cfg, q, kind)
+				got, err := scorePoint(cfg, new(sweepInputs), q, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +156,7 @@ func TestCritPathPointMatchesCollector(t *testing.T) {
 			cfg.M, cfg.FailAt = m, failAt
 			for _, faulted := range []bool{false, true} {
 				id := fmt.Sprintf("q=%d %v faulted=%v", q, kind, faulted)
-				got, err := critPathPoint(cfg, critJob{q: q, kind: kind, faulted: faulted})
+				got, err := critPathPoint(cfg, new(sweepInputs), critJob{q: q, kind: kind, faulted: faulted})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -130,9 +130,9 @@ type critJob struct {
 // record per (q, embedding, faulted). The critpath builder is the only
 // trace consumer; link utilization and recovery latency come from the
 // run's counters. Points are independent — each job builds its own
-// instance, workload, and builder from the seeded config — so
-// cfg.Parallel of them run concurrently on a parrun pool with ordered
-// commit.
+// instance and builder from the seeded config and reads the one input
+// matrix of its q — so cfg.Parallel of them run concurrently on a parrun
+// pool with ordered commit.
 func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: critpath sweep needs at least one q")
@@ -151,14 +151,15 @@ func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 			}
 		}
 	}
+	in := new(sweepInputs)
 	return parrun.Map(cfg.Parallel, len(jobs), func(i int) (CritPathPoint, error) {
-		return critPathPoint(cfg, jobs[i])
+		return critPathPoint(cfg, in, jobs[i])
 	})
 }
 
 // critPathPoint traces and analyses one design point.
-func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
-	p, err := newDesignPoint(job.q, job.kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
+func critPathPoint(cfg CritPathConfig, in *sweepInputs, job critJob) (CritPathPoint, error) {
+	p, err := newDesignPoint(in, job.q, job.kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return CritPathPoint{}, err
 	}

@@ -110,15 +110,16 @@ func DegradedScorecard(cfg DegradedConfig) ([]DegradedPoint, error) {
 		return nil, fmt.Errorf("perf: tolerance %g out of [0, 1)", cfg.Tolerance)
 	}
 	kinds := core.ComparisonKinds(cfg.Q)
+	in := new(sweepInputs)
 	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (DegradedPoint, error) {
-		return degradedPoint(cfg, kinds[i])
+		return degradedPoint(cfg, in, kinds[i])
 	})
 }
 
 // degradedPoint runs the worst-case fault injection for one embedding
 // kind.
-func degradedPoint(cfg DegradedConfig, kind core.EmbeddingKind) (DegradedPoint, error) {
-	p, err := newDesignPoint(cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
+func degradedPoint(cfg DegradedConfig, in *sweepInputs, kind core.EmbeddingKind) (DegradedPoint, error) {
+	p, err := newDesignPoint(in, cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return DegradedPoint{}, err
 	}

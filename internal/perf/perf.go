@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"polarfly/internal/bandwidth"
 	"polarfly/internal/core"
@@ -99,7 +100,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 
 // designPoint is one (q, embedding) point of a gate sweep: the instance,
 // the embedding, the seeded inputs and the run config. It is built from
-// the deterministic config alone, so concurrent points share no state.
+// the deterministic config alone, so concurrent points share no mutable
+// state: the inputs come from the sweep's sweepInputs, which the
+// simulator only reads.
 type designPoint struct {
 	inst   *core.Instance
 	e      *core.Embedding
@@ -109,7 +112,7 @@ type designPoint struct {
 	lost bool
 }
 
-func newDesignPoint(q int, kind core.EmbeddingKind, m, latency, vc int, seed int64, engine netsim.Engine) (*designPoint, error) {
+func newDesignPoint(in *sweepInputs, q int, kind core.EmbeddingKind, m, latency, vc int, seed int64, engine netsim.Engine) (*designPoint, error) {
 	inst, err := core.NewInstance(q)
 	if err != nil {
 		return nil, err
@@ -118,8 +121,40 @@ func newDesignPoint(q int, kind core.EmbeddingKind, m, latency, vc int, seed int
 	if err != nil {
 		return nil, err
 	}
-	return &designPoint{inst: inst, e: e, inputs: workload.Vectors(inst.N(), m, 1000, seed),
+	return &designPoint{inst: inst, e: e, inputs: in.vectors(inst.N(), m, seed),
 		cfg: netsim.Config{LinkLatency: latency, VCDepth: vc, Engine: engine}}, nil
+}
+
+// sweepInputs is one gate sweep's input matrices: the design points of
+// the sweep that share (N, m, seed) — every embedding of one q — share
+// one seeded N×m matrix, built by the first to ask, instead of each
+// building its own. netsim and core only read Spec.Inputs, so the sharing
+// is safe on a parrun pool; the mutex makes the first build race-free.
+// Each sweep makes its own, so no matrix outlives the call that built it.
+type sweepInputs struct {
+	mu   sync.Mutex
+	mats map[inputKey][][]int64
+}
+
+type inputKey struct {
+	n, m int
+	seed int64
+}
+
+// vectors returns the sweep's workload.Vectors(n, m, 1000, seed) matrix.
+func (in *sweepInputs) vectors(n, m int, seed int64) [][]int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	k := inputKey{n: n, m: m, seed: seed}
+	mat, ok := in.mats[k]
+	if !ok {
+		if in.mats == nil {
+			in.mats = make(map[inputKey][][]int64)
+		}
+		mat = workload.Vectors(n, m, 1000, seed)
+		in.mats[k] = mat
+	}
+	return mat
 }
 
 // failLink schedules the run's one fault: link u-v goes down at cycle at.

@@ -121,11 +121,11 @@ type scoreJob struct {
 // split come from the counters the simulator keeps anyway, and the
 // headline bandwidth from the cycle count.
 //
-// Design points are independent — each job builds its own instance and
-// workload from the seeded config — so cfg.Parallel of them run
-// concurrently on a parrun pool; the ordered commit keeps the returned
-// slice (and everything rendered from it) byte-identical to a serial
-// sweep.
+// Design points are independent — each job builds its own instance from
+// the seeded config and reads the one input matrix of its q — so
+// cfg.Parallel of them run concurrently on a parrun pool; the ordered
+// commit keeps the returned slice (and everything rendered from it)
+// byte-identical to a serial sweep.
 func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: scorecard needs at least one q")
@@ -142,14 +142,15 @@ func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 			jobs = append(jobs, scoreJob{q: q, kind: kind})
 		}
 	}
+	in := new(sweepInputs)
 	return parrun.Map(cfg.Parallel, len(jobs), func(i int) (ScorePoint, error) {
-		return scorePoint(cfg, jobs[i].q, jobs[i].kind)
+		return scorePoint(cfg, in, jobs[i].q, jobs[i].kind)
 	})
 }
 
 // scorePoint simulates one (q, embedding) design point.
-func scorePoint(cfg ScorecardConfig, q int, kind core.EmbeddingKind) (ScorePoint, error) {
-	p, err := newDesignPoint(q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
+func scorePoint(cfg ScorecardConfig, in *sweepInputs, q int, kind core.EmbeddingKind) (ScorePoint, error) {
+	p, err := newDesignPoint(in, q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return ScorePoint{}, err
 	}

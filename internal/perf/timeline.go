@@ -78,14 +78,15 @@ func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 		return nil, fmt.Errorf("perf: timeline needs SampleEvery ≥ 1, got %d", cfg.SampleEvery)
 	}
 	kinds := core.ComparisonKinds(cfg.Q)
+	in := new(sweepInputs)
 	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (*tsdb.Snapshot, error) {
-		return timelineRun(cfg, kinds[i])
+		return timelineRun(cfg, in, kinds[i])
 	})
 }
 
 // timelineRun simulates one embedding with the telemetry stack attached.
-func timelineRun(cfg TimelineConfig, kind core.EmbeddingKind) (*tsdb.Snapshot, error) {
-	p, err := newDesignPoint(cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
+func timelineRun(cfg TimelineConfig, in *sweepInputs, kind core.EmbeddingKind) (*tsdb.Snapshot, error) {
+	p, err := newDesignPoint(in, cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
