@@ -106,10 +106,11 @@ scorecard:
 # Theorem 7.19 floor; the default m=16384 would sit at −49%). Writes
 # BENCH_q31.json; exits 1 on violation. CI regenerates it and
 # byte-compares against the committed snapshot (engine choice never
-# changes a point). The runs are untraced; measured 112 s on a shared
-# 2-core, 8 GB host (715 s before the link-major slabs, 1365 s when an
-# obsv collector folded the ~8·10⁸ trace events per embedding), at
-# 6.15 GB peak RSS. The two embeddings in flight share one 1.56 GB N×m
+# changes a point). The runs are untraced; measured 81 s on a shared
+# 2-core, 8 GB host (112 s before Run split the Hamiltonian forest into
+# its paths, 715 s before the link-major slabs, 1365 s when an obsv
+# collector folded the ~8·10⁸ trace events per embedding), at 6.0 GB
+# peak RSS. The two embeddings in flight share one 1.56 GB N×m
 # input matrix and hold a 1.56 GB output matrix each (4.5 GB live); the
 # peak sits one such matrix higher because the garbage collector, last
 # run at 4.5 GB live, does not run again before the third point

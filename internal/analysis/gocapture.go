@@ -8,7 +8,8 @@ import (
 )
 
 // GoCapture enforces the module's concurrency discipline on every `go`
-// statement closure and every worker function handed to parrun.Map:
+// statement closure and every worker function handed to parrun.Map or
+// parrun.MapWorker:
 //
 //   - shared mutable state captured by the closure must only be written
 //     through the ordered-commit slot pattern (out[i] = ... with a
@@ -54,12 +55,12 @@ func runGoCapture(pass *Pass) {
 	}
 }
 
-// isParrunMap reports whether call invokes the module's parrun.Map
-// parallel runner (matched by package path suffix so the check works in
-// any module embedding the library).
+// isParrunMap reports whether call invokes the module's parrun.Map or
+// parrun.MapWorker parallel runner (matched by package path suffix so the
+// check works in any module embedding the library).
 func isParrunMap(info *types.Info, call *ast.CallExpr) bool {
 	f := calleeFunc(info, call)
-	if f == nil || f.Name() != "Map" || f.Pkg() == nil {
+	if f == nil || (f.Name() != "Map" && f.Name() != "MapWorker") || f.Pkg() == nil {
 		return false
 	}
 	path := f.Pkg().Path()

@@ -268,29 +268,25 @@ func Campaign(cfg Config) (*Report, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Build each design point's instance and embedding once, serially, and
-	// each q's inputs and their expected sum once for all its embeddings;
+	// Build each q's instance, inputs and their expected sum once for all
+	// its embeddings, and each design point's embedding once, serially;
 	// runs share them read-only.
 	var specs []*pointSpec
 	for _, q := range cfg.Qs {
-		var inputs [][]int64
-		var want []int64
+		inst, err := core.NewInstance(q)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: q=%d: %w", q, err)
+		}
+		inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
+		want := netsim.ExpectedOutput(inputs)
 		for ki, name := range cfg.Embeddings {
 			kind, err := ParseEmbedding(name)
 			if err != nil {
 				return nil, err
 			}
-			inst, err := core.NewInstance(q)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: q=%d: %w", q, err)
-			}
 			e, err := inst.Embed(kind)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: q=%d %s: %w", q, name, err)
-			}
-			if inputs == nil {
-				inputs = workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
-				want = netsim.ExpectedOutput(inputs)
 			}
 			specs = append(specs, &pointSpec{
 				q: q, kindIdx: ki, kind: kind,

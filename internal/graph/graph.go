@@ -110,6 +110,18 @@ func (g *Graph) Degree(v int) int {
 	return len(g.adj[v])
 }
 
+// NeighborIndex returns the position of v in u's ascending neighbor row,
+// or -1 when {u, v} is not an edge. Offset by the degrees of the vertices
+// below u, it numbers the 2M directed arcs in (u, v) order.
+func (g *Graph) NeighborIndex(u, v int) int {
+	g.checkVertex(u)
+	i, found := slices.BinarySearch(g.adj[u], v)
+	if !found {
+		return -1
+	}
+	return i
+}
+
 // Neighbors returns the neighbors of v in ascending order, in a fresh
 // slice the caller may keep or modify.
 func (g *Graph) Neighbors(v int) []int {

@@ -11,7 +11,11 @@ import "unsafe"
 // unsafe.Sizeof, so both Engine policies report identical footprints for
 // identical specs apart from EventBytes, and the q=127 smoke can gate on
 // a deterministic ceiling instead of process RSS. The visit-all policy
-// (EngineCycle) allocates nothing beyond the shared arenas.
+// (EngineCycle) allocates nothing beyond the shared arenas. A run that Run
+// splits into independent tree groups reports the footprint one sim of
+// the whole forest would have, EventBytes aside (it sums the groups'
+// wake-set states); the run itself holds at most one group's slabs per
+// worker at a time, next to the shared output matrix.
 type ArenaFootprint struct {
 	// Links and Flows count directed links and registered flow streams
 	// (recovery re-issues included).
@@ -84,14 +88,14 @@ func (s *sim) arenaFootprint() ArenaFootprint {
 		}
 	}
 	_, _, jobFlows := s.phases()
-	reissues := int64(len(s.jobs) - len(s.spec.Forest))
+	reissues := int64(len(s.jobs) - len(s.trees))
 	a.FlowBytes += reissues * int64(jobFlows) * flowSz
 	for i, j := range s.jobs {
 		a.NodeTreeBytes += int64(len(j.nodes)) * ntSz
 		for v := range j.nodes {
 			nt := &j.nodes[v]
 			a.NodeTreeBytes += int64(cap(nt.redIn)+cap(nt.bcastOut)) * ptr
-			if i >= len(s.spec.Forest) {
+			if i >= len(s.trees) {
 				a.VCBufferBytes += int64(cap(nt.acc)) * 8
 			}
 		}
@@ -100,7 +104,12 @@ func (s *sim) arenaFootprint() ArenaFootprint {
 	if s.sched != nil {
 		a.EventBytes = s.sched.footprint()
 	}
+	a.sumTotal()
+	return a
+}
+
+// sumTotal sets TotalBytes to the sum of the components.
+func (a *ArenaFootprint) sumTotal() {
 	a.TotalBytes = a.NodeTreeBytes + a.FlowBytes + a.VCBufferBytes +
 		a.LinkBytes + a.PipelineBytes + a.OutputBytes + a.EventBytes
-	return a
 }

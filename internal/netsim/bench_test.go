@@ -89,6 +89,12 @@ func BenchmarkHotLoop(b *testing.B) {
 // loop's time per transmitted flit (ns/flit), the per-flit cost that
 // compares across fabric sizes.
 func benchAdvance(b *testing.B, spec Spec, cfg Config) {
+	benchSims(b, func(*sim) (*sim, error) { return newSim(spec, cfg) })
+}
+
+// benchSims is benchAdvance over the sims build makes, each from the last
+// one timed (nil before the first).
+func benchSims(b *testing.B, build func(prev *sim) (*sim, error)) {
 	b.ReportAllocs()
 	flits := 0
 	defer func() {
@@ -96,9 +102,10 @@ func benchAdvance(b *testing.B, spec Spec, cfg Config) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flits), "ns/flit")
 		}
 	}()
+	var prev *sim
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := newSim(spec, cfg)
+		s, err := build(prev)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,8 +121,39 @@ func benchAdvance(b *testing.B, spec Spec, cfg Config) {
 		}
 		flits += res.FlitsSent
 		b.ReportMetric(float64(res.Cycles), "simcycles")
+		prev = s
 		b.StartTimer()
 	}
+}
+
+// benchGroup times the advance loop of the first group Run makes of spec,
+// built as a worker builds its next group: over the slabs of the group's
+// last sim, with the buffered-flit record on. One untimed run of the
+// group first grows the record's difference array to the group's length,
+// as a worker's first group does, so the timed loops measure the record
+// on the array a worker's later groups reuse.
+func benchGroup(b *testing.B, spec Spec, cfg Config) {
+	b.StopTimer()
+	r, err := prepare(spec, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := r.partition()
+	if len(p.groups) < 2 {
+		b.Fatalf("%d group(s): spec is not a grouped run", len(p.groups))
+	}
+	first := r.build(p.groups[0], nil)
+	if _, err := first.runGroup(&p, make([]LinkStat, p.links)); err != nil {
+		b.Fatal(err)
+	}
+	benchSims(b, func(prev *sim) (*sim, error) {
+		if prev == nil {
+			prev = first
+		}
+		s := r.build(p.groups[0], prev)
+		s.grouped = true
+		return s, nil
+	})
 }
 
 // BenchmarkCycleLoop times the advance loop on the visit-all policy
@@ -133,15 +171,23 @@ func BenchmarkCycleLoop(b *testing.B) {
 
 // BenchmarkEventLoop times the advance loop on the wake-set policy
 // (EngineEvent) at the same q=11 points as BenchmarkCycleLoop; hotcheck
-// gates it at ≤ 1 alloc/op as the witness for the other policy.
+// gates it at ≤ 1 alloc/op as the witness for the other policy. Its
+// q=11/hamiltonian/group point is the witness for a grouped run's sims:
+// one Hamiltonian path simulated as the group Run makes of it, with the
+// buffered-flit record on (benchGroup).
 func BenchmarkEventLoop(b *testing.B) {
+	cfg := hotLoopCfg()
+	cfg.Engine = EngineEvent
 	for _, kind := range []string{"single", "lowdepth", "hamiltonian"} {
 		spec := benchSpec(b, 11, 8192, kind)
 		b.Run("q=11/"+kind, func(b *testing.B) {
-			cfg := hotLoopCfg()
-			cfg.Engine = EngineEvent
 			benchAdvance(b, spec, cfg)
 		})
+		if kind == "hamiltonian" {
+			b.Run("q=11/hamiltonian/group", func(b *testing.B) {
+				benchGroup(b, spec, cfg)
+			})
+		}
 	}
 }
 

@@ -364,7 +364,9 @@ type fuzzBase struct {
 	spec Spec
 }
 
-// fuzzBases builds FuzzEngines' fabrics: every embedding of q = 2…5.
+// fuzzBases builds FuzzEngines' fabrics: every embedding of q = 2…5, and
+// last the q=5 Hamiltonian paths repeated as P0, P1, P0, P2, whose bare
+// runs split into groups of several trees (repeatedPathSpec).
 func fuzzBases(tb testing.TB) []fuzzBase {
 	var bases []fuzzBase
 	for _, q := range []int{2, 3, 4, 5} {
@@ -375,7 +377,7 @@ func fuzzBases(tb testing.TB) []fuzzBase {
 			bases = append(bases, fuzzBase{fmt.Sprintf("q=%d/%s", q, kind), benchSpec(tb, q, 8, kind)})
 		}
 	}
-	return bases
+	return append(bases, fuzzBase{"q=5/hamiltonian-repeated", repeatedPathSpec(tb, make([]int, 4))})
 }
 
 // fuzzCase decodes one FuzzEngines input: the base fabric, the
@@ -421,7 +423,8 @@ var switchingSeeds = [][]byte{
 // kinds (applied to allreduce only), and last a split of the vector over
 // the trees, zero entries included (fuzzCase). Every policy must
 // reproduce the reference run byte for byte (Result JSON, trace, frames,
-// error text), and so must a bare run of each policy; every completed
+// error text), and so must a bare run of each policy, which Run splits
+// into independent groups unless the config couples the trees; every completed
 // run must conserve flits (FlitsSent == DeliveredFlits + DroppedFlits)
 // and have no more recovery rounds than dead trees, since each round
 // aborts at least one live tree; and the link-major layout must match
@@ -430,11 +433,13 @@ var switchingSeeds = [][]byte{
 func FuzzEngines(f *testing.F) {
 	bases := fuzzBases(f)
 	// Seeds: a zero-length vector, each collective on a rate-limited
-	// fabric, one plan per fault kind on the q=3 and q=5 low-depth
-	// forests (bases 3 and 8), and the fabrics that switch wake order.
+	// fabric and on the grouped repeated-path forest (base 10), one plan
+	// per fault kind on the q=3 and q=5 low-depth forests (bases 3 and
+	// 8), and the fabrics that switch wake order.
 	f.Add([]byte{0})
 	for op := byte(0); op < 3; op++ {
 		f.Add([]byte{9, op, 3, 2, 2, 0, 15, 0, 10})
+		f.Add([]byte{10, op, 3, 2, 0, 0, 9, 5, 7, 3})
 	}
 	for k := byte(0); k < 6; k++ {
 		window := byte(30) // [40, 62)

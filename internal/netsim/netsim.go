@@ -28,7 +28,12 @@ import (
 	"polarfly/internal/trees"
 )
 
-// Config sets the hardware parameters of the simulated fabric.
+// Config sets the hardware parameters of the simulated fabric. It has no
+// parallelism knob: Run always simulates the forest's independent tree
+// groups (trees that share no topology edge) on GOMAXPROCS workers, and
+// keeps the whole forest in one sim when Trace, Sample, Faults or a
+// non-zero EngineRate couples its trees. Results never depend on the
+// worker count.
 type Config struct {
 	// LinkLatency is the pipeline depth of a link in cycles; a flit sent at
 	// cycle t is delivered at t + LinkLatency. Must be ≥ 1.

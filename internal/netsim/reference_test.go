@@ -433,7 +433,7 @@ type referenceSim struct {
 // reference way. spec and cfg must already be valid.
 func referenceLinks(spec Spec, cfg Config) *sim {
 	n := spec.Topology.N()
-	s := &referenceSim{sim: &sim{spec: spec, cfg: cfg, n: n}, linkMap: make(map[[2]int]*link)}
+	s := &referenceSim{sim: &sim{runSpec: runSpec{spec: spec, cfg: cfg, n: n}}, linkMap: make(map[[2]int]*link)}
 	for i := range spec.Forest {
 		s.offsets = append(s.offsets, s.m)
 		s.m += spec.Split[i]

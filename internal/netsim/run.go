@@ -9,21 +9,50 @@ import (
 // value-verified outputs. It validates the config and the spec first:
 // every tree must be a spanning tree of the topology, the split must match
 // the input length, and all nodes must provide equal-length inputs.
+// Trees that share no topology edge cannot interact, so Run simulates
+// each independent group of trees as a sim of its own, on GOMAXPROCS
+// workers, and merges their Results into the one a single sim of the
+// whole forest returns (group.go).
 func Run(spec Spec, cfg Config) (*Result, error) {
-	s, err := newSim(spec, cfg)
+	r, err := prepare(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	p := r.partition()
+	if len(p.groups) == 1 {
+		return r.build(p.groups[0], nil).run()
+	}
+	return r.runGroups(p)
 }
 
-type sim struct {
+// runSpec is one run's validated spec and config, with the storage every
+// sim of the run shares: a grouped run builds one sim per group over the
+// same runSpec, and each group writes only its own trees' entries and
+// output columns.
+type runSpec struct {
 	spec Spec
 	cfg  Config
 
 	n       int
 	m       int   // total vector length
 	offsets []int // segment offset per tree
+
+	// outputs[v] is node v's assembled m-element result, written in place
+	// at delivery time (broadcast arrival or root-local compute). All rows
+	// share one contiguous backing array.
+	outputs [][]int64
+	// treeDone and treeReduceDone back Result.TreeDone and
+	// Result.TreeReduceDone.
+	treeDone, treeReduceDone []int
+}
+
+type sim struct {
+	runSpec
+
+	// trees are the forest trees this sim carries, ascending: the whole
+	// forest, or one independent group of a grouped run. The initial jobs
+	// follow their order.
+	trees []int
 
 	links []*link // links in (from, to) order; links[id] == &linkSlab[id]
 	// rowStart[v] is the index of node v's first outgoing link in links
@@ -45,6 +74,9 @@ type sim struct {
 	flowSlab []flow
 	flowPtrs []*flow
 	pipeSlab []inflight
+	// nodeSlab holds the initial jobs' per-vertex state, n records per job
+	// in job order; recovery re-issues allocate theirs per job.
+	nodeSlab []nodeTree
 	// accSlab holds the initial jobs' reduction windows (nodeTree.acc),
 	// window slots for each node with children, in job then vertex order;
 	// recovery re-issues carve theirs from a block of their own. window is
@@ -59,6 +91,17 @@ type sim struct {
 	// arbitration found a flit ready but no credit. adapt reads its
 	// per-cycle delta.
 	stalls int
+
+	// grouped marks one group's sim of a grouped run. Such a sim records
+	// each change of its buffered-flit total in bufDiff, its worker's
+	// per-cycle difference array, from which the merged PeakBufferFlits
+	// is summed across groups; bufLast is the total last recorded. The
+	// array grows only while a worker's group runs longer than any before
+	// it, and the BenchmarkEventLoop group witness measures the record
+	// allocation-free. lint:cold
+	grouped bool
+	bufDiff []int
+	bufLast int
 
 	// sched is the wake-set policy's state (wake sets, timing wheel,
 	// retirement queues), allocated once; nil under EngineCycle. ev is the
@@ -87,11 +130,6 @@ type sim struct {
 	// until the first event.
 	lastFaultCycle   int
 	lastRecoverCycle int
-
-	// outputs[v] is node v's assembled m-element result, written in place
-	// at delivery time (broadcast arrival or root-local compute). All rows
-	// share one contiguous backing array.
-	outputs [][]int64
 
 	// engineUsed[v] counts reduction flits produced by router v this
 	// cycle; charged, read and reset only when cfg.EngineRate is non-zero.
@@ -128,9 +166,9 @@ func (s *sim) linkAt(from, to int) *link {
 	return nil
 }
 
-// newSim validates cfg, filling its defaults, and spec, and builds the
-// simulator state for one run.
-func newSim(spec Spec, cfg Config) (*sim, error) {
+// prepare validates cfg, filling its defaults, and spec, once per run,
+// and allocates what every sim of the run shares.
+func prepare(spec Spec, cfg Config) (*runSpec, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -151,12 +189,7 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	if spec.Op < OpAllreduce || spec.Op > OpBroadcast {
 		return nil, fmt.Errorf("netsim: unknown op %v", spec.Op)
 	}
-	s := &sim{spec: spec, cfg: cfg, n: n, engineUsed: make([]int, n), traced: cfg.Trace != nil, window: 1}
-	for s.window < cfg.VCDepth {
-		s.window <<= 1
-	}
-	s.offsets = make([]int, 0, len(spec.Forest))
-	s.jobs = make([]*job, 0, len(spec.Forest))
+	r := &runSpec{spec: spec, cfg: cfg, n: n, offsets: make([]int, 0, len(spec.Forest))}
 	for i, t := range spec.Forest {
 		if err := t.ValidateSpanning(g); err != nil {
 			return nil, fmt.Errorf("netsim: tree %d: %w", i, err)
@@ -164,12 +197,12 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 		if spec.Split[i] < 0 {
 			return nil, fmt.Errorf("netsim: negative split for tree %d", i)
 		}
-		s.offsets = append(s.offsets, s.m)
-		s.m += spec.Split[i]
+		r.offsets = append(r.offsets, r.m)
+		r.m += spec.Split[i]
 	}
 	for v, in := range spec.Inputs {
-		if len(in) != s.m {
-			return nil, fmt.Errorf("netsim: node %d input length %d, want %d", v, len(in), s.m)
+		if len(in) != r.m {
+			return nil, fmt.Errorf("netsim: node %d input length %d, want %d", v, len(in), r.m)
 		}
 	}
 	if cfg.Faults != nil {
@@ -185,24 +218,84 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 				return nil, fmt.Errorf("netsim: fault %d: node %d outside %d-node topology", i, f.Node, n)
 			}
 		}
-		s.faultsOn = true
-		s.faultActive = make([]bool, len(cfg.Faults.Faults))
-		s.stalled = make([]bool, n)
-		s.deadTree = make([]bool, len(spec.Forest))
 	}
 
 	// One contiguous backing array for all n result rows.
-	outBack := make([]int64, n*s.m)
-	s.outputs = make([][]int64, n)
+	outBack := make([]int64, n*r.m)
+	r.outputs = make([][]int64, n)
 	for v := 0; v < n; v++ {
-		s.outputs[v] = outBack[v*s.m : (v+1)*s.m : (v+1)*s.m]
+		r.outputs[v] = outBack[v*r.m : (v+1)*r.m : (v+1)*r.m]
 	}
-	s.layoutLinks()
+	r.treeDone = make([]int, len(spec.Forest))
+	r.treeReduceDone = make([]int, len(spec.Forest))
+	for i := range r.treeDone {
+		r.treeDone[i] = -1
+		if spec.Op == OpBroadcast {
+			r.treeReduceDone[i] = -1 // no reduce phase
+		}
+	}
+	return r, nil
+}
+
+// newSim validates spec and cfg and builds one sim of the whole forest:
+// Run's one-group case, and the construction tests and benchmarks drive
+// directly.
+func newSim(spec Spec, cfg Config) (*sim, error) {
+	r, err := prepare(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.build(r.allTrees(), nil), nil
+}
+
+// allTrees lists every tree of the forest.
+func (r *runSpec) allTrees() []int {
+	trees := make([]int, len(r.spec.Forest))
+	for i := range trees {
+		trees[i] = i
+	}
+	return trees
+}
+
+// reuse returns buf resliced to n zeroed elements when its capacity
+// allows, else a new slice: how a sim takes over the slabs of its
+// worker's previous one.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// build builds the sim of the given forest trees, ascending, over r. prev,
+// when non-nil, is a finished sim of the same run whose slabs the new one
+// takes over, as a worker does from one group to the next.
+func (r *runSpec) build(trees []int, prev *sim) *sim {
+	if prev == nil {
+		prev = &sim{}
+	}
+	s := &sim{runSpec: *r, trees: trees, engineUsed: reuse(prev.engineUsed, r.n),
+		bufDiff: prev.bufDiff, traced: r.cfg.Trace != nil, window: 1}
+	for s.window < s.cfg.VCDepth {
+		s.window <<= 1
+	}
+	s.jobs = make([]*job, 0, len(trees))
+	s.result.TreeDone, s.result.TreeReduceDone = r.treeDone, r.treeReduceDone
+	if s.cfg.Faults != nil {
+		s.faultsOn = true
+		s.faultActive = make([]bool, len(s.cfg.Faults.Faults))
+		s.stalled = make([]bool, s.n)
+		s.deadTree = make([]bool, len(s.spec.Forest))
+	}
+	s.layoutLinks(prev)
 	if s.faultsOn {
 		s.degLinks = s.degradableLinks()
 	}
-	for ti := range spec.Forest {
-		s.addStream(ti, s.offsets[ti], spec.Split[ti])
+	s.nodeSlab = reuse(prev.nodeSlab, len(trees)*s.n)
+	for _, ti := range trees {
+		s.addStream(ti, s.offsets[ti], s.spec.Split[ti])
 	}
 	// The initial jobs' reduction windows: one slab, sized once every
 	// job's children are known, carved in job then vertex order.
@@ -210,26 +303,20 @@ func newSim(spec Spec, cfg Config) (*sim, error) {
 	for _, j := range s.jobs {
 		windows += j.combining()
 	}
-	s.accSlab = make([]int64, windows*s.window)
+	s.accSlab = reuse(prev.accSlab, windows*s.window)
 	accs := s.accSlab
 	for _, j := range s.jobs {
 		accs = j.takeWindows(accs, s.window)
 	}
 	s.frozen = true
-	s.result.TreeDone = make([]int, len(spec.Forest))
-	s.result.TreeReduceDone = make([]int, len(spec.Forest))
-	for i := range s.result.TreeDone {
-		s.result.TreeDone[i] = -1
-		if spec.Op == OpBroadcast {
-			s.result.TreeReduceDone[i] = -1 // no reduce phase
-		}
-		s.checkJobDone(s.jobs[i], 0) // zero-split or trivially-complete trees
+	for _, j := range s.jobs {
+		s.checkJobDone(j, 0) // zero-split or trivially-complete trees
 	}
 	s.initSampling()
-	if cfg.Engine == EngineEvent {
+	if s.cfg.Engine == EngineEvent {
 		s.initEvent()
 	}
-	return s, nil
+	return s
 }
 
 // phases reports which collective phases the op runs and how many flows
@@ -254,12 +341,13 @@ func (s *sim) phases() (withReduce, withBcast bool, jobFlows int) {
 // slabs in id order: its flow pointers and pipeline ring as full-cap
 // windows that can never spill into a neighbour's. The pipeline is sized
 // for its maximum in-flight load (one injection per cycle, each airborne
-// LinkLatency cycles), so injection never grows it.
-func (s *sim) layoutLinks() {
+// LinkLatency cycles), so injection never grows it. The slabs reuse
+// prev's (see build).
+func (s *sim) layoutLinks(prev *sim) {
 	withReduce, withBcast, jobFlows := s.phases()
-	pairs := make([]uint64, 0, len(s.spec.Forest)*jobFlows)
-	for _, t := range s.spec.Forest {
-		for v, p := range t.Parent {
+	pairs := make([]uint64, 0, len(s.trees)*jobFlows)
+	for _, ti := range s.trees {
+		for v, p := range s.spec.Forest[ti].Parent {
 			if p < 0 {
 				continue
 			}
@@ -278,10 +366,10 @@ func (s *sim) layoutLinks() {
 			nl++
 		}
 	}
-	s.linkSlab = make([]link, nl)
-	s.links = make([]*link, nl)
-	s.rowStart = make([]int32, s.n+1)
-	s.flowStart = make([]int32, nl+1)
+	s.linkSlab = reuse(prev.linkSlab, nl)
+	s.links = reuse(prev.links, nl)
+	s.rowStart = reuse(prev.rowStart, s.n+1)
+	s.flowStart = reuse(prev.flowStart, nl+1)
 	id := -1
 	for i, k := range pairs {
 		if i > 0 && k == pairs[i-1] {
@@ -300,9 +388,9 @@ func (s *sim) layoutLinks() {
 	}
 
 	ring := s.cfg.LinkLatency
-	s.flowSlab = make([]flow, len(pairs))
-	s.flowPtrs = make([]*flow, len(pairs))
-	s.pipeSlab = make([]inflight, nl*ring)
+	s.flowSlab = reuse(prev.flowSlab, len(pairs))
+	s.flowPtrs = reuse(prev.flowPtrs, len(pairs))
+	s.pipeSlab = reuse(prev.pipeSlab, nl*ring)
 	for id, l := range s.links {
 		lo, hi := s.flowStart[id], s.flowStart[id+1]
 		l.flows = s.flowPtrs[lo:lo:hi]
@@ -340,15 +428,21 @@ func (s *sim) addFlow(fl flow, flows []flow, i int) *flow {
 // for recovery re-issues, so flow creation order (ascending vertex,
 // reduce before broadcast) is part of the determinism contract.
 //
-// The per-node state is one block per job. An initial job's flows go to
-// the link-major slabs (addFlow), and newSim carves its reduction windows
-// from the window slab once every initial job is built; a re-issue
-// appends to frozen links whose slab ranges are full, so it carves both
-// from blocks of its own, sized exactly: a tree contributes n−1 edges per
-// active phase and one window per node with children.
+// The per-node state is one block of n records per job. An initial job
+// takes its block from the node slab and puts its flows in the link-major
+// slabs (addFlow), and build carves its reduction windows from the window
+// slab once every initial job is built; a re-issue appends to frozen
+// links whose slab ranges are full, so it allocates all three blocks of
+// its own, sized exactly: a tree contributes n−1 edges per active phase
+// and one window per node with children.
 func (s *sim) addStream(ti, goff, mt int) *job {
 	t := s.spec.Forest[ti]
-	j := &job{idx: len(s.jobs), tree: ti, goff: goff, m: mt, nodes: make([]nodeTree, s.n)}
+	j := &job{idx: len(s.jobs), tree: ti, goff: goff, m: mt}
+	if s.frozen {
+		j.nodes = make([]nodeTree, s.n)
+	} else {
+		j.nodes = s.nodeSlab[j.idx*s.n : (j.idx+1)*s.n : (j.idx+1)*s.n]
+	}
 	for v := 0; v < s.n; v++ {
 		j.nodes[v] = nodeTree{
 			parent: t.Parent[v],
@@ -618,6 +712,9 @@ func (s *sim) advance() (int, error) {
 		s.noteOccupancy(links, now)
 		if s.bufTotal > s.result.PeakBufferFlits {
 			s.result.PeakBufferFlits = s.bufTotal
+		}
+		if s.grouped && s.bufTotal != s.bufLast {
+			s.noteBuffered(now)
 		}
 
 		// 6. Telemetry sample boundary: hand the cumulative counters to the
@@ -982,34 +1079,8 @@ func (s *sim) finalize(now int) (*Result, error) {
 	if s.sampling {
 		s.sampleNow(now, true)
 	}
-
-	// Post-run invariants: every stream fully drained, no flit stranded in
-	// a pipeline or buffer, all credits returned. A violation indicates a
-	// simulator bug, not a workload property, so it is an error.
-	s.release(s.links)
-	for _, l := range s.links {
-		if l.pipeLen() != 0 {
-			return nil, fmt.Errorf("netsim: internal: %d flits stranded in a link pipeline", l.pipeLen())
-		}
-		for _, f := range l.flows {
-			if f.sent != f.m || f.arrived != f.m {
-				return nil, fmt.Errorf("netsim: internal: flow tree=%d phase=%d %d→%d ended at sent=%d arrived=%d of %d",
-					f.tree, f.phase, f.from, f.to, f.sent, f.arrived, f.m)
-			}
-			if f.consumed != f.m {
-				return nil, fmt.Errorf("netsim: internal: flow tree=%d %d→%d left %d flits buffered",
-					f.tree, f.from, f.to, f.arrived-f.consumed)
-			}
-		}
-	}
-
-	// Flit conservation: every link transmission ends exactly once, as an
-	// accepted arrival or as one of the four drop sites (injection into a
-	// failed link, pipeline purge at fault activation, out-of-sequence
-	// discard, abort purge at recovery).
-	if s.result.FlitsSent != s.result.DeliveredFlits+s.result.DroppedFlits {
-		return nil, fmt.Errorf("netsim: internal: flit conservation violated: sent=%d delivered=%d dropped=%d",
-			s.result.FlitsSent, s.result.DeliveredFlits, s.result.DroppedFlits)
+	if err := s.checkDrained(); err != nil {
+		return nil, err
 	}
 
 	s.result.Outputs = s.outputs
@@ -1025,27 +1096,67 @@ func (s *sim) finalize(now int) (*Result, error) {
 	}
 
 	// Per-link summary; s.links is already in (from, to) order.
-	s.result.LinkStats = make([]LinkStat, 0, len(s.links))
-	for _, l := range s.links {
-		treeSet := make(map[int]bool)
-		for _, f := range l.flows {
-			treeSet[f.tree] = true
-		}
-		ls := LinkStat{
-			From: l.from, To: l.to,
-			Flits:           l.flits,
-			BusyCycles:      l.flits,
-			StallCycles:     l.stallCycles,
-			Dropped:         l.dropped,
-			PeakBufferFlits: l.peakBuf,
-			Trees:           len(treeSet),
-		}
-		if now > 0 {
-			ls.Utilization = float64(l.flits) / float64(now)
-		}
-		s.result.LinkStats = append(s.result.LinkStats, ls)
+	s.result.LinkStats = make([]LinkStat, len(s.links))
+	for i, l := range s.links {
+		s.result.LinkStats[i] = l.stat(now)
 	}
 	return &s.result, nil
+}
+
+// checkDrained retires every buffered flit once the run has ended and
+// checks the post-run invariants: every stream fully drained, no flit
+// stranded in a pipeline or buffer, all credits returned, and every flit
+// sent accounted for. A violation indicates a simulator bug, not a
+// workload property, so it is an error.
+func (s *sim) checkDrained() error {
+	s.release(s.links)
+	for _, l := range s.links {
+		if l.pipeLen() != 0 {
+			return fmt.Errorf("netsim: internal: %d flits stranded in a link pipeline", l.pipeLen())
+		}
+		for _, f := range l.flows {
+			if f.sent != f.m || f.arrived != f.m {
+				return fmt.Errorf("netsim: internal: flow tree=%d phase=%d %d→%d ended at sent=%d arrived=%d of %d",
+					f.tree, f.phase, f.from, f.to, f.sent, f.arrived, f.m)
+			}
+			if f.consumed != f.m {
+				return fmt.Errorf("netsim: internal: flow tree=%d %d→%d left %d flits buffered",
+					f.tree, f.from, f.to, f.arrived-f.consumed)
+			}
+		}
+	}
+
+	// Flit conservation: every link transmission ends exactly once, as an
+	// accepted arrival or as one of the four drop sites (injection into a
+	// failed link, pipeline purge at fault activation, out-of-sequence
+	// discard, abort purge at recovery).
+	if s.result.FlitsSent != s.result.DeliveredFlits+s.result.DroppedFlits {
+		return fmt.Errorf("netsim: internal: flit conservation violated: sent=%d delivered=%d dropped=%d",
+			s.result.FlitsSent, s.result.DeliveredFlits, s.result.DroppedFlits)
+	}
+	return nil
+}
+
+// stat summarises the link for Result.LinkStats, with its utilization
+// over a run of the given cycles (none when cycles is zero).
+func (l *link) stat(cycles int) LinkStat {
+	ls := LinkStat{
+		From: l.from, To: l.to,
+		Flits:           l.flits,
+		BusyCycles:      l.flits,
+		StallCycles:     l.stallCycles,
+		Dropped:         l.dropped,
+		PeakBufferFlits: l.peakBuf,
+	}
+	for i, f := range l.flows {
+		if !slices.ContainsFunc(l.flows[:i], func(o *flow) bool { return o.tree == f.tree }) {
+			ls.Trees++
+		}
+	}
+	if cycles > 0 {
+		ls.Utilization = float64(l.flits) / float64(cycles)
+	}
+	return ls
 }
 
 func maxf(a, b float64) float64 {

@@ -35,6 +35,15 @@ func Workers(n int) int {
 // fails, Map returns the error of the lowest-indexed failing job —
 // the same error a serial loop would have stopped on — and no results.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	return MapWorker(workers, n, func(_, i int) (T, error) { return fn(i) })
+}
+
+// MapWorker is Map for jobs that reuse state their worker owns: fn(w, i)
+// runs job i on worker w, where w < Workers(workers) and w < n. A worker
+// runs one job at a time, so fn may keep scratch state in a slot indexed
+// by w and hand it to that worker's next job. Which worker runs which job
+// depends on scheduling, so nothing a job returns may depend on w.
+func MapWorker[T any](workers, n int, fn func(w, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
@@ -45,7 +54,7 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			v, err := fn(i)
+			v, err := fn(0, i)
 			if err != nil {
 				return nil, err
 			}
@@ -61,7 +70,7 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out[i], errs[i] = fn(i)
+				out[i], errs[i] = fn(w, i)
 			}
 		}()
 	}

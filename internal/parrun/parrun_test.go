@@ -122,3 +122,35 @@ func TestWorkersDefault(t *testing.T) {
 		t.Fatalf("Workers(5) = %d, want 5", got)
 	}
 }
+
+func TestMapWorkerOwnsItsSlot(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		// Each worker keeps a running count in its own slot; a slot shared
+		// by two jobs at once would lose updates (and trip -race).
+		slots := make([]int, workers)
+		got, err := MapWorker(workers, 60, func(w, i int) (int, error) {
+			if w < 0 || w >= workers {
+				return 0, fmt.Errorf("job %d ran on worker %d of %d", i, w, workers)
+			}
+			c := slots[w]
+			runtime.Gosched()
+			slots[w] = c + 1
+			return 2 * i, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		total := 0
+		for _, c := range slots {
+			total += c
+		}
+		if total != 60 {
+			t.Fatalf("workers=%d: slots counted %d jobs, want 60", workers, total)
+		}
+		for i, v := range got {
+			if v != 2*i {
+				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, v, 2*i)
+			}
+		}
+	}
+}

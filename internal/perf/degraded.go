@@ -153,7 +153,7 @@ func degradedPoint(cfg DegradedConfig, in *sweepInputs, kind core.EmbeddingKind)
 		pt.RelErr = (pt.MeasuredBW - pt.PredictedBW) / pt.PredictedBW
 	}
 	pt.Within = math.Abs(pt.RelErr) <= cfg.Tolerance
-	want := netsim.ExpectedOutput(p.inputs)
+	want := in.expected(p.inst.N(), cfg.M, cfg.Seed)
 	pt.OutputsOK = true
 	for v := range res.Outputs {
 		for k := range want {

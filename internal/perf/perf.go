@@ -127,13 +127,14 @@ func newDesignPoint(in *sweepInputs, q int, kind core.EmbeddingKind, m, latency,
 
 // sweepInputs is one gate sweep's input matrices: the design points of
 // the sweep that share (N, m, seed) — every embedding of one q — share
-// one seeded N×m matrix, built by the first to ask, instead of each
-// building its own. netsim and core only read Spec.Inputs, so the sharing
-// is safe on a parrun pool; the mutex makes the first build race-free.
-// Each sweep makes its own, so no matrix outlives the call that built it.
+// one seeded N×m matrix, built by the first to ask, and its expected sum,
+// computed by the first to check outputs, instead of each building its
+// own. netsim and core only read Spec.Inputs, so the sharing is safe on a
+// parrun pool; the mutex makes the first builds race-free. Each sweep
+// makes its own, so no matrix outlives the call that built it.
 type sweepInputs struct {
 	mu   sync.Mutex
-	mats map[inputKey][][]int64
+	mats map[inputKey]*sweepMatrix
 }
 
 type inputKey struct {
@@ -141,20 +142,45 @@ type inputKey struct {
 	seed int64
 }
 
-// vectors returns the sweep's workload.Vectors(n, m, 1000, seed) matrix.
-func (in *sweepInputs) vectors(n, m int, seed int64) [][]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
+// sweepMatrix is one shared input matrix and, once asked for, the
+// element-wise sum every node's output must equal.
+type sweepMatrix struct {
+	inputs [][]int64
+	want   []int64
+}
+
+// matrix returns the sweep's entry for workload.Vectors(n, m, 1000, seed),
+// building the matrix on first use. The caller holds in.mu.
+func (in *sweepInputs) matrix(n, m int, seed int64) *sweepMatrix {
 	k := inputKey{n: n, m: m, seed: seed}
 	mat, ok := in.mats[k]
 	if !ok {
 		if in.mats == nil {
-			in.mats = make(map[inputKey][][]int64)
+			in.mats = make(map[inputKey]*sweepMatrix)
 		}
-		mat = workload.Vectors(n, m, 1000, seed)
+		mat = &sweepMatrix{inputs: workload.Vectors(n, m, 1000, seed)}
 		in.mats[k] = mat
 	}
 	return mat
+}
+
+// vectors returns the sweep's workload.Vectors(n, m, 1000, seed) matrix.
+func (in *sweepInputs) vectors(n, m int, seed int64) [][]int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.matrix(n, m, seed).inputs
+}
+
+// expected returns netsim.ExpectedOutput of the vectors(n, m, seed)
+// matrix, computed once per sweep.
+func (in *sweepInputs) expected(n, m int, seed int64) []int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	mat := in.matrix(n, m, seed)
+	if mat.want == nil {
+		mat.want = netsim.ExpectedOutput(mat.inputs)
+	}
+	return mat.want
 }
 
 // failLink schedules the run's one fault: link u-v goes down at cycle at.

@@ -33,6 +33,9 @@ type ScorecardConfig struct {
 	// serial path, <1 means GOMAXPROCS. Results commit in input order
 	// either way, so the value never changes the output — it is excluded
 	// from snapshots so BENCH_*.json stays byte-identical across runners.
+	// It bounds the design points in flight, not the cores: the points run
+	// untraced, so netsim.Run simulates a point's independent tree groups
+	// (the Hamiltonian paths) on GOMAXPROCS workers of its own.
 	Parallel int `json:"-"`
 	// Engine selects the netsim advance strategy (cycle-accurate loop or
 	// the event-driven cycle-skipping engine). The engines are
