@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"polarfly/internal/bandwidth"
 	"polarfly/internal/chaos"
 	"polarfly/internal/core"
 	"polarfly/internal/critpath"
@@ -50,9 +49,9 @@ import (
 	"polarfly/internal/netsim"
 	"polarfly/internal/obsv"
 	"polarfly/internal/parrun"
+	"polarfly/internal/perf"
 	"polarfly/internal/trees"
 	"polarfly/internal/tsdb"
-	"polarfly/internal/workload"
 )
 
 func main() {
@@ -157,8 +156,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Validate the telemetry flags before any simulation spends cycles.
+	tsCfg := tsdb.Config{SampleEvery: *sampleEvery, Windows: *tsWindows}
 	if *tsOut != "" {
-		if _, err := tsdb.New(tsdb.Config{SampleEvery: *sampleEvery, Windows: *tsWindows}); err != nil {
+		if _, err := tsdb.New(tsCfg); err != nil {
 			return fail(err)
 		}
 	}
@@ -166,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sweep {
 		return runSweep(*q, *m, *latency, *vc, *parallel, *seed, engine, *maxSimBytes, stdout, stderr)
 	}
-	obs := &observers{q: *q, m: *m, latency: *latency, vc: *vc, sampleEvery: *sampleEvery, tsWindows: *tsWindows,
+	obs := &observers{q: *q, m: *m, latency: *latency, vc: *vc, ts: tsCfg,
 		traceOut: *traceOut, metricsOut: *metricsOut, tsOut: *tsOut, critpathOut: *critpathOut}
 	if *failLinks != "" || *faultSeed != 0 || *faultPlan != "" || *failRouters != "" || *chaosSeed != 0 {
 		return runFaults(*q, *m, *latency, *vc, *parallel, *seed,
@@ -263,50 +263,6 @@ type embeddingMetrics struct {
 	Metrics obsv.Snapshot `json:"metrics"`
 }
 
-// tsRig is the per-embedding telemetry rig -ts-out attaches: the
-// bounded-memory sampler, the hotspot/bounds analyzer, and the snapshot
-// metadata captured at wiring time.
-type tsRig struct {
-	sampler  *tsdb.Sampler
-	analyzer *tsdb.Analyzer
-	meta     tsdb.SnapshotMeta
-}
-
-// newTSRig wires a sampler and analyzer into one embedding's run config.
-// The sampler config must have been validated up front (run() does), so
-// construction cannot fail here. faulted disables the fault-free floor
-// check, which a mid-run link failure would legitimately break.
-func newTSRig(q, m, sampleEvery, windows int, e *core.Embedding, faulted bool, c *netsim.Config) *tsRig {
-	s := tsdb.MustNew(tsdb.Config{SampleEvery: sampleEvery, Windows: windows})
-	nodes := q*q + q + 1
-	floor := 0.0
-	switch e.Kind {
-	case core.SingleTree:
-		floor = 1.0
-	case core.LowDepth:
-		floor = bandwidth.LowDepthBound(q, 1.0)
-	case core.Hamiltonian:
-		floor = bandwidth.HamiltonianBound(len(e.Forest), 1.0)
-	default: // DepthTwo has no proven floor
-	}
-	a := tsdb.NewAnalyzer(s, tsdb.AnalyzerConfig{
-		Tolerance: 0.10,
-		Bounds: tsdb.Bounds{
-			Nodes:     nodes,
-			Aggregate: e.Model.Aggregate,
-			Optimal:   bandwidth.Optimal(q, 1.0),
-			Floor:     floor,
-			FaultFree: !faulted,
-		},
-		Predicted: core.ModelLinkLoads(e),
-	})
-	c.SampleEvery = sampleEvery
-	c.Sample = s.Sample
-	return &tsRig{sampler: s, analyzer: a, meta: tsdb.SnapshotMeta{
-		Q: q, Kind: e.Kind.String(), M: m, Nodes: nodes,
-		Aggregate: e.Model.Aggregate, Optimal: bandwidth.Optimal(q, 1.0), Floor: floor}}
-}
-
 // observers is what -trace-out, -metrics-out, -ts-out and -critpath-out
 // attach to each embedding's run (an obsv collector, a telemetry rig, a
 // critical-path builder), and the files they write afterwards. The
@@ -314,9 +270,10 @@ func newTSRig(q, m, sampleEvery, windows int, e *core.Embedding, faulted bool, c
 // pool dispatches, so the run list needs no locks and -parallel N output
 // stays byte-identical to a serial run.
 type observers struct {
-	q, m, latency, vc, sampleEvery, tsWindows int
-	traceOut, metricsOut, tsOut, critpathOut  string
-	runs                                      []*observed
+	q, m, latency, vc                        int
+	ts                                       tsdb.Config
+	traceOut, metricsOut, tsOut, critpathOut string
+	runs                                     []*observed
 }
 
 // observed is one embedding's observer set. cycles is the completed
@@ -324,7 +281,7 @@ type observers struct {
 type observed struct {
 	kind   core.EmbeddingKind
 	col    *obsv.Collector
-	rig    *tsRig
+	rig    *perf.TimelineRig
 	cp     *critpath.Builder
 	cycles int
 }
@@ -342,7 +299,12 @@ func (o *observers) attach(e *core.Embedding, faulted bool, c *netsim.Config) *o
 		r.col.Attach(c)
 	}
 	if o.tsOut != "" {
-		r.rig = newTSRig(o.q, o.m, o.sampleEvery, o.tsWindows, e, faulted, c)
+		// run() validated the sampler config, so the rig cannot fail.
+		rig, err := perf.NewTimelineRig(o.q, o.m, e, o.ts, 0.10, faulted, c)
+		if err != nil {
+			panic(err)
+		}
+		r.rig = rig
 	}
 	if o.critpathOut != "" {
 		r.cp = critpath.NewBuilder()
@@ -413,7 +375,7 @@ func (o *observers) writeTimelines(w io.Writer) error {
 				return err
 			}
 		}
-		if err := tsdb.BuildSnapshot(r.rig.sampler, r.rig.analyzer, r.rig.meta).WriteMarkdown(w); err != nil {
+		if err := r.rig.Snapshot().WriteMarkdown(w); err != nil {
 			return err
 		}
 	}
@@ -707,14 +669,17 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 	if err != nil {
 		return fail(err)
 	}
-	inputs := workload.Vectors(inst.N(), m, 1000, seed)
+	embeds, err := inst.EmbedAll(core.ComparisonKinds(q))
+	if err != nil {
+		return fail(err)
+	}
+	inputs := inst.Inputs(m, seed)
 	want := netsim.ExpectedOutput(inputs)
 
 	// faultJob is one embedding's fully-prepared degraded run. Prep runs
 	// serially; the simulations then run as independent parrun jobs, each
 	// touching only its own job state and its own observers.
 	type faultJob struct {
-		kind  core.EmbeddingKind
 		e     *core.Embedding
 		cfg   netsim.Config
 		pred  float64
@@ -722,11 +687,7 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		obs   *observed
 	}
 	var jobs []faultJob
-	for _, kind := range core.ComparisonKinds(q) {
-		e, err := inst.Embed(kind)
-		if err != nil {
-			return fail(err)
-		}
+	for _, e := range embeds {
 		plan := shared
 		switch {
 		case plan != nil:
@@ -770,7 +731,7 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 			pred = deg.Model.Aggregate
 		}
 
-		job := faultJob{kind: kind, e: e, pred: pred, label: label,
+		job := faultJob{e: e, pred: pred, label: label,
 			cfg: netsim.Config{LinkLatency: latency, VCDepth: vc, Faults: plan, Engine: engine}}
 		// With observers, the fault and recovery marks land in the exported
 		// telemetry; the telemetry rig's floor checks are off, since a fault
@@ -799,13 +760,13 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 		if errors.Is(err, netsim.ErrAllTreesLost) {
 			row.allLost = true
 			row.line = fmt.Sprintf("%-12v %6d %-14s %-10s %9s %8s %8s %8s %10s %10s %8s %8s\n",
-				job.kind, len(job.e.Forest), job.label, "all", "-", "-", "-", "-", "0.000", "-", "-", "aborted")
+				job.e.Kind, len(job.e.Forest), job.label, "all", "-", "-", "-", "-", "0.000", "-", "-", "aborted")
 			return row, nil
 		}
 		if err != nil {
-			return row, fmt.Errorf("%v: %w", job.kind, err)
+			return row, fmt.Errorf("%v: %w", job.e.Kind, err)
 		}
-		if err := arenaCeiling(job.kind.String(), res.Arena, maxSimBytes); err != nil {
+		if err := arenaCeiling(job.e.Kind.String(), res.Arena, maxSimBytes); err != nil {
 			return row, err
 		}
 		row.cycles = res.Cycles
@@ -838,7 +799,7 @@ func runFaults(q, m, latency, vc, parallel int, seed int64, links, routers strin
 			}
 		}
 		row.line = fmt.Sprintf("%-12v %6d %-14s %-10s %9s %8d %8d %8d %10.3f %10s %8s %8s\n",
-			job.kind, len(job.e.Forest), job.label, fmt.Sprintf("%v", res.DeadTrees), recoverAt,
+			job.e.Kind, len(job.e.Forest), job.label, fmt.Sprintf("%v", res.DeadTrees), recoverAt,
 			res.DroppedFlits, reissued, res.Cycles, job.pred, meas, relErr, outputs)
 		return row, nil
 	})

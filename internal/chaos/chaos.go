@@ -35,7 +35,6 @@ import (
 	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/parrun"
-	"polarfly/internal/workload"
 )
 
 // Config parameterises one campaign.
@@ -104,34 +103,38 @@ func ParseEmbedding(name string) (core.EmbeddingKind, error) {
 	return 0, fmt.Errorf("chaos: unknown embedding %q (want single-tree, low-depth or hamiltonian)", name)
 }
 
-func (c *Config) validate() error {
+// validate checks the config and returns its embeddings, parsed.
+func (c *Config) validate() ([]core.EmbeddingKind, error) {
 	if len(c.Qs) == 0 {
-		return fmt.Errorf("chaos: campaign needs at least one q")
+		return nil, fmt.Errorf("chaos: campaign needs at least one q")
 	}
 	if len(c.Embeddings) == 0 {
-		return fmt.Errorf("chaos: campaign needs at least one embedding")
+		return nil, fmt.Errorf("chaos: campaign needs at least one embedding")
 	}
-	for _, name := range c.Embeddings {
-		if _, err := ParseEmbedding(name); err != nil {
-			return err
+	kinds := make([]core.EmbeddingKind, len(c.Embeddings))
+	for i, name := range c.Embeddings {
+		kind, err := ParseEmbedding(name)
+		if err != nil {
+			return nil, err
 		}
+		kinds[i] = kind
 	}
 	if c.Runs < 1 {
-		return fmt.Errorf("chaos: runs per point must be ≥ 1, got %d", c.Runs)
+		return nil, fmt.Errorf("chaos: runs per point must be ≥ 1, got %d", c.Runs)
 	}
 	if c.M < 1 {
-		return fmt.Errorf("chaos: vector length must be ≥ 1, got %d", c.M)
+		return nil, fmt.Errorf("chaos: vector length must be ≥ 1, got %d", c.M)
 	}
 	if c.MinAt < 1 || c.MaxAt < c.MinAt {
-		return fmt.Errorf("chaos: activation window [%d,%d] invalid", c.MinAt, c.MaxAt)
+		return nil, fmt.Errorf("chaos: activation window [%d,%d] invalid", c.MinAt, c.MaxAt)
 	}
 	if c.Tolerance <= 0 || c.Tolerance >= 1 {
-		return fmt.Errorf("chaos: tolerance %g out of (0, 1)", c.Tolerance)
+		return nil, fmt.Errorf("chaos: tolerance %g out of (0, 1)", c.Tolerance)
 	}
 	if c.MinTailElems < 1 {
-		return fmt.Errorf("chaos: min tail elements must be ≥ 1, got %d", c.MinTailElems)
+		return nil, fmt.Errorf("chaos: min tail elements must be ≥ 1, got %d", c.MinTailElems)
 	}
-	return nil
+	return kinds, nil
 }
 
 // Outcome classifies one campaign run.
@@ -230,7 +233,6 @@ func topoLinks(e *core.Embedding) [][2]int {
 type pointSpec struct {
 	q        int
 	kindIdx  int // index into cfg.Embeddings
-	kind     core.EmbeddingKind
 	inst     *core.Instance
 	e        *core.Embedding
 	inputs   [][]int64
@@ -265,31 +267,27 @@ func RunSeed(seed int64, q, kindIdx, run int) int64 {
 // problems; invariant breaches are recorded as violations in the report
 // (see Failures).
 func Campaign(cfg Config) (*Report, error) {
-	if err := cfg.validate(); err != nil {
+	kinds, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
-	// Build each q's instance, inputs and their expected sum once for all
-	// its embeddings, and each design point's embedding once, serially;
-	// runs share them read-only.
+	// Build each q's instance, embeddings, inputs and their expected sum
+	// once, serially; runs share them read-only.
 	var specs []*pointSpec
 	for _, q := range cfg.Qs {
 		inst, err := core.NewInstance(q)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: q=%d: %w", q, err)
 		}
-		inputs := workload.Vectors(inst.N(), cfg.M, 1000, cfg.Seed)
+		embeds, err := inst.EmbedAll(kinds)
+		if err != nil {
+			return nil, fmt.Errorf("chaos: q=%d: %w", q, err)
+		}
+		inputs := inst.Inputs(cfg.M, cfg.Seed)
 		want := netsim.ExpectedOutput(inputs)
-		for ki, name := range cfg.Embeddings {
-			kind, err := ParseEmbedding(name)
-			if err != nil {
-				return nil, err
-			}
-			e, err := inst.Embed(kind)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: q=%d %s: %w", q, name, err)
-			}
+		for ki, e := range embeds {
 			specs = append(specs, &pointSpec{
-				q: q, kindIdx: ki, kind: kind,
+				q: q, kindIdx: ki,
 				inst: inst, e: e, inputs: inputs,
 				want:     want,
 				links:    topoLinks(e),
@@ -349,7 +347,7 @@ func runOne(cfg Config, sp *pointSpec, run int) runResult {
 	var rr runResult
 	violate := func(format string, args ...any) {
 		rr.outcome = Violation
-		prefix := fmt.Sprintf("q=%d %s run %d: ", sp.q, sp.kind, run)
+		prefix := fmt.Sprintf("q=%d %s run %d: ", sp.q, sp.e.Kind, run)
 		rr.violations = append(rr.violations, prefix+fmt.Sprintf(format, args...))
 	}
 	if err := plan.Validate(); err != nil {

@@ -8,7 +8,6 @@ import (
 	"polarfly/internal/netsim"
 	"polarfly/internal/routing"
 	"polarfly/internal/trees"
-	"polarfly/internal/workload"
 )
 
 // This file holds the ablation studies DESIGN.md calls out: they quantify
@@ -76,7 +75,7 @@ func VCDepthSweep(q, m, linkLatency int, depths []int, kind EmbeddingKind, seed 
 	if err != nil {
 		return nil, err
 	}
-	inputs := workload.Vectors(inst.N(), m, 1000, seed)
+	inputs := inst.Inputs(m, seed)
 	var rows []SweepRow
 	for _, d := range depths {
 		res, err := inst.Allreduce(e, inputs, netsim.Config{LinkLatency: linkLatency, VCDepth: d})
@@ -100,7 +99,7 @@ func EngineRateSweep(q, m, linkLatency int, rates []int, kind EmbeddingKind, see
 	if err != nil {
 		return nil, err
 	}
-	inputs := workload.Vectors(inst.N(), m, 1000, seed)
+	inputs := inst.Inputs(m, seed)
 	var rows []SweepRow
 	for _, r := range rates {
 		res, err := inst.Allreduce(e, inputs, netsim.Config{LinkLatency: linkLatency, VCDepth: 2 * linkLatency, EngineRate: r})
@@ -230,18 +229,11 @@ func LogicalTreeComparison(q int) ([]LogicalTreeRow, error) {
 	pair := logical.Bandwidth([]*logical.Embedding{a, b}, 1.0)
 	rows = append(rows, LogicalTreeRow{
 		Shape:         "2×binomial (SHARP cap)",
-		MaxLoad:       maxInt(a.MaxLoad, b.MaxLoad),
+		MaxLoad:       max(a.MaxLoad, b.MaxLoad),
 		Bandwidth:     pair[0] + pair[1],
-		PhysicalDepth: maxInt(a.MaxPhysicalDepth, b.MaxPhysicalDepth),
+		PhysicalDepth: max(a.MaxPhysicalDepth, b.MaxPhysicalDepth),
 	})
 	return rows, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ResourceComparison computes the router-resource table for all available
@@ -251,16 +243,12 @@ func ResourceComparison(q int) ([]ResourceRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	kinds := []EmbeddingKind{SingleTree, LowDepth, Hamiltonian}
-	if q%2 == 0 {
-		kinds = []EmbeddingKind{SingleTree, Hamiltonian}
+	embeds, err := inst.EmbedAll(ComparisonKinds(q))
+	if err != nil {
+		return nil, err
 	}
 	var rows []ResourceRow
-	for _, kind := range kinds {
-		e, err := inst.Embed(kind)
-		if err != nil {
-			return nil, err
-		}
+	for _, e := range embeds {
 		states := trees.ReductionStatesPerRouter(e.Forest, inst.N())
 		maxStates := 0
 		for _, s := range states {
@@ -269,7 +257,7 @@ func ResourceComparison(q int) ([]ResourceRow, error) {
 			}
 		}
 		rows = append(rows, ResourceRow{
-			Kind:               kind,
+			Kind:               e.Kind,
 			VCsPerLink:         trees.VCRequirement(e.Forest),
 			ReductionsPerPort:  trees.MaxReductionsPerInputPort(e.Forest),
 			MaxStatesPerRouter: maxStates,

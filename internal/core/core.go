@@ -15,6 +15,7 @@ import (
 	"polarfly/internal/netsim"
 	"polarfly/internal/singer"
 	"polarfly/internal/trees"
+	"polarfly/internal/workload"
 )
 
 // DefaultMISTries is the number of random maximal-independent-set
@@ -130,6 +131,26 @@ func (e *Embedding) linkB() float64 {
 	return 1.0
 }
 
+// Inputs is the seeded N×m input matrix every simulation sweep runs:
+// workload.Vectors with elements in [−1000, 1000]. Runs only read it, so
+// the embeddings of one sweep share it.
+func (in *Instance) Inputs(m int, seed int64) [][]int64 {
+	return workload.Vectors(in.N(), m, 1000, seed)
+}
+
+// EmbedAll derives the embeddings of kinds, in order.
+func (in *Instance) EmbedAll(kinds []EmbeddingKind) ([]*Embedding, error) {
+	out := make([]*Embedding, len(kinds))
+	for i, kind := range kinds {
+		e, err := in.Embed(kind)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = e
+	}
+	return out, nil
+}
+
 // Embed derives the requested embedding. For Hamiltonian it uses
 // DefaultMISTries random instances with DefaultSeed; use EmbedSeeded for
 // explicit control.
@@ -217,41 +238,18 @@ func ModelLinkLoads(e *Embedding) map[[2]int]float64 {
 	return load
 }
 
-// AllreduceResult is the outcome of a simulated in-network Allreduce.
+// AllreduceResult is the outcome of a simulated in-network Allreduce:
+// the simulator's Result, whose fields it promotes, plus the model's
+// prediction and the split the run used. The Result is held by value: a
+// one-sim netsim.Run returns a pointer into the simulator, and holding
+// that would keep every slab of the finished sim reachable.
 type AllreduceResult struct {
-	// Outputs[v] is node v's reduced vector (verified equal across nodes by
-	// the simulator's construction; tests verify against the exact sum).
-	Outputs [][]int64
-	// Cycles is the simulated completion time.
-	Cycles int
+	netsim.Result
 	// ModelCycles is the Theorem 5.1 prediction m/ΣB_i (bandwidth term
 	// only; pipeline-fill latency comes on top).
 	ModelCycles float64
 	// Split is the per-tree sub-vector assignment used (Equation 2).
 	Split []int
-	// FlitsSent counts link-level transmissions.
-	FlitsSent int
-	// PeakBufferFlits is the maximum simultaneously buffered flits.
-	PeakBufferFlits int
-	// LinkStats is the simulator's per-directed-link telemetry summary.
-	LinkStats []netsim.LinkStat
-	// TreeReduceDone[i] is the cycle tree i's root computed its final
-	// reduced flit — the per-tree reduce/broadcast phase boundary.
-	TreeReduceDone []int
-	// Fault telemetry, copied from the simulator (zero on fault-free
-	// runs): flits destroyed by link faults, the trees recovery aborted,
-	// every recovery round, and the measured aggregate bandwidth after
-	// the last recovery (the dynamic counterpart of Degrade's model).
-	DroppedFlits int
-	// DeliveredFlits counts flits accepted into receive buffers;
-	// FlitsSent == DeliveredFlits + DroppedFlits on every completed run.
-	DeliveredFlits int
-	DeadTrees      []int
-	Recoveries     []netsim.Recovery
-	PostRecoveryBW float64
-	// Arena is the simulator's construction-time memory footprint,
-	// copied from netsim.Result.Arena.
-	Arena netsim.ArenaFootprint
 }
 
 // Allreduce simulates an in-network Allreduce of the given inputs over the
@@ -277,22 +275,7 @@ func (in *Instance) Allreduce(e *Embedding, inputs [][]int64, cfg netsim.Config)
 	if err != nil {
 		return nil, err
 	}
-	return &AllreduceResult{
-		Outputs:         res.Outputs,
-		Cycles:          res.Cycles,
-		ModelCycles:     float64(m) / e.Model.Aggregate,
-		Split:           split,
-		FlitsSent:       res.FlitsSent,
-		PeakBufferFlits: res.PeakBufferFlits,
-		LinkStats:       res.LinkStats,
-		TreeReduceDone:  res.TreeReduceDone,
-		DroppedFlits:    res.DroppedFlits,
-		DeliveredFlits:  res.DeliveredFlits,
-		Arena:           res.Arena,
-		DeadTrees:       res.DeadTrees,
-		Recoveries:      res.Recoveries,
-		PostRecoveryBW:  res.PostRecoveryBW,
-	}, nil
+	return &AllreduceResult{Result: *res, ModelCycles: float64(m) / e.Model.Aggregate, Split: split}, nil
 }
 
 // VerifyIsomorphism checks Theorem 6.6 on this instance by searching for an

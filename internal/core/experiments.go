@@ -270,19 +270,17 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 	if kinds == nil {
 		kinds = ComparisonKinds(q)
 	}
-	inputs := workload.Vectors(inst.N(), m, 1000, seed)
+	inputs := inst.Inputs(m, seed)
 	want := netsim.ExpectedOutput(inputs)
-	embeds := make([]*Embedding, len(kinds))
+	embeds, err := inst.EmbedAll(kinds)
+	if err != nil {
+		return nil, err
+	}
 	cfgs := make([]netsim.Config, len(kinds))
 	for i, kind := range kinds {
-		e, err := inst.Embed(kind)
-		if err != nil {
-			return nil, err
-		}
-		embeds[i] = e
 		cfgs[i] = cfg
 		if prep != nil {
-			prep(kind, e, &cfgs[i])
+			prep(kind, embeds[i], &cfgs[i])
 		}
 	}
 	rows, err := parrun.Map(parallel, len(kinds), func(i int) (SimRow, error) {

@@ -207,17 +207,13 @@ func FailureTolerance(q int) ([]FailureToleranceRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	kinds := []EmbeddingKind{SingleTree, LowDepth, Hamiltonian}
-	if q%2 == 0 {
-		kinds = []EmbeddingKind{SingleTree, Hamiltonian}
+	embeds, err := inst.EmbedAll(ComparisonKinds(q))
+	if err != nil {
+		return nil, err
 	}
 	var rows []FailureToleranceRow
-	for _, kind := range kinds {
-		e, err := inst.Embed(kind)
-		if err != nil {
-			return nil, err
-		}
-		row := FailureToleranceRow{Kind: kind, Trees: len(e.Forest)}
+	for _, e := range embeds {
+		row := FailureToleranceRow{Kind: e.Kind, Trees: len(e.Forest)}
 		_, deg, err := WorstCaseLink(e)
 		if err != nil {
 			return nil, err

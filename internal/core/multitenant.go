@@ -5,7 +5,6 @@ import (
 
 	"polarfly/internal/netsim"
 	"polarfly/internal/trees"
-	"polarfly/internal/workload"
 )
 
 // TenantRow reports one tenant of a shared-fabric experiment.
@@ -61,7 +60,7 @@ func TenantIsolation(q, m, tenants int, cfg netsim.Config, seed int64) ([]Tenant
 	for _, s := range split {
 		total += s
 	}
-	inputs := workload.Vectors(inst.N(), total, 1000, seed)
+	inputs := inst.Inputs(total, seed)
 	res, err := netsim.Run(netsim.Spec{
 		Topology: inst.Singer.Topology(),
 		Forest:   forest,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"polarfly/internal/netsim"
-	"polarfly/internal/workload"
 )
 
 // SteadyStateRow separates an embedding's pipeline-fill latency from its
@@ -36,8 +35,7 @@ func SteadyState(inst *Instance, kind EmbeddingKind, m int, cfg netsim.Config, s
 		return nil, err
 	}
 	run := func(mm int) (int, error) {
-		inputs := workload.Vectors(inst.N(), mm, 1000, seed)
-		res, err := inst.Allreduce(e, inputs, cfg)
+		res, err := inst.Allreduce(e, inst.Inputs(mm, seed), cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -69,12 +67,8 @@ func SteadyStateComparison(q, m int, cfg netsim.Config, seed int64) ([]SteadySta
 	if err != nil {
 		return nil, err
 	}
-	kinds := []EmbeddingKind{SingleTree, LowDepth, Hamiltonian}
-	if q%2 == 0 {
-		kinds = []EmbeddingKind{SingleTree, Hamiltonian}
-	}
 	var rows []SteadyStateRow
-	for _, kind := range kinds {
+	for _, kind := range ComparisonKinds(q) {
 		row, err := SteadyState(inst, kind, m, cfg, seed)
 		if err != nil {
 			return nil, err

@@ -15,9 +15,13 @@
 package logical
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
+	"polarfly/internal/bandwidth"
+	"polarfly/internal/graph"
 	"polarfly/internal/routing"
 )
 
@@ -158,81 +162,29 @@ func topoOrder(t *Tree) []int {
 // Bandwidth returns the per-tree Allreduce bandwidth of a set of logical
 // embeddings sharing the fabric, generalising Algorithm 1 to multiplicity:
 // a tree whose paths cross a link k times consumes k shares of that link.
-// For a single embedding this reduces to B / MaxLoad.
+// It runs bandwidth.Waterfill with one edge occurrence per path crossing,
+// each directed link its own edge. For a single embedding this reduces to
+// B / MaxLoad. It panics, as Waterfill does, unless linkB is positive.
 func Bandwidth(embs []*Embedding, linkB float64) []float64 {
-	if linkB <= 0 {
-		panic("logical: link bandwidth must be positive")
-	}
-	// Remaining capacity and per-(link, tree) multiplicity.
-	avail := make(map[[2]int]float64)
-	mult := make([]map[[2]int]int, len(embs))
-	totalMult := make(map[[2]int]int)
+	forest := make([][]graph.Edge, len(embs))
 	for i, e := range embs {
-		mult[i] = e.Load
-		for l, k := range e.Load {
-			avail[l] = linkB
-			totalMult[l] += k
+		links := make([][2]int, 0, len(e.Load))
+		for l := range e.Load {
+			links = append(links, l)
 		}
-	}
-	out := make([]float64, len(embs))
-	active := make([]bool, len(embs))
-	remaining := 0
-	for i := range embs {
-		if len(embs[i].Load) > 0 {
-			active[i] = true
-			remaining++
-		}
-	}
-	// Sorted candidate links make the bottleneck argmin break ties the
-	// same way on every run instead of following map iteration order.
-	links := make([][2]int, 0, len(totalMult))
-	for l := range totalMult {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i][0] != links[j][0] {
-			return links[i][0] < links[j][0]
-		}
-		return links[i][1] < links[j][1]
-	})
-	for remaining > 0 {
-		// Bottleneck link: minimum avail/totalMult.
-		var lmin [2]int
-		best := -1.0
+		slices.SortFunc(links, func(a, b [2]int) int {
+			if c := cmp.Compare(a[0], b[0]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a[1], b[1])
+		})
 		for _, l := range links {
-			tm := totalMult[l]
-			if tm <= 0 {
-				continue
-			}
-			share := avail[l] / float64(tm)
-			if best < 0 || share < best {
-				best = share
-				lmin = l
+			for k := 0; k < e.Load[l]; k++ {
+				forest[i] = append(forest[i], graph.Edge{U: l[0], V: l[1]})
 			}
 		}
-		if best < 0 {
-			panic("logical: active trees but no loaded link")
-		}
-		for i, e := range embs {
-			if !active[i] {
-				continue
-			}
-			k := mult[i][lmin]
-			if k == 0 {
-				continue
-			}
-			out[i] = best
-			for l, kk := range e.Load {
-				avail[l] -= best * float64(kk)
-				totalMult[l] -= kk
-			}
-			active[i] = false
-			remaining--
-		}
-		delete(avail, lmin)
-		delete(totalMult, lmin)
 	}
-	return out
+	return bandwidth.Waterfill(forest, linkB).PerTree
 }
 
 // SortedLoads returns the link loads in descending order (diagnostics).

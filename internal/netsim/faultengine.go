@@ -235,7 +235,7 @@ func (s *sim) applyFaults(now int) {
 					l.degRate = rate
 					if !wasDegraded {
 						l.degBudget = 0
-					} else if burst := maxf(1, rate); l.degBudget > burst {
+					} else if burst := max(1, rate); l.degBudget > burst {
 						// A still-open tighter window keeps its banked
 						// budget, clamped to the recomputed burst cap.
 						l.degBudget = burst

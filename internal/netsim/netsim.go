@@ -325,11 +325,10 @@ type Recovery struct {
 type LinkStat struct {
 	// From and To identify the directed link.
 	From, To int
-	// Flits is the number of flits injected into this link.
+	// Flits is the number of flits injected into this link. A link
+	// injects at most one flit per cycle, so it is also the number of
+	// cycles the link was busy.
 	Flits int
-	// BusyCycles counts cycles in which a flit was injected; a link
-	// injects at most one flit per cycle, so it equals Flits.
-	BusyCycles int
 	// StallCycles counts cycles in which at least one of the link's
 	// virtual channels had a flit ready but no credit to send it.
 	StallCycles int
@@ -346,7 +345,7 @@ type LinkStat struct {
 	// ones may have sent on the link before they died; a zero-split tree
 	// has streams and counts although it sends nothing.
 	Trees int
-	// Utilization is BusyCycles divided by the run's total cycles.
+	// Utilization is Flits divided by the run's total cycles.
 	Utilization float64
 }
 

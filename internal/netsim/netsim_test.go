@@ -435,13 +435,6 @@ func TestPeakBufferBoundedByVCDepth(t *testing.T) {
 	}
 }
 
-func TestUsedDirectedLinks(t *testing.T) {
-	spec := lineSpec(t, 5, 1)
-	if got := UsedDirectedLinks(spec); got != 8 { // 4 undirected links × 2
-		t.Errorf("UsedDirectedLinks = %d, want 8", got)
-	}
-}
-
 func TestExpectedOutput(t *testing.T) {
 	in := [][]int64{{1, 2}, {3, 4}, {5, 6}}
 	out := ExpectedOutput(in)

@@ -304,7 +304,7 @@ func (s *sim) referenceCycleLoop() (int, error) {
 				// Token bucket: refill at the degraded rate, burst capped
 				// so idle cycles cannot bank unbounded credit.
 				l.degBudget += l.degRate
-				if burst := maxf(1, l.degRate); l.degBudget > burst {
+				if burst := max(1, l.degRate); l.degBudget > burst {
 					l.degBudget = burst
 				}
 			}

@@ -690,7 +690,7 @@ func (s *sim) advance() (int, error) {
 				// Token bucket: refill at the degraded rate, burst capped
 				// so idle cycles cannot bank unbounded credit.
 				l.degBudget += l.degRate
-				if burst := maxf(1, l.degRate); l.degBudget > burst {
+				if burst := max(1, l.degRate); l.degBudget > burst {
 					l.degBudget = burst
 				}
 			}
@@ -1143,7 +1143,6 @@ func (l *link) stat(cycles int) LinkStat {
 	ls := LinkStat{
 		From: l.from, To: l.to,
 		Flits:           l.flits,
-		BusyCycles:      l.flits,
 		StallCycles:     l.stallCycles,
 		Dropped:         l.dropped,
 		PeakBufferFlits: l.peakBuf,
@@ -1159,13 +1158,6 @@ func (l *link) stat(cycles int) LinkStat {
 	return ls
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ExpectedOutput computes the reference element-wise sum of the inputs,
 // for verification.
 func ExpectedOutput(inputs [][]int64) []int64 {
@@ -1179,19 +1171,4 @@ func ExpectedOutput(inputs [][]int64) []int64 {
 		}
 	}
 	return out
-}
-
-// UsedDirectedLinks returns the number of distinct directed links carrying
-// at least one flow — a sanity statistic for embeddings.
-func UsedDirectedLinks(spec Spec) int {
-	seen := make(map[[2]int]bool)
-	for _, t := range spec.Forest {
-		for v, p := range t.Parent {
-			if p >= 0 {
-				seen[[2]int{v, p}] = true
-				seen[[2]int{p, v}] = true
-			}
-		}
-	}
-	return len(seen)
 }

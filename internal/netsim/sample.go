@@ -19,10 +19,9 @@ type LinkCounters struct {
 	// From and To identify the directed link (same order as
 	// Result.LinkStats).
 	From, To int
-	// Flits is the number of flits injected into the link.
+	// Flits is the number of flits injected into the link, one per busy
+	// cycle at most.
 	Flits int
-	// BusyCycles counts cycles with at least one injection.
-	BusyCycles int
 	// StallCycles counts cycles with at least one credit-stalled VC.
 	StallCycles int
 	// Dropped counts flits destroyed on this link by faults: purged from
@@ -112,7 +111,6 @@ func (s *sim) sampleNow(now int, final bool) {
 	for i, l := range s.links {
 		c := &s.sampleScratch[i]
 		c.Flits = l.flits
-		c.BusyCycles = l.flits
 		c.StallCycles = l.stallCycles
 		c.Dropped = l.dropped
 		c.Buffered = l.curBuf

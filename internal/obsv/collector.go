@@ -93,8 +93,6 @@ type burst struct {
 type linkTelemetry struct {
 	from, to    int
 	flits       int
-	busyCycles  int
-	lastBusy    int // marker: last cycle counted busy
 	stallCycles int
 	lastStall   int
 	peakBuffer  int
@@ -172,10 +170,6 @@ func (c *Collector) Observe(ev netsim.TraceEvent) {
 	case netsim.TraceSend:
 		lt := c.link(ev.From, ev.To)
 		lt.flits++
-		if lt.lastBusy != ev.Cycle {
-			lt.lastBusy = ev.Cycle
-			lt.busyCycles++
-		}
 		lt.byTreePhase[[2]int{ev.Tree, ev.Phase}]++
 		tt := c.tree(ev.Tree)
 		if ev.Phase == 0 {
@@ -405,7 +399,6 @@ type LinkReport struct {
 	To              int     `json:"to"`
 	Flits           int     `json:"flits"`
 	Utilization     float64 `json:"utilization"`
-	BusyCycles      int     `json:"busy_cycles"`
 	StallCycles     int     `json:"stall_cycles"`
 	PeakBufferFlits int     `json:"peak_buffer_flits"`
 	// DroppedFlits counts flits destroyed on this link by faults.
@@ -527,13 +520,12 @@ func (c *Collector) Report() *Report {
 		lr := LinkReport{
 			From: lt.from, To: lt.to,
 			Flits:           lt.flits,
-			BusyCycles:      lt.busyCycles,
 			StallCycles:     lt.stallCycles,
 			PeakBufferFlits: lt.peakBuffer,
 			DroppedFlits:    lt.dropped,
 		}
 		if c.cycles > 0 {
-			lr.Utilization = float64(lt.busyCycles) / float64(c.cycles)
+			lr.Utilization = float64(lt.flits) / float64(c.cycles)
 		}
 		if lr.Utilization > r.MaxLinkUtilization {
 			r.MaxLinkUtilization = lr.Utilization

@@ -18,8 +18,6 @@ import (
 // such field to the value an obsv collector computes from the full trace
 // of the same run, on the design points the gates sweep.
 
-var counterKinds = []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
-
 // collectorRun simulates one design point with a metrics-only obsv
 // collector attached and returns the run and the collector's report.
 func collectorRun(t *testing.T, q int, kind core.EmbeddingKind, m int, cfg netsim.Config) (*core.Embedding, *core.AllreduceResult, *obsv.Report, error) {
@@ -49,10 +47,15 @@ func collectorRun(t *testing.T, q int, kind core.EmbeddingKind, m int, cfg netsi
 func TestScorePointMatchesCollector(t *testing.T) {
 	for _, m := range []int{1024, 16384} {
 		for _, q := range []int{3, 5, 7, 11} {
-			for _, kind := range counterKinds {
-				cfg := DefaultScorecardConfig()
-				cfg.M = m
-				got, err := scorePoint(cfg, new(sweepInputs), q, kind)
+			cfg := DefaultScorecardConfig()
+			cfg.M = m
+			sweep, err := newSweep([]int{q}, m, cfg.Seed, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range sweep[0].embeds {
+				kind := e.Kind
+				got, err := scorePoint(cfg, sweep[0].point(e, cfg.LinkLatency, cfg.VCDepth, cfg.Engine))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,12 +154,18 @@ func TestCritPathPointMatchesCollector(t *testing.T) {
 	const m, failAt = 1024, 100
 	recovered := 0
 	for _, q := range []int{3, 5, 7, 11} {
-		for _, kind := range counterKinds {
-			cfg := DefaultCritPathConfig()
-			cfg.M, cfg.FailAt = m, failAt
+		cfg := DefaultCritPathConfig()
+		cfg.M, cfg.FailAt = m, failAt
+		sweep, err := newSweep([]int{q}, m, cfg.Seed, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range sweep[0].embeds {
+			kind := e.Kind
 			for _, faulted := range []bool{false, true} {
 				id := fmt.Sprintf("q=%d %v faulted=%v", q, kind, faulted)
-				got, err := critPathPoint(cfg, new(sweepInputs), critJob{q: q, kind: kind, faulted: faulted})
+				p := sweep[0].point(e, cfg.LinkLatency, cfg.VCDepth, cfg.Engine)
+				got, err := critPathPoint(cfg, critJob{p: p, faulted: faulted})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -118,10 +118,9 @@ type CritPathPoint struct {
 	AnalysisError string `json:"analysis_error,omitempty"`
 }
 
-// critJob is one independent design point of the sweep.
+// critJob is one design point of the sweep, fault-free or faulted.
 type critJob struct {
-	q       int
-	kind    core.EmbeddingKind
+	p       *designPoint
 	faulted bool
 }
 
@@ -129,10 +128,10 @@ type critJob struct {
 // causal critical path from the trace stream, and returns one blame
 // record per (q, embedding, faulted). The critpath builder is the only
 // trace consumer; link utilization and recovery latency come from the
-// run's counters. Points are independent — each job builds its own
-// instance and builder from the seeded config and reads the one input
-// matrix of its q — so cfg.Parallel of them run concurrently on a parrun
-// pool with ordered commit.
+// run's counters. Each q's instance, embeddings and input matrix are
+// built once, before the pool starts, and each job builds only its own
+// builder, so cfg.Parallel points run concurrently on a parrun pool with
+// ordered commit.
 func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: critpath sweep needs at least one q")
@@ -143,28 +142,28 @@ func CritPath(cfg CritPathConfig) ([]CritPathPoint, error) {
 	if cfg.FailAt < 1 {
 		return nil, fmt.Errorf("perf: critpath fail-at cycle must be ≥ 1, got %d", cfg.FailAt)
 	}
+	sweep, err := newSweep(cfg.Qs, cfg.M, cfg.Seed, false)
+	if err != nil {
+		return nil, err
+	}
 	var jobs []critJob
-	for _, q := range cfg.Qs {
+	for _, sq := range sweep {
 		for _, faulted := range []bool{false, true} {
-			for _, kind := range core.ComparisonKinds(q) {
-				jobs = append(jobs, critJob{q: q, kind: kind, faulted: faulted})
+			for _, e := range sq.embeds {
+				jobs = append(jobs, critJob{p: sq.point(e, cfg.LinkLatency, cfg.VCDepth, cfg.Engine), faulted: faulted})
 			}
 		}
 	}
-	in := new(sweepInputs)
 	return parrun.Map(cfg.Parallel, len(jobs), func(i int) (CritPathPoint, error) {
-		return critPathPoint(cfg, in, jobs[i])
+		return critPathPoint(cfg, jobs[i])
 	})
 }
 
 // critPathPoint traces and analyses one design point.
-func critPathPoint(cfg CritPathConfig, in *sweepInputs, job critJob) (CritPathPoint, error) {
-	p, err := newDesignPoint(in, job.q, job.kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
-	if err != nil {
-		return CritPathPoint{}, err
-	}
+func critPathPoint(cfg CritPathConfig, job critJob) (CritPathPoint, error) {
+	p := job.p
 	pt := CritPathPoint{
-		Q: job.q, Embedding: job.kind.String(), Trees: len(p.e.Forest), M: cfg.M,
+		Q: p.inst.Q, Embedding: p.e.Kind.String(), Trees: len(p.e.Forest), M: cfg.M,
 	}
 	if job.faulted {
 		link, _, err := p.failWorst(cfg.FailAt)

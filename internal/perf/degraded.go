@@ -109,26 +109,24 @@ func DegradedScorecard(cfg DegradedConfig) ([]DegradedPoint, error) {
 	if cfg.Tolerance < 0 || cfg.Tolerance >= 1 {
 		return nil, fmt.Errorf("perf: tolerance %g out of [0, 1)", cfg.Tolerance)
 	}
-	kinds := core.ComparisonKinds(cfg.Q)
-	in := new(sweepInputs)
-	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (DegradedPoint, error) {
-		return degradedPoint(cfg, in, kinds[i])
+	sweep, err := newSweep([]int{cfg.Q}, cfg.M, cfg.Seed, true)
+	if err != nil {
+		return nil, err
+	}
+	sq := sweep[0]
+	return parrun.Map(cfg.Parallel, len(sq.embeds), func(i int) (DegradedPoint, error) {
+		return degradedPoint(cfg, sq.point(sq.embeds[i], cfg.LinkLatency, cfg.VCDepth, cfg.Engine))
 	})
 }
 
-// degradedPoint runs the worst-case fault injection for one embedding
-// kind.
-func degradedPoint(cfg DegradedConfig, in *sweepInputs, kind core.EmbeddingKind) (DegradedPoint, error) {
-	p, err := newDesignPoint(in, cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
-	if err != nil {
-		return DegradedPoint{}, err
-	}
+// degradedPoint runs the worst-case fault injection for one embedding.
+func degradedPoint(cfg DegradedConfig, p *designPoint) (DegradedPoint, error) {
 	link, deg, err := p.failWorst(cfg.FailAt)
 	if err != nil {
 		return DegradedPoint{}, err
 	}
 	pt := DegradedPoint{
-		Q: cfg.Q, Embedding: kind.String(), Trees: len(p.e.Forest),
+		Q: cfg.Q, Embedding: p.e.Kind.String(), Trees: len(p.e.Forest),
 		M: cfg.M, FailedLink: link, FailAt: cfg.FailAt,
 	}
 	res, err := p.run()
@@ -153,11 +151,10 @@ func degradedPoint(cfg DegradedConfig, in *sweepInputs, kind core.EmbeddingKind)
 		pt.RelErr = (pt.MeasuredBW - pt.PredictedBW) / pt.PredictedBW
 	}
 	pt.Within = math.Abs(pt.RelErr) <= cfg.Tolerance
-	want := in.expected(p.inst.N(), cfg.M, cfg.Seed)
 	pt.OutputsOK = true
 	for v := range res.Outputs {
-		for k := range want {
-			if res.Outputs[v][k] != want[k] {
+		for k := range p.want {
+			if res.Outputs[v][k] != p.want[k] {
 				pt.OutputsOK = false
 				break
 			}

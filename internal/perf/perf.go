@@ -16,14 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"polarfly/internal/bandwidth"
 	"polarfly/internal/core"
 	"polarfly/internal/faults"
 	"polarfly/internal/netsim"
 	"polarfly/internal/tsdb"
-	"polarfly/internal/workload"
 )
 
 // SnapshotSchema identifies the BENCH_*.json format version.
@@ -98,89 +96,55 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// designPoint is one (q, embedding) point of a gate sweep: the instance,
-// the embedding, the seeded inputs and the run config. It is built from
-// the deterministic config alone, so concurrent points share no mutable
-// state: the inputs come from the sweep's sweepInputs, which the
-// simulator only reads.
-type designPoint struct {
+// sweepQ is what every design point of one q shares in a gate sweep:
+// the instance, its core.ComparisonKinds embeddings, the seeded input
+// matrix and, when the sweep checks outputs, their element-wise sum. A
+// sweep builds each of its q once, serially, before its pool starts; the
+// points only read it, so concurrent points need no locks, and nothing
+// outlives the sweep that built it.
+type sweepQ struct {
 	inst   *core.Instance
-	e      *core.Embedding
+	embeds []*core.Embedding
 	inputs [][]int64
-	cfg    netsim.Config
+	// want is nil unless the sweep checks outputs.
+	want []int64
+}
+
+// newSweep builds the shared setup of each q for vector length m; checked
+// also computes the expected sums.
+func newSweep(qs []int, m int, seed int64, checked bool) ([]*sweepQ, error) {
+	out := make([]*sweepQ, len(qs))
+	for i, q := range qs {
+		inst, err := core.NewInstance(q)
+		if err != nil {
+			return nil, err
+		}
+		embeds, err := inst.EmbedAll(core.ComparisonKinds(q))
+		if err != nil {
+			return nil, err
+		}
+		sq := &sweepQ{inst: inst, embeds: embeds, inputs: inst.Inputs(m, seed)}
+		if checked {
+			sq.want = netsim.ExpectedOutput(sq.inputs)
+		}
+		out[i] = sq
+	}
+	return out, nil
+}
+
+// designPoint is one (q, embedding) point of a gate sweep: its q's shared
+// setup, the embedding and the point's own run config.
+type designPoint struct {
+	*sweepQ
+	e   *core.Embedding
+	cfg netsim.Config
 	// lost marks a scheduled fault that kills every tree.
 	lost bool
 }
 
-func newDesignPoint(in *sweepInputs, q int, kind core.EmbeddingKind, m, latency, vc int, seed int64, engine netsim.Engine) (*designPoint, error) {
-	inst, err := core.NewInstance(q)
-	if err != nil {
-		return nil, err
-	}
-	e, err := inst.Embed(kind)
-	if err != nil {
-		return nil, err
-	}
-	return &designPoint{inst: inst, e: e, inputs: in.vectors(inst.N(), m, seed),
-		cfg: netsim.Config{LinkLatency: latency, VCDepth: vc, Engine: engine}}, nil
-}
-
-// sweepInputs is one gate sweep's input matrices: the design points of
-// the sweep that share (N, m, seed) — every embedding of one q — share
-// one seeded N×m matrix, built by the first to ask, and its expected sum,
-// computed by the first to check outputs, instead of each building its
-// own. netsim and core only read Spec.Inputs, so the sharing is safe on a
-// parrun pool; the mutex makes the first builds race-free. Each sweep
-// makes its own, so no matrix outlives the call that built it.
-type sweepInputs struct {
-	mu   sync.Mutex
-	mats map[inputKey]*sweepMatrix
-}
-
-type inputKey struct {
-	n, m int
-	seed int64
-}
-
-// sweepMatrix is one shared input matrix and, once asked for, the
-// element-wise sum every node's output must equal.
-type sweepMatrix struct {
-	inputs [][]int64
-	want   []int64
-}
-
-// matrix returns the sweep's entry for workload.Vectors(n, m, 1000, seed),
-// building the matrix on first use. The caller holds in.mu.
-func (in *sweepInputs) matrix(n, m int, seed int64) *sweepMatrix {
-	k := inputKey{n: n, m: m, seed: seed}
-	mat, ok := in.mats[k]
-	if !ok {
-		if in.mats == nil {
-			in.mats = make(map[inputKey]*sweepMatrix)
-		}
-		mat = &sweepMatrix{inputs: workload.Vectors(n, m, 1000, seed)}
-		in.mats[k] = mat
-	}
-	return mat
-}
-
-// vectors returns the sweep's workload.Vectors(n, m, 1000, seed) matrix.
-func (in *sweepInputs) vectors(n, m int, seed int64) [][]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.matrix(n, m, seed).inputs
-}
-
-// expected returns netsim.ExpectedOutput of the vectors(n, m, seed)
-// matrix, computed once per sweep.
-func (in *sweepInputs) expected(n, m int, seed int64) []int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	mat := in.matrix(n, m, seed)
-	if mat.want == nil {
-		mat.want = netsim.ExpectedOutput(mat.inputs)
-	}
-	return mat.want
+// point returns the design point of embedding e on the given fabric.
+func (sq *sweepQ) point(e *core.Embedding, latency, vc int, engine netsim.Engine) *designPoint {
+	return &designPoint{sweepQ: sq, e: e, cfg: netsim.Config{LinkLatency: latency, VCDepth: vc, Engine: engine}}
 }
 
 // failLink schedules the run's one fault: link u-v goes down at cycle at.

@@ -112,23 +112,17 @@ type ScorePoint struct {
 	BcastPhaseCycles  int `json:"bcast_phase_cycles"`
 }
 
-// scoreJob is one independent (q, embedding) design point of the sweep.
-type scoreJob struct {
-	q    int
-	kind core.EmbeddingKind
-}
-
 // Scorecard sweeps the configured design points, runs each embedding
 // through the cycle simulator, and returns one record per (q, embedding).
 // The runs are untraced: the per-link utilization, congestion and phase
 // split come from the counters the simulator keeps anyway, and the
 // headline bandwidth from the cycle count.
 //
-// Design points are independent — each job builds its own instance from
-// the seeded config and reads the one input matrix of its q — so
-// cfg.Parallel of them run concurrently on a parrun pool; the ordered
-// commit keeps the returned slice (and everything rendered from it)
-// byte-identical to a serial sweep.
+// Each q's instance, embeddings and input matrix are built once, before
+// the pool starts, and the points only read them, so cfg.Parallel points
+// run concurrently on a parrun pool; the ordered commit keeps the
+// returned slice (and everything rendered from it) byte-identical to a
+// serial sweep.
 func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	if len(cfg.Qs) == 0 {
 		return nil, fmt.Errorf("perf: scorecard needs at least one q")
@@ -139,31 +133,31 @@ func Scorecard(cfg ScorecardConfig) ([]ScorePoint, error) {
 	if cfg.Tolerance < 0 || cfg.Tolerance >= 1 {
 		return nil, fmt.Errorf("perf: tolerance %g out of [0, 1)", cfg.Tolerance)
 	}
-	var jobs []scoreJob
-	for _, q := range cfg.Qs {
-		for _, kind := range core.ComparisonKinds(q) {
-			jobs = append(jobs, scoreJob{q: q, kind: kind})
+	sweep, err := newSweep(cfg.Qs, cfg.M, cfg.Seed, false)
+	if err != nil {
+		return nil, err
+	}
+	var jobs []*designPoint
+	for _, sq := range sweep {
+		for _, e := range sq.embeds {
+			jobs = append(jobs, sq.point(e, cfg.LinkLatency, cfg.VCDepth, cfg.Engine))
 		}
 	}
-	in := new(sweepInputs)
 	return parrun.Map(cfg.Parallel, len(jobs), func(i int) (ScorePoint, error) {
-		return scorePoint(cfg, in, jobs[i].q, jobs[i].kind)
+		return scorePoint(cfg, jobs[i])
 	})
 }
 
-// scorePoint simulates one (q, embedding) design point.
-func scorePoint(cfg ScorecardConfig, in *sweepInputs, q int, kind core.EmbeddingKind) (ScorePoint, error) {
-	p, err := newDesignPoint(in, q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
-	if err != nil {
-		return ScorePoint{}, err
-	}
+// scorePoint simulates one design point.
+func scorePoint(cfg ScorecardConfig, p *designPoint) (ScorePoint, error) {
 	res, err := p.run()
 	if err != nil {
 		return ScorePoint{}, err
 	}
+	q := p.inst.Q
 	row := core.NewSimRow(q, cfg.M, p.e, res)
 	pt := ScorePoint{
-		Q: q, Embedding: kind.String(), Trees: len(p.e.Forest), M: cfg.M, Cycles: row.Cycles,
+		Q: q, Embedding: p.e.Kind.String(), Trees: len(p.e.Forest), M: cfg.M, Cycles: row.Cycles,
 		ModelBW: row.ModelBW, MeasuredBW: row.MeasuredBW, OptimalBW: bandwidth.Optimal(q, 1.0),
 		MaxLinkUtil: row.MaxLinkUtil, ModelMaxLinkUtil: row.ModelMaxLinkUtil, UtilRelErr: row.UtilRelErr,
 		MaxEdgeCongestion: row.MaxLinkTrees, SharedDirectedLinks: row.SharedLinks,

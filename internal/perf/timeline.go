@@ -67,8 +67,9 @@ func DefaultTimelineConfig() TimelineConfig {
 
 // Timeline sweeps every embedding of the design point through a sampled,
 // untraced simulation and returns one tsdb snapshot per embedding, in
-// core.ComparisonKinds order. Each run is independent — sampler and
-// analyzer are job-local — so cfg.Parallel of them run on a parrun pool
+// core.ComparisonKinds order. The instance, embeddings and input matrix
+// are built once, before the pool starts, and sampler and analyzer are
+// job-local, so cfg.Parallel runs share nothing mutable on a parrun pool
 // with ordered commit keeping the result byte-identical to a serial sweep.
 func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	if cfg.M <= 0 {
@@ -77,38 +78,70 @@ func Timeline(cfg TimelineConfig) ([]*tsdb.Snapshot, error) {
 	if cfg.SampleEvery < 1 {
 		return nil, fmt.Errorf("perf: timeline needs SampleEvery ≥ 1, got %d", cfg.SampleEvery)
 	}
-	kinds := core.ComparisonKinds(cfg.Q)
-	in := new(sweepInputs)
-	return parrun.Map(cfg.Parallel, len(kinds), func(i int) (*tsdb.Snapshot, error) {
-		return timelineRun(cfg, in, kinds[i])
+	sweep, err := newSweep([]int{cfg.Q}, cfg.M, cfg.Seed, false)
+	if err != nil {
+		return nil, err
+	}
+	sq := sweep[0]
+	return parrun.Map(cfg.Parallel, len(sq.embeds), func(i int) (*tsdb.Snapshot, error) {
+		return timelineRun(cfg, sq.point(sq.embeds[i], cfg.LinkLatency, cfg.VCDepth, cfg.Engine))
 	})
 }
 
-// timelineRun simulates one embedding with the telemetry stack attached.
-func timelineRun(cfg TimelineConfig, in *sweepInputs, kind core.EmbeddingKind) (*tsdb.Snapshot, error) {
-	p, err := newDesignPoint(in, cfg.Q, kind, cfg.M, cfg.LinkLatency, cfg.VCDepth, cfg.Seed, cfg.Engine)
+// TimelineRig is one run's streaming telemetry: the bounded-memory
+// sampler, the analyzer checking its windows against the embedding's
+// Algorithm 1 loads and proven floor, and the metadata of the snapshot
+// they build.
+type TimelineRig struct {
+	sampler  *tsdb.Sampler
+	analyzer *tsdb.Analyzer
+	meta     tsdb.SnapshotMeta
+}
+
+// NewTimelineRig builds the telemetry of one run of e at order q and
+// vector length m, sized by sc, and wires the sampler into run. faulted
+// turns off the fault-free floor check, which a scheduled failure
+// legitimately breaks.
+func NewTimelineRig(q, m int, e *core.Embedding, sc tsdb.Config, tolerance float64, faulted bool, run *netsim.Config) (*TimelineRig, error) {
+	sampler, err := tsdb.New(sc)
 	if err != nil {
 		return nil, err
 	}
-	sampler, err := tsdb.New(tsdb.Config{SampleEvery: cfg.SampleEvery,
-		Windows: cfg.Windows, Levels: cfg.Levels, Factor: cfg.Factor})
-	if err != nil {
-		return nil, err
+	floor, _ := bound(q, e)
+	meta := tsdb.SnapshotMeta{
+		Q: q, Kind: e.Kind.String(), M: m, Nodes: e.Topology.N(),
+		Aggregate: e.Model.Aggregate,
+		Optimal:   bandwidth.Optimal(q, 1.0),
+		Floor:     floor,
 	}
-	faulted := cfg.FaultAt > 0 && len(p.e.Forest) > 1
-	floor, _ := bound(cfg.Q, p.e)
 	analyzer := tsdb.NewAnalyzer(sampler, tsdb.AnalyzerConfig{
-		Tolerance: cfg.Tolerance,
+		Tolerance: tolerance,
 		Bounds: tsdb.Bounds{
-			Nodes:     p.inst.N(),
-			Aggregate: p.e.Model.Aggregate,
-			Optimal:   bandwidth.Optimal(cfg.Q, 1.0),
+			Nodes:     meta.Nodes,
+			Aggregate: meta.Aggregate,
+			Optimal:   meta.Optimal,
 			Floor:     floor,
 			FaultFree: !faulted,
 		},
-		Predicted: core.ModelLinkLoads(p.e),
+		Predicted: core.ModelLinkLoads(e),
 	})
-	p.cfg.SampleEvery, p.cfg.Sample = cfg.SampleEvery, sampler.Sample
+	run.SampleEvery, run.Sample = sc.SampleEvery, sampler.Sample
+	return &TimelineRig{sampler: sampler, analyzer: analyzer, meta: meta}, nil
+}
+
+// Snapshot builds the finished run's timeline snapshot.
+func (r *TimelineRig) Snapshot() *tsdb.Snapshot {
+	return tsdb.BuildSnapshot(r.sampler, r.analyzer, r.meta)
+}
+
+// timelineRun simulates one embedding with the telemetry stack attached.
+func timelineRun(cfg TimelineConfig, p *designPoint) (*tsdb.Snapshot, error) {
+	faulted := cfg.FaultAt > 0 && len(p.e.Forest) > 1
+	rig, err := NewTimelineRig(cfg.Q, cfg.M, p.e, tsdb.Config{SampleEvery: cfg.SampleEvery,
+		Windows: cfg.Windows, Levels: cfg.Levels, Factor: cfg.Factor}, cfg.Tolerance, faulted, &p.cfg)
+	if err != nil {
+		return nil, err
+	}
 	if faulted {
 		for w, parent := range p.e.Forest[0].Parent {
 			if parent >= 0 {
@@ -121,12 +154,7 @@ func timelineRun(cfg TimelineConfig, in *sweepInputs, kind core.EmbeddingKind) (
 	if err != nil {
 		return nil, err
 	}
-	sn := tsdb.BuildSnapshot(sampler, analyzer, tsdb.SnapshotMeta{
-		Q: cfg.Q, Kind: kind.String(), M: cfg.M, Nodes: p.inst.N(),
-		Aggregate: p.e.Model.Aggregate,
-		Optimal:   bandwidth.Optimal(cfg.Q, 1.0),
-		Floor:     floor,
-	})
+	sn := rig.Snapshot()
 	if faulted {
 		sn.GroundTruth = groundTruth(sn, res.Cycles, cfg.FaultAt, res.Recoveries)
 	}

@@ -171,7 +171,7 @@ func (a *Analyzer) observe(run RunWindow, links []LinkWindow) {
 	dur := float64(run.End - run.Start)
 
 	for i := range links {
-		u := float64(links[i].Busy) / dur
+		u := float64(links[i].Flits) / dur
 		a.utils[i] = u
 		if u > a.peakUtil[i] {
 			a.peakUtil[i] = u
@@ -203,7 +203,7 @@ func (a *Analyzer) observe(run RunWindow, links []LinkWindow) {
 		hw.Top = append(hw.Top, h)
 		a.flagged[bestIdx]++
 	}
-	a.recent = a.recent[:minInt(len(a.recent)+1, cap(a.recent))]
+	a.recent = a.recent[:min(len(a.recent)+1, cap(a.recent))]
 	a.recent[slot] = hw
 	a.recentSeq++
 
@@ -379,7 +379,7 @@ func (a *Analyzer) topLinks() []LinkSummary {
 	sort.SliceStable(idx, func(x, y int) bool {
 		return a.peakUtil[idx[x]] > a.peakUtil[idx[y]]
 	})
-	k := minInt(a.cfg.TopK, n)
+	k := min(a.cfg.TopK, n)
 	out := make([]LinkSummary, 0, k)
 	for _, i := range idx[:k] {
 		key := a.sampler.keys[i]
@@ -409,11 +409,4 @@ func (a *Analyzer) recentHotspots() []HotspotWindow {
 		out = append(out, hw)
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

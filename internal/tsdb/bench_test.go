@@ -80,7 +80,6 @@ func BenchmarkAnalyzerWindow(b *testing.B) {
 		fr.Cycle += 64
 		for j := range fr.Links {
 			fr.Links[j].Flits += j % 7
-			fr.Links[j].BusyCycles += j % 5
 		}
 		fr.Run.FlitsSent += nlinks
 		fr.Run.Delivered += nlinks / 2

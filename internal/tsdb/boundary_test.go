@@ -7,7 +7,7 @@ import (
 )
 
 // feedFrames drives a sampler with n synthetic base windows of
-// SampleEvery cycles, one flit and one busy cycle per link per window,
+// SampleEvery cycles, one flit per link per window,
 // then the final flush frame at the last boundary (zero duration, the
 // shape netsim emits when the run ends exactly on a boundary).
 func feedFrames(s *Sampler, sampleEvery, nlinks, n int) {
@@ -23,7 +23,6 @@ func feedFrames(s *Sampler, sampleEvery, nlinks, n int) {
 		fr.Cycle = w * sampleEvery
 		for i := range fr.Links {
 			fr.Links[i].Flits++
-			fr.Links[i].BusyCycles++
 			fr.Links[i].Buffered = w % 3
 		}
 		fr.Run.FlitsSent += nlinks
@@ -66,8 +65,8 @@ func TestExactRingFill(t *testing.T) {
 			t.Errorf("window %d marked partial; every base window was full length", i)
 		}
 		for li, lw := range links {
-			if lw.Flits != 1 || lw.Busy != 1 {
-				t.Errorf("window %d link %d: flits=%d busy=%d, want 1/1", i, li, lw.Flits, lw.Busy)
+			if lw.Flits != 1 {
+				t.Errorf("window %d link %d: flits=%d, want 1", i, li, lw.Flits)
 			}
 		}
 	}

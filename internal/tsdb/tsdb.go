@@ -72,13 +72,13 @@ func (c Config) withDefaults() (Config, error) {
 // LinkWindow is one closed window of one directed link's series: exact
 // counter deltas over the window, so sums across windows reconcile
 // against the run totals. uint32 bounds a single window at ~4G flits —
-// far beyond any simulated window — while keeping the ring rows at 20
+// far beyond any simulated window — while keeping the ring rows at 16
 // bytes per link per window.
 type LinkWindow struct {
-	// Flits, Busy, Stalls, and Dropped are the window's deltas of the
-	// corresponding LinkStat counters.
+	// Flits, Stalls, and Dropped are the window's deltas of the
+	// corresponding LinkStat counters. A link injects at most one flit
+	// per cycle, so Flits is also the link's busy cycles.
 	Flits   uint32 `json:"flits"`
-	Busy    uint32 `json:"busy"`
 	Stalls  uint32 `json:"stalls"`
 	Dropped uint32 `json:"dropped"`
 	// MaxBuf is the receive-buffer occupancy observed at base-window
@@ -107,8 +107,8 @@ type RunWindow struct {
 	Recoveries int `json:"recoveries,omitempty"`
 	// BufferedFlits is the total buffered flits at window close.
 	BufferedFlits int `json:"buffered_flits"`
-	// MaxLinkUtil is the window's hottest link utilization (injection
-	// busy cycles over window duration) and MaxLinkFrom/To that link;
+	// MaxLinkUtil is the window's hottest link utilization (injected
+	// flits over window duration) and MaxLinkFrom/To that link;
 	// ties resolve to the first link in (From, To) order.
 	MaxLinkUtil float64 `json:"max_link_util"`
 	MaxLinkFrom int     `json:"max_link_from"`
@@ -225,17 +225,16 @@ func (s *Sampler) init(fr *netsim.SampleFrame) {
 
 // closeBase turns the frame into one base window and pushes it.
 func (s *Sampler) closeBase(fr *netsim.SampleFrame, dur int) {
-	bestBusy, bestIdx := uint32(0), -1
+	bestFlits, bestIdx := uint32(0), -1
 	for i := range fr.Links {
 		c, p := &fr.Links[i], &s.prev[i]
 		d := &s.delta[i]
 		d.Flits = uint32(c.Flits - p.Flits)
-		d.Busy = uint32(c.BusyCycles - p.BusyCycles)
 		d.Stalls = uint32(c.StallCycles - p.StallCycles)
 		d.Dropped = uint32(c.Dropped - p.Dropped)
 		d.MaxBuf = uint32(c.Buffered)
-		if d.Busy > bestBusy {
-			bestBusy, bestIdx = d.Busy, i
+		if d.Flits > bestFlits {
+			bestFlits, bestIdx = d.Flits, i
 		}
 	}
 	run := RunWindow{
@@ -256,7 +255,7 @@ func (s *Sampler) closeBase(fr *netsim.SampleFrame, dur int) {
 		LastRecoverCycle: fr.Run.LastRecoverCycle,
 	}
 	if bestIdx >= 0 {
-		run.MaxLinkUtil = float64(bestBusy) / float64(dur)
+		run.MaxLinkUtil = float64(bestFlits) / float64(dur)
 		run.MaxLinkFrom = s.keys[bestIdx][0]
 		run.MaxLinkTo = s.keys[bestIdx][1]
 	}
@@ -309,7 +308,6 @@ func (s *Sampler) push(l int, run RunWindow, links []LinkWindow) {
 		for i := range next.openLinks {
 			a, b := &next.openLinks[i], &links[i]
 			a.Flits += b.Flits
-			a.Busy += b.Busy
 			a.Stalls += b.Stalls
 			a.Dropped += b.Dropped
 			if b.MaxBuf > a.MaxBuf {

@@ -124,7 +124,7 @@ func TestConservation(t *testing.T) {
 				if nlinks != len(res.LinkStats) {
 					t.Fatalf("%d sampled links vs %d LinkStats", nlinks, len(res.LinkStats))
 				}
-				type tot struct{ flits, busy, stalls, dropped int }
+				type tot struct{ flits, stalls, dropped int }
 				sums := make([]tot, nlinks)
 				delivered, flits := 0, 0
 				for i := 0; i < s.Retained(lvl); i++ {
@@ -133,7 +133,6 @@ func TestConservation(t *testing.T) {
 					flits += run.Flits
 					for j := range links {
 						sums[j].flits += int(links[j].Flits)
-						sums[j].busy += int(links[j].Busy)
 						sums[j].stalls += int(links[j].Stalls)
 						sums[j].dropped += int(links[j].Dropped)
 					}
@@ -143,10 +142,9 @@ func TestConservation(t *testing.T) {
 					if key[0] != ls.From || key[1] != ls.To {
 						t.Fatalf("link %d order mismatch: %v vs %d->%d", j, key, ls.From, ls.To)
 					}
-					if sums[j].flits != ls.Flits || sums[j].busy != ls.BusyCycles ||
-						sums[j].stalls != ls.StallCycles || sums[j].dropped != ls.Dropped {
-						t.Errorf("link %d->%d window sums %+v != LinkStats {%d %d %d %d}",
-							ls.From, ls.To, sums[j], ls.Flits, ls.BusyCycles, ls.StallCycles, ls.Dropped)
+					if sums[j].flits != ls.Flits || sums[j].stalls != ls.StallCycles || sums[j].dropped != ls.Dropped {
+						t.Errorf("link %d->%d window sums %+v != LinkStats {%d %d %d}",
+							ls.From, ls.To, sums[j], ls.Flits, ls.StallCycles, ls.Dropped)
 					}
 				}
 				if flits != res.FlitsSent {
@@ -188,7 +186,6 @@ func TestCascade(t *testing.T) {
 				frun.Delivered += run.Delivered
 				for j := range links {
 					fsum[j].Flits += links[j].Flits
-					fsum[j].Busy += links[j].Busy
 					fsum[j].Stalls += links[j].Stalls
 					if links[j].MaxBuf > fsum[j].MaxBuf {
 						fsum[j].MaxBuf = links[j].MaxBuf

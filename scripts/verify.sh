@@ -1,8 +1,8 @@
 #!/bin/sh
 # verify.sh — the pre-commit gate: vet, build, repolint (the project's
 # static-analysis suite), race-enabled tests for the concurrency-bearing
-# packages, the full suite (tier 1), then vet and tests of the
-# cmd/pfbench benchmark module.
+# packages and the gate pools, the full suite (tier 1), then vet and
+# tests of the cmd/pfbench benchmark module.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -28,6 +28,10 @@ echo "== repolint selfcheck (bad fixtures fail, clean fixtures pass)"
 
 echo "== go test -race -count=1 ./internal/netsim ./internal/faults ./internal/obsv ./internal/core ./internal/collectives ./internal/parrun ./internal/tsdb ./internal/critpath ./internal/chaos"
 go test -race -count=1 ./internal/netsim ./internal/faults ./internal/obsv ./internal/core ./internal/collectives ./internal/parrun ./internal/tsdb ./internal/critpath ./internal/chaos
+
+echo "== go test -race: the gate pools (perf sweeps, benchreport -parallel byte identity)"
+go test -race -count=1 -run 'Deterministic|FaultFree' ./internal/perf
+go test -race -count=1 -run ParallelByteIdentical ./cmd/benchreport
 
 echo "== go test -shuffle=on ./..."
 go test -shuffle=on ./...
