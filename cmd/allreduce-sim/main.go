@@ -296,6 +296,9 @@ func (o *observers) attach(e *core.Embedding, faulted bool, c *netsim.Config) *o
 	r := &observed{kind: e.Kind}
 	if o.traceOut != "" || o.metricsOut != "" {
 		r.col = obsv.NewCollector()
+		// Spans feed only the Chrome trace; the Metrics report reads none
+		// of them.
+		r.col.DisableSpans = o.traceOut == ""
 		r.col.Attach(c)
 	}
 	if o.tsOut != "" {
@@ -839,37 +842,55 @@ func arenaCeiling(run string, a netsim.ArenaFootprint, ceiling int64) error {
 
 // runSweep prints per-embedding cycle counts over a geometric vector-size
 // sweep, marking the winner at each point — the latency/bandwidth
-// crossover study of Figure 5's discussion. The m points are independent
-// (SimulationComparison builds its own instance and workload per call),
-// so they run on a parrun pool; rows are rendered to strings inside the
-// jobs and printed afterwards in m order, keeping stdout byte-identical
-// to the serial sweep.
+// crossover study of Figure 5's discussion. ER_q and its embeddings are
+// built once, before the pool; each m point then draws its own inputs
+// and runs independently on a parrun pool. Rows are rendered to strings
+// inside the jobs and printed afterwards in m order, keeping stdout
+// byte-identical to the serial sweep.
 func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engine, maxSimBytes int64, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "allreduce-sim:", err)
+		return 1
+	}
 	cfg := netsim.Config{LinkLatency: latency, VCDepth: vc, Engine: engine}
+	inst, err := core.NewInstance(q)
+	if err != nil {
+		return fail(err)
+	}
+	embeds, err := inst.EmbedAll(core.ComparisonKinds(q))
+	if err != nil {
+		return fail(err)
+	}
 	var ms []int
 	for m := 8; m <= maxM; m *= 4 {
 		ms = append(ms, m)
 	}
 	lines, err := parrun.Map(parallel, len(ms), func(i int) (string, error) {
 		m := ms[i]
-		rows, err := core.SimulationComparison(q, m, cfg, seed)
-		if err != nil {
-			return "", err
-		}
+		inputs := inst.Inputs(m, seed)
+		want := netsim.ExpectedOutput(inputs)
 		cycles := map[core.EmbeddingKind]int{}
 		// worstErr is the design point's measured-vs-model utilization
 		// error: the largest-magnitude relative error across embeddings.
 		worstErr := 0.0
-		// Rows come in core.ComparisonKinds order, so ties resolve
+		// Embeddings come in core.ComparisonKinds order, so ties resolve
 		// identically on every run.
 		winner, best := core.SingleTree, 0
-		for _, r := range rows {
+		for _, e := range embeds {
+			res, err := inst.Allreduce(e, inputs, cfg)
+			if err != nil {
+				return "", err
+			}
+			if err := core.CheckOutputs(e.Kind, res, want); err != nil {
+				return "", err
+			}
+			r := core.NewSimRow(q, m, e, res)
 			if err := arenaCeiling(fmt.Sprintf("%v m=%d", r.Kind, m), r.Arena, maxSimBytes); err != nil {
 				return "", err
 			}
 			cycles[r.Kind] = r.Cycles
-			if e := r.UtilRelErr; math.Abs(e) > math.Abs(worstErr) {
-				worstErr = e
+			if rel := r.UtilRelErr; math.Abs(rel) > math.Abs(worstErr) {
+				worstErr = rel
 			}
 			if best == 0 || r.Cycles < best {
 				winner, best = r.Kind, r.Cycles
@@ -883,8 +904,7 @@ func runSweep(q, maxM, latency, vc, parallel int, seed int64, engine netsim.Engi
 			m, cycles[core.SingleTree], low, cycles[core.Hamiltonian], winner, 100*worstErr), nil
 	})
 	if err != nil {
-		fmt.Fprintln(stderr, "allreduce-sim:", err)
-		return 1
+		return fail(err)
 	}
 	fmt.Fprintf(stdout, "vector-size sweep, PolarFly q=%d, link latency=%d\n", q, latency)
 	fmt.Fprintf(stdout, "%8s %12s %12s %12s %10s %10s\n",

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"polarfly/internal/core"
+	"polarfly/internal/netsim"
 )
 
 // TestRunMetricsSmoke drives the command end to end on a tiny instance and
@@ -78,6 +81,32 @@ func TestRunTraceSmoke(t *testing.T) {
 	}
 	if len(file.TraceEvents) == 0 {
 		t.Fatal("empty trace")
+	}
+}
+
+// TestMetricsOnlyDisablesSpans: the collector builds Chrome spans only
+// when -trace-out will write them; -metrics-out alone turns them off,
+// since the metrics report reads none of the span state.
+func TestMetricsOnlyDisablesSpans(t *testing.T) {
+	e := &core.Embedding{Kind: core.LowDepth}
+	for _, tc := range []struct {
+		traceOut, metricsOut string
+		spans                bool
+	}{
+		{"", "m.json", false},
+		{"t.json", "", true},
+		{"t.json", "m.json", true},
+	} {
+		o := &observers{traceOut: tc.traceOut, metricsOut: tc.metricsOut}
+		var cfg netsim.Config
+		r := o.attach(e, false, &cfg)
+		if r.col == nil || cfg.Trace == nil {
+			t.Fatalf("-trace-out %q -metrics-out %q: no collector attached", tc.traceOut, tc.metricsOut)
+		}
+		if spans := !r.col.DisableSpans; spans != tc.spans {
+			t.Errorf("-trace-out %q -metrics-out %q: spans on = %v, want %v",
+				tc.traceOut, tc.metricsOut, spans, tc.spans)
+		}
 	}
 }
 

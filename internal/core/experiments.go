@@ -288,13 +288,8 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		if err != nil {
 			return SimRow{}, err
 		}
-		// Verify numerical correctness on every run.
-		for v := range res.Outputs {
-			for k := range want {
-				if res.Outputs[v][k] != want[k] {
-					return SimRow{}, fmt.Errorf("core: %v: wrong sum at node %d element %d", kinds[i], v, k)
-				}
-			}
+		if err := CheckOutputs(kinds[i], res, want); err != nil {
+			return SimRow{}, err
 		}
 		return NewSimRow(q, m, embeds[i], res), nil
 	})
@@ -315,6 +310,20 @@ func SimulationSweep(q, m int, cfg netsim.Config, seed int64, parallel int,
 		}
 	}
 	return rows, nil
+}
+
+// CheckOutputs verifies a run's numerical correctness: every node's
+// output must equal want, the element-wise sum of the run's inputs
+// (netsim.ExpectedOutput). The error names the first wrong element.
+func CheckOutputs(kind EmbeddingKind, res *AllreduceResult, want []int64) error {
+	for v := range res.Outputs {
+		for k := range want {
+			if res.Outputs[v][k] != want[k] {
+				return fmt.Errorf("core: %v: wrong sum at node %d element %d", kind, v, k)
+			}
+		}
+	}
+	return nil
 }
 
 // NewSimRow reduces one completed run of e to its comparison row: the

@@ -159,19 +159,20 @@ func NewAnalyzer(s *Sampler, cfg AnalyzerConfig) *Analyzer {
 	return a
 }
 
-// observe is the Sampler's base-window hook.
+// observe is the Sampler's base-window hook: run is the closed window
+// and flits its per-link flit deltas, in the sampler's link order.
 //
 //lint:hotpath per-window analysis driven from the sampler's ingest path
-func (a *Analyzer) observe(run RunWindow, links []LinkWindow) {
+func (a *Analyzer) observe(run RunWindow, flits []uint32) {
 	if a.utils == nil {
-		a.init(len(links))
+		a.init(len(flits))
 	}
 	a.windows++
 	a.delivered += run.Delivered
 	dur := float64(run.End - run.Start)
 
-	for i := range links {
-		u := float64(links[i].Flits) / dur
+	for i, f := range flits {
+		u := float64(f) / dur
 		a.utils[i] = u
 		if u > a.peakUtil[i] {
 			a.peakUtil[i] = u

@@ -66,14 +66,14 @@ func benchSpec(b *testing.B, q, m int, kind string) netsim.Spec {
 // slot-backed hotspot ring it paid one make([]Hotspot) per window.
 func BenchmarkAnalyzerWindow(b *testing.B) {
 	const nlinks = 512
-	s := MustNew(Config{SampleEvery: 64})
+	s := newSampler(b, Config{SampleEvery: 64})
 	NewAnalyzer(s, AnalyzerConfig{TopK: 3})
 	fr := &netsim.SampleFrame{Links: make([]netsim.LinkCounters, nlinks)}
 	for i := range fr.Links {
 		fr.Links[i].From = i
 		fr.Links[i].To = i + 1
 	}
-	s.Sample(fr) // first frame: allocates all ring storage
+	s.Sample(fr) // first frame: allocates all storage
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,7 +102,7 @@ func BenchmarkHotLoopSampled(b *testing.B) {
 		spec := benchSpec(b, 11, 8192, kind)
 		b.Run("q=11/"+kind, func(b *testing.B) {
 			base := netsim.Config{LinkLatency: 5, VCDepth: 8}
-			s := MustNew(Config{SampleEvery: 64})
+			s := newSampler(b, Config{SampleEvery: 64})
 			sampled := base
 			sampled.SampleEvery = 64
 			sampled.Sample = s.Sample

@@ -23,7 +23,6 @@ func feedFrames(s *Sampler, sampleEvery, nlinks, n int) {
 		fr.Cycle = w * sampleEvery
 		for i := range fr.Links {
 			fr.Links[i].Flits++
-			fr.Links[i].Buffered = w % 3
 		}
 		fr.Run.FlitsSent += nlinks
 		fr.Run.ReduceFlits += nlinks
@@ -46,7 +45,9 @@ func TestExactRingFill(t *testing.T) {
 		factor      = 4
 		nlinks      = 3
 	)
-	s := MustNew(Config{SampleEvery: sampleEvery, Windows: windows, Levels: 3, Factor: factor})
+	s := newSampler(t, Config{SampleEvery: sampleEvery, Windows: windows, Levels: 3, Factor: factor})
+	base := &baseTap{}
+	base.attach(s)
 	feedFrames(s, sampleEvery, nlinks, windows)
 
 	if got := s.TotalWindows(0); got != windows {
@@ -55,8 +56,11 @@ func TestExactRingFill(t *testing.T) {
 	if got := s.Retained(0); got != windows {
 		t.Fatalf("level 0 retains %d windows, want the full ring %d", got, windows)
 	}
+	if len(base.flits) != windows {
+		t.Fatalf("hook saw %d base windows, want %d", len(base.flits), windows)
+	}
 	for i := 0; i < windows; i++ {
-		run, links := s.Window(0, i)
+		run := s.Window(0, i)
 		if run.Start != i*sampleEvery || run.End != (i+1)*sampleEvery {
 			t.Errorf("window %d spans (%d, %d], want (%d, %d]",
 				i, run.Start, run.End, i*sampleEvery, (i+1)*sampleEvery)
@@ -64,9 +68,9 @@ func TestExactRingFill(t *testing.T) {
 		if run.Partial {
 			t.Errorf("window %d marked partial; every base window was full length", i)
 		}
-		for li, lw := range links {
-			if lw.Flits != 1 {
-				t.Errorf("window %d link %d: flits=%d, want 1", i, li, lw.Flits)
+		for li, f := range base.flits[i] {
+			if f != 1 {
+				t.Errorf("window %d link %d: flits=%d, want 1", i, li, f)
 			}
 		}
 	}
@@ -77,17 +81,15 @@ func TestExactRingFill(t *testing.T) {
 		t.Fatalf("level 1 closed %d windows, want exactly %d full groups", got, want)
 	}
 	for i := 0; i < windows/factor; i++ {
-		run, links := s.Window(1, i)
+		run := s.Window(1, i)
 		if run.Partial {
 			t.Errorf("level 1 window %d marked partial; it closed as a full Factor group", i)
 		}
 		if dur := run.End - run.Start; dur != factor*sampleEvery {
 			t.Errorf("level 1 window %d covers %d cycles, want %d", i, dur, factor*sampleEvery)
 		}
-		for li, lw := range links {
-			if lw.Flits != factor {
-				t.Errorf("level 1 window %d link %d: %d flits, want %d", i, li, lw.Flits, factor)
-			}
+		if run.Flits != factor*nlinks {
+			t.Errorf("level 1 window %d: %d flits, want %d", i, run.Flits, factor*nlinks)
 		}
 	}
 	// Level 2 saw windows/factor = 2 children — less than a group — so
@@ -95,7 +97,7 @@ func TestExactRingFill(t *testing.T) {
 	if got := s.TotalWindows(2); got != 1 {
 		t.Fatalf("level 2 closed %d windows, want 1 flushed partial", got)
 	}
-	if run, _ := s.Window(2, 0); !run.Partial {
+	if run := s.Window(2, 0); !run.Partial {
 		t.Error("level 2 flush window not marked partial despite an incomplete group")
 	}
 }
@@ -113,15 +115,20 @@ func TestNonDivisibleRunLength(t *testing.T) {
 		total       = 11 // 2 full groups of 4 + 3 leftover
 		nlinks      = 2
 	)
-	s := MustNew(Config{SampleEvery: sampleEvery, Windows: windows, Levels: 2, Factor: factor})
+	s := newSampler(t, Config{SampleEvery: sampleEvery, Windows: windows, Levels: 2, Factor: factor})
+	base := &baseTap{}
+	base.attach(s)
 	feedFrames(s, sampleEvery, nlinks, total)
 
 	if got, want := s.TotalWindows(1), total/factor+1; got != want {
 		t.Fatalf("level 1 closed %d windows, want %d full + 1 partial = %d", got, total/factor, want)
 	}
+	if len(base.flits) != total {
+		t.Fatalf("hook saw %d base windows, want %d", len(base.flits), total)
+	}
 	flits := 0
 	for i := 0; i < s.Retained(1); i++ {
-		run, links := s.Window(1, i)
+		run := s.Window(1, i)
 		last := i == s.Retained(1)-1
 		if run.Partial != last {
 			t.Errorf("level 1 window %d partial=%v, want %v (only the flushed tail is partial)",
@@ -134,13 +141,19 @@ func TestNonDivisibleRunLength(t *testing.T) {
 		if dur := run.End - run.Start; dur != wantDur {
 			t.Errorf("level 1 window %d covers %d cycles, want %d", i, dur, wantDur)
 		}
-		for li, lw := range links {
-			wantFlits := uint32(factor)
-			if last {
-				wantFlits = uint32(total % factor)
+		// Each link's flit deltas over the window's base children sum to
+		// its child count.
+		wantFlits := factor
+		if last {
+			wantFlits = total % factor
+		}
+		for li := 0; li < nlinks; li++ {
+			sum := 0
+			for c := i * factor; c < min((i+1)*factor, total); c++ {
+				sum += int(base.flits[c][li])
 			}
-			if lw.Flits != wantFlits {
-				t.Errorf("level 1 window %d link %d: %d flits, want %d", i, li, lw.Flits, wantFlits)
+			if sum != wantFlits {
+				t.Errorf("level 1 window %d link %d: %d flits, want %d", i, li, sum, wantFlits)
 			}
 		}
 		flits += run.Flits
@@ -150,8 +163,8 @@ func TestNonDivisibleRunLength(t *testing.T) {
 	}
 	// Windows tile the run with no gap or overlap across the flush seam.
 	for i := 1; i < s.Retained(1); i++ {
-		prev, _ := s.Window(1, i-1)
-		cur, _ := s.Window(1, i)
+		prev := s.Window(1, i-1)
+		cur := s.Window(1, i)
 		if cur.Start != prev.End {
 			t.Errorf("level 1 window %d starts at %d, previous ended at %d", i, cur.Start, prev.End)
 		}

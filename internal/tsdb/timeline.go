@@ -123,7 +123,7 @@ func BuildSnapshot(s *Sampler, a *Analyzer, meta SnapshotMeta) *Snapshot {
 	cumDelivered := 0
 	sn.Points = make([]Point, 0, s.Retained(lvl))
 	for i := 0; i < s.Retained(lvl); i++ {
-		run, _ := s.Window(lvl, i)
+		run := s.Window(lvl, i)
 		p := Point{
 			Start: run.Start, End: run.End, Partial: run.Partial,
 			Phase:         phaseLabel(run),

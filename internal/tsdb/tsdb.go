@@ -6,18 +6,20 @@
 // onset and recovery latency purely from telemetry.
 //
 // The Sampler differences successive cumulative SampleFrames into exact
-// per-window counters and stores them in RRD-style ring buffers: level 0
+// run-level windows and stores them in RRD-style ring buffers: level 0
 // holds the most recent Windows base windows (SampleEvery cycles each),
 // level 1 the most recent Windows windows of Factor base windows, and so
-// on. Memory is fixed at construction — links × levels × Windows rows —
-// and independent of how many cycles the simulation runs, which is what
-// makes telemetry viable at the ROADMAP's 100×-scale design points
-// (q=127 has ~2M directed links·levels·windows rows only if asked for;
-// the default 3 levels × 64 windows costs tens of bytes per link).
+// on. Per link it keeps only the previous cumulative flit count and the
+// closing base window's flit delta, which it hands to the analyzer as
+// the window closes; no per-link window is stored. Memory is fixed at
+// construction — a few words per link plus Levels × Windows run-level
+// rows — and independent of how many cycles the simulation runs, which
+// is what makes telemetry viable at q=127 (about 2M directed links).
 //
-// Because windows are exact counter deltas, the per-link window sums over
-// a fully retained level reconcile exactly against the end-of-run
-// Result.LinkStats counters — the conservation property the tests pin.
+// Because windows are exact counter deltas, the window sums over a fully
+// retained level reconcile exactly against the end-of-run Result
+// counters, and the per-link deltas of the base windows against
+// Result.LinkStats — the conservation property the tests pin.
 package tsdb
 
 import (
@@ -69,23 +71,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// LinkWindow is one closed window of one directed link's series: exact
-// counter deltas over the window, so sums across windows reconcile
-// against the run totals. uint32 bounds a single window at ~4G flits —
-// far beyond any simulated window — while keeping the ring rows at 16
-// bytes per link per window.
-type LinkWindow struct {
-	// Flits, Stalls, and Dropped are the window's deltas of the
-	// corresponding LinkStat counters. A link injects at most one flit
-	// per cycle, so Flits is also the link's busy cycles.
-	Flits   uint32 `json:"flits"`
-	Stalls  uint32 `json:"stalls"`
-	Dropped uint32 `json:"dropped"`
-	// MaxBuf is the receive-buffer occupancy observed at base-window
-	// close; coarser levels keep the max over their child windows.
-	MaxBuf uint32 `json:"max_buf"`
-}
-
 // RunWindow is one closed window of the run-level series: fabric-wide
 // counter deltas plus end-of-window gauges.
 type RunWindow struct {
@@ -122,17 +107,15 @@ type RunWindow struct {
 // level is one resolution ring plus the accumulator collecting child
 // windows for the next coarser level.
 type level struct {
-	dur  int          // nominal window duration in cycles
-	seq  int          // windows closed at this level so far
-	run  []RunWindow  // ring, capacity Windows
-	data []LinkWindow // window-major ring: [slot*nlinks + link]
+	dur int         // nominal window duration in cycles
+	seq int         // windows closed at this level so far
+	run []RunWindow // ring, capacity Windows
 
 	// Accumulation toward this level from the finer one (unused at
 	// level 0, whose windows close directly from frames).
 	openCount   int
 	openPartial bool
 	openRun     RunWindow
-	openLinks   []LinkWindow
 }
 
 // Sampler is the fixed-memory multi-resolution store. Feed it by setting
@@ -140,41 +123,33 @@ type level struct {
 // storage is allocated on the first frame and reused for the rest of the
 // run.
 type Sampler struct {
-	cfg    Config
-	nlinks int
-	keys   [][2]int // directed link identities, in frame order
+	cfg  Config
+	keys [][2]int // directed link identities, in frame order
 
-	// prev is nil until the first frame allocates all ring storage; the
+	// prevFlits is nil until the first frame allocates all storage; the
 	// nil check in Sample is the one-time init gate. lint:cold
-	prev      []netsim.LinkCounters // cumulative counters at the previous boundary
+	prevFlits []int // cumulative per-link flits at the previous boundary
 	prevRun   netsim.RunCounters
 	prevCycle int
 
 	levels   []level
-	delta    []LinkWindow // scratch: one base window of per-link deltas
+	delta    []uint32 // the closing base window's per-link flit deltas
 	finished bool
 
-	// onWindow observes every closed base window (set by NewAnalyzer).
-	onWindow func(run RunWindow, links []LinkWindow)
+	// onWindow observes every closed base window with its per-link flit
+	// deltas (set by NewAnalyzer); the deltas are overwritten by the next
+	// window.
+	onWindow func(run RunWindow, flits []uint32)
 }
 
-// New constructs a sampler; ring storage is allocated lazily on the
-// first frame, when the link count is known.
+// New constructs a sampler; storage is allocated lazily on the first
+// frame, when the link count is known.
 func New(cfg Config) (*Sampler, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	return &Sampler{cfg: c}, nil
-}
-
-// MustNew is New for callers with a statically valid config.
-func MustNew(cfg Config) *Sampler {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Sample is the netsim.Config.Sample hook: it differences the cumulative
@@ -187,7 +162,7 @@ func (s *Sampler) Sample(fr *netsim.SampleFrame) {
 	if s.finished {
 		return
 	}
-	if s.prev == nil {
+	if s.prevFlits == nil {
 		s.init(fr)
 	}
 	if dur := fr.Cycle - s.prevCycle; dur > 0 {
@@ -199,42 +174,37 @@ func (s *Sampler) Sample(fr *netsim.SampleFrame) {
 	}
 }
 
-// init allocates all ring storage for the run's link set.
+// init allocates all storage for the run's link set.
 func (s *Sampler) init(fr *netsim.SampleFrame) {
-	s.nlinks = len(fr.Links)
-	s.keys = make([][2]int, s.nlinks)
+	n := len(fr.Links)
+	s.keys = make([][2]int, n)
 	for i, lc := range fr.Links {
 		s.keys[i] = [2]int{lc.From, lc.To}
 	}
-	s.prev = make([]netsim.LinkCounters, s.nlinks)
+	s.prevFlits = make([]int, n)
 	s.prevRun = netsim.RunCounters{LastFaultCycle: -1, LastRecoverCycle: -1}
-	s.delta = make([]LinkWindow, s.nlinks)
+	s.delta = make([]uint32, n)
 	s.levels = make([]level, s.cfg.Levels)
 	dur := s.cfg.SampleEvery
 	for l := range s.levels {
 		lv := &s.levels[l]
 		lv.dur = dur
 		lv.run = make([]RunWindow, s.cfg.Windows)
-		lv.data = make([]LinkWindow, s.cfg.Windows*s.nlinks)
-		if l > 0 {
-			lv.openLinks = make([]LinkWindow, s.nlinks)
-		}
 		dur *= s.cfg.Factor
 	}
 }
 
-// closeBase turns the frame into one base window and pushes it.
+// closeBase turns the frame into one base window, hands it to the
+// analyzer hook and pushes it.
 func (s *Sampler) closeBase(fr *netsim.SampleFrame, dur int) {
 	bestFlits, bestIdx := uint32(0), -1
 	for i := range fr.Links {
-		c, p := &fr.Links[i], &s.prev[i]
-		d := &s.delta[i]
-		d.Flits = uint32(c.Flits - p.Flits)
-		d.Stalls = uint32(c.StallCycles - p.StallCycles)
-		d.Dropped = uint32(c.Dropped - p.Dropped)
-		d.MaxBuf = uint32(c.Buffered)
-		if d.Flits > bestFlits {
-			bestFlits, bestIdx = d.Flits, i
+		flits := fr.Links[i].Flits
+		d := uint32(flits - s.prevFlits[i])
+		s.prevFlits[i] = flits
+		s.delta[i] = d
+		if d > bestFlits {
+			bestFlits, bestIdx = d, i
 		}
 	}
 	run := RunWindow{
@@ -259,25 +229,22 @@ func (s *Sampler) closeBase(fr *netsim.SampleFrame, dur int) {
 		run.MaxLinkFrom = s.keys[bestIdx][0]
 		run.MaxLinkTo = s.keys[bestIdx][1]
 	}
-	copy(s.prev, fr.Links)
 	s.prevRun = fr.Run
 	s.prevCycle = fr.Cycle
-	s.push(0, run, s.delta)
+	if s.onWindow != nil {
+		//lint:ignore hotalloc the hook target is (*Analyzer).observe, itself a checked hotpath root
+		s.onWindow(run, s.delta)
+	}
+	s.push(0, run)
 }
 
-// push commits one closed window into level l's ring, hands base windows
-// to the analyzer hook, and accumulates toward level l+1, cascading when
-// a full group of Factor children closes.
-func (s *Sampler) push(l int, run RunWindow, links []LinkWindow) {
+// push commits one closed window into level l's ring and accumulates
+// toward level l+1, cascading when a full group of Factor children
+// closes.
+func (s *Sampler) push(l int, run RunWindow) {
 	lv := &s.levels[l]
-	slot := lv.seq % s.cfg.Windows
-	lv.run[slot] = run
-	copy(lv.data[slot*s.nlinks:(slot+1)*s.nlinks], links)
+	lv.run[lv.seq%s.cfg.Windows] = run
 	lv.seq++
-	if l == 0 && s.onWindow != nil {
-		//lint:ignore hotalloc the hook target is (*Analyzer).observe, itself a checked hotpath root
-		s.onWindow(run, links)
-	}
 	if l+1 >= len(s.levels) {
 		return
 	}
@@ -285,7 +252,6 @@ func (s *Sampler) push(l int, run RunWindow, links []LinkWindow) {
 	if next.openCount == 0 {
 		next.openRun = run
 		next.openPartial = run.Partial
-		copy(next.openLinks, links)
 	} else {
 		o := &next.openRun
 		o.End = run.End
@@ -305,22 +271,13 @@ func (s *Sampler) push(l int, run RunWindow, links []LinkWindow) {
 			o.MaxLinkTo = run.MaxLinkTo
 		}
 		next.openPartial = next.openPartial || run.Partial
-		for i := range next.openLinks {
-			a, b := &next.openLinks[i], &links[i]
-			a.Flits += b.Flits
-			a.Stalls += b.Stalls
-			a.Dropped += b.Dropped
-			if b.MaxBuf > a.MaxBuf {
-				a.MaxBuf = b.MaxBuf
-			}
-		}
 	}
 	next.openCount++
 	if next.openCount == s.cfg.Factor {
 		closed := next.openRun
 		closed.Partial = next.openPartial
 		next.openCount = 0
-		s.push(l+1, closed, next.openLinks)
+		s.push(l+1, closed)
 	}
 }
 
@@ -335,16 +292,14 @@ func (s *Sampler) flush() {
 		closed := lv.openRun
 		closed.Partial = true
 		lv.openCount = 0
-		s.push(l, closed, lv.openLinks)
+		s.push(l, closed)
 	}
 }
 
-// Links returns the directed link identities in ring order (the order of
-// every Window's links slice). The slice is owned by the sampler.
+// Links returns the directed link identities in frame order, the order
+// of the per-link flit deltas the analyzer hook receives. The slice is
+// owned by the sampler.
 func (s *Sampler) Links() [][2]int { return s.keys }
-
-// NumLinks is the number of directed links in the series.
-func (s *Sampler) NumLinks() int { return s.nlinks }
 
 // Levels is the number of resolution levels.
 func (s *Sampler) Levels() int { return len(s.levels) }
@@ -369,28 +324,23 @@ func (s *Sampler) Retained(l int) int {
 }
 
 // Window returns level l's i-th retained window, oldest first
-// (i in [0, Retained(l))). The links slice aliases ring storage and is
-// valid until the ring wraps over it.
-func (s *Sampler) Window(l, i int) (RunWindow, []LinkWindow) {
+// (i in [0, Retained(l))).
+func (s *Sampler) Window(l, i int) RunWindow {
 	lv := &s.levels[l]
-	idx := lv.seq - s.Retained(l) + i
-	slot := idx % s.cfg.Windows
-	return lv.run[slot], lv.data[slot*s.nlinks : (slot+1)*s.nlinks]
+	return lv.run[(lv.seq-s.Retained(l)+i)%s.cfg.Windows]
 }
 
 // Reset clears all series so the sampler can consume another run of the
-// SAME spec (same link set, in the same order), reusing the ring storage
+// SAME spec (same link set, in the same order), reusing the storage
 // allocated for the first run. Sweep runners and benchmarks use it to
 // keep the steady state allocation-free across repeated runs.
 func (s *Sampler) Reset() {
 	s.finished = false
 	s.prevCycle = 0
-	if s.prev == nil {
+	if s.prevFlits == nil {
 		return
 	}
-	for i := range s.prev {
-		s.prev[i] = netsim.LinkCounters{From: s.keys[i][0], To: s.keys[i][1]}
-	}
+	clear(s.prevFlits)
 	s.prevRun = netsim.RunCounters{LastFaultCycle: -1, LastRecoverCycle: -1}
 	for l := range s.levels {
 		lv := &s.levels[l]
@@ -412,21 +362,14 @@ func (s *Sampler) Cycles() int { return s.prevCycle }
 // were simulated — and is deterministic, which is what lets CI assert a
 // byte ceiling on the q=31 telemetry smoke.
 func (s *Sampler) FootprintBytes() int {
-	const (
-		lwSize = int(unsafe.Sizeof(LinkWindow{}))
-		rwSize = int(unsafe.Sizeof(RunWindow{}))
-		lcSize = int(unsafe.Sizeof(netsim.LinkCounters{}))
-	)
 	n := int(unsafe.Sizeof(*s))
 	n += cap(s.keys) * int(unsafe.Sizeof([2]int{}))
-	n += cap(s.prev) * lcSize
-	n += cap(s.delta) * lwSize
+	n += cap(s.prevFlits) * int(unsafe.Sizeof(int(0)))
+	n += cap(s.delta) * int(unsafe.Sizeof(uint32(0)))
 	for i := range s.levels {
 		lv := &s.levels[i]
 		n += int(unsafe.Sizeof(level{}))
-		n += cap(lv.run) * rwSize
-		n += cap(lv.data) * lwSize
-		n += cap(lv.openLinks) * lwSize
+		n += cap(lv.run) * int(unsafe.Sizeof(RunWindow{}))
 	}
 	return n
 }

@@ -47,9 +47,41 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// sampledRun runs one simulated Allreduce with a sampler attached.
+// newSampler is New for a test's statically valid config.
+func newSampler(tb testing.TB, cfg Config) *Sampler {
+	tb.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// baseTap records every base window the sampler hands its analyzer hook:
+// the run-level window and a copy of its per-link flit deltas, which the
+// sampler overwrites when the next window closes.
+type baseTap struct {
+	runs  []RunWindow
+	flits [][]uint32
+}
+
+// attach wraps s's base-window hook, chaining any analyzer already
+// attached.
+func (b *baseTap) attach(s *Sampler) {
+	inner := s.onWindow
+	s.onWindow = func(run RunWindow, flits []uint32) {
+		b.runs = append(b.runs, run)
+		b.flits = append(b.flits, append([]uint32(nil), flits...))
+		if inner != nil {
+			inner(run, flits)
+		}
+	}
+}
+
+// sampledRun runs one simulated Allreduce with a sampler attached, and
+// records its base windows into base when base is not nil.
 func sampledRun(t testing.TB, q, m int, kind core.EmbeddingKind, scfg Config,
-	plan *faults.Plan) (*core.Embedding, *core.AllreduceResult, *Sampler, *Analyzer) {
+	plan *faults.Plan, base *baseTap) (*core.Embedding, *core.AllreduceResult, *Sampler, *Analyzer) {
 	t.Helper()
 	inst, err := core.NewInstance(q)
 	if err != nil {
@@ -59,7 +91,7 @@ func sampledRun(t testing.TB, q, m int, kind core.EmbeddingKind, scfg Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := MustNew(scfg)
+	s := newSampler(t, scfg)
 	a := NewAnalyzer(s, AnalyzerConfig{
 		Tolerance: 0.1,
 		Bounds: Bounds{
@@ -70,6 +102,9 @@ func sampledRun(t testing.TB, q, m int, kind core.EmbeddingKind, scfg Config,
 			FaultFree: plan == nil,
 		},
 	})
+	if base != nil {
+		base.attach(s)
+	}
 	cfg := netsim.Config{LinkLatency: 2, VCDepth: 4,
 		SampleEvery: scfg.SampleEvery, Sample: s.Sample, Faults: plan}
 	inputs := workload.Vectors(inst.N(), m, 100, int64(q))
@@ -91,18 +126,20 @@ func floorFor(q int, kind core.EmbeddingKind, e *core.Embedding) float64 {
 	return 0
 }
 
-// TestConservation is the satellite-4 property: for every design point
-// and embedding, summing the per-link window deltas over a fully
-// retained resolution level reconciles EXACTLY against the end-of-run
-// Result.LinkStats counters — no quantization, no loss at ring wrap,
-// no loss in the downsampling cascade.
+// TestConservation pins exact reconciliation: for every design point
+// and embedding, the per-link flit deltas the analyzer hook receives sum
+// EXACTLY to the end-of-run Result.LinkStats counters, and the run-level
+// windows of a fully retained resolution level sum exactly to the run
+// totals — no quantization, no loss at ring wrap, no loss in the
+// downsampling cascade.
 func TestConservation(t *testing.T) {
 	kinds := []core.EmbeddingKind{core.SingleTree, core.LowDepth, core.Hamiltonian}
 	for _, q := range []int{3, 5, 7, 11} {
 		for _, kind := range kinds {
 			t.Run(fmt.Sprintf("q=%d/%v", q, kind), func(t *testing.T) {
 				scfg := Config{SampleEvery: 16, Windows: 16, Levels: 3, Factor: 4}
-				_, res, s, _ := sampledRun(t, q, 256, kind, scfg, nil)
+				base := &baseTap{}
+				_, res, s, _ := sampledRun(t, q, 256, kind, scfg, nil, base)
 				if !s.Finished() {
 					t.Fatal("sampler never saw the final frame")
 				}
@@ -120,21 +157,17 @@ func TestConservation(t *testing.T) {
 				if lvl > 0 && s.TotalWindows(0) <= scfg.Windows {
 					t.Logf("note: base ring did not wrap (%d windows)", s.TotalWindows(0))
 				}
-				nlinks := s.NumLinks()
+				nlinks := len(s.Links())
 				if nlinks != len(res.LinkStats) {
 					t.Fatalf("%d sampled links vs %d LinkStats", nlinks, len(res.LinkStats))
 				}
-				type tot struct{ flits, stalls, dropped int }
-				sums := make([]tot, nlinks)
-				delivered, flits := 0, 0
-				for i := 0; i < s.Retained(lvl); i++ {
-					run, links := s.Window(lvl, i)
-					delivered += run.Delivered
-					flits += run.Flits
-					for j := range links {
-						sums[j].flits += int(links[j].Flits)
-						sums[j].stalls += int(links[j].Stalls)
-						sums[j].dropped += int(links[j].Dropped)
+				if len(base.runs) != s.TotalWindows(0) {
+					t.Fatalf("hook saw %d base windows, level 0 closed %d", len(base.runs), s.TotalWindows(0))
+				}
+				sums := make([]int, nlinks)
+				for _, flits := range base.flits {
+					for j, f := range flits {
+						sums[j] += int(f)
 					}
 				}
 				for j, ls := range res.LinkStats {
@@ -142,13 +175,23 @@ func TestConservation(t *testing.T) {
 					if key[0] != ls.From || key[1] != ls.To {
 						t.Fatalf("link %d order mismatch: %v vs %d->%d", j, key, ls.From, ls.To)
 					}
-					if sums[j].flits != ls.Flits || sums[j].stalls != ls.StallCycles || sums[j].dropped != ls.Dropped {
-						t.Errorf("link %d->%d window sums %+v != LinkStats {%d %d %d}",
-							ls.From, ls.To, sums[j], ls.Flits, ls.StallCycles, ls.Dropped)
+					if sums[j] != ls.Flits {
+						t.Errorf("link %d->%d base-window flits sum to %d, LinkStats %d",
+							ls.From, ls.To, sums[j], ls.Flits)
 					}
+				}
+				delivered, flits, dropped := 0, 0, 0
+				for i := 0; i < s.Retained(lvl); i++ {
+					run := s.Window(lvl, i)
+					delivered += run.Delivered
+					flits += run.Flits
+					dropped += run.Dropped
 				}
 				if flits != res.FlitsSent {
 					t.Errorf("window Flits sum to %d, want %d", flits, res.FlitsSent)
+				}
+				if dropped != res.DroppedFlits {
+					t.Errorf("window Dropped sum to %d, want %d", dropped, res.DroppedFlits)
 				}
 				if want := len(res.Outputs) * 256; delivered != want {
 					t.Errorf("window Delivered sum to %d, want N*m = %d", delivered, want)
@@ -159,37 +202,45 @@ func TestConservation(t *testing.T) {
 }
 
 // TestCascade pins the downsampling arithmetic: a coarser window is the
-// exact sum (or max, for MaxBuf/MaxLinkUtil) of its child windows.
+// exact sum of its child windows, its flits are its children's per-link
+// flit deltas summed, and its hottest link is the hottest of those
+// deltas — the earliest child's, then the first link's, on a tie.
 func TestCascade(t *testing.T) {
 	scfg := Config{SampleEvery: 8, Windows: 64, Levels: 2, Factor: 4}
-	_, _, s, _ := sampledRun(t, 3, 128, core.LowDepth, scfg, nil)
+	base := &baseTap{}
+	_, _, s, _ := sampledRun(t, 3, 128, core.LowDepth, scfg, nil, base)
 	if s.TotalWindows(1) < 2 {
 		t.Fatalf("need ≥ 2 coarse windows, got %d (cycles=%d)", s.TotalWindows(1), s.Cycles())
 	}
 	if d := s.LevelDuration(1); d != 32 {
 		t.Fatalf("level 1 duration %d, want 32", d)
 	}
+	if len(base.runs) != s.TotalWindows(0) {
+		t.Fatalf("hook saw %d base windows, level 0 closed %d", len(base.runs), s.TotalWindows(0))
+	}
 	// Both levels fully retained here, so child groups line up directly.
 	for ci := 0; ci < s.TotalWindows(1); ci++ {
-		crun, clinks := s.Window(1, ci)
+		crun := s.Window(1, ci)
 		var frun RunWindow
-		fsum := make([]LinkWindow, s.NumLinks())
+		linkFlits, best, bestLink := 0, 0.0, -1
 		nchild := 0
 		for fi := ci * 4; fi < (ci+1)*4 && fi < s.TotalWindows(0); fi++ {
-			run, links := s.Window(0, fi)
+			run := s.Window(0, fi)
+			if run != base.runs[fi] {
+				t.Fatalf("level 0 window %d = %+v, hook saw %+v", fi, run, base.runs[fi])
+			}
 			if nchild == 0 {
 				frun = run
-				copy(fsum, links)
 			} else {
 				frun.End = run.End
 				frun.Flits += run.Flits
 				frun.Delivered += run.Delivered
-				for j := range links {
-					fsum[j].Flits += links[j].Flits
-					fsum[j].Stalls += links[j].Stalls
-					if links[j].MaxBuf > fsum[j].MaxBuf {
-						fsum[j].MaxBuf = links[j].MaxBuf
-					}
+			}
+			dur := float64(run.End - run.Start)
+			for j, f := range base.flits[fi] {
+				linkFlits += int(f)
+				if u := float64(f) / dur; u > best {
+					best, bestLink = u, j
 				}
 			}
 			nchild++
@@ -201,10 +252,16 @@ func TestCascade(t *testing.T) {
 		if nchild < 4 && !crun.Partial {
 			t.Errorf("coarse window %d has %d children but is not partial", ci, nchild)
 		}
-		for j := range clinks {
-			if clinks[j] != fsum[j] {
-				t.Fatalf("coarse window %d link %d = %+v, child sum %+v", ci, j, clinks[j], fsum[j])
-			}
+		if linkFlits != crun.Flits {
+			t.Fatalf("coarse window %d injected %d flits, its children's links %d", ci, crun.Flits, linkFlits)
+		}
+		want := [2]int{-1, -1}
+		if bestLink >= 0 {
+			want = s.Links()[bestLink]
+		}
+		if crun.MaxLinkUtil != best || crun.MaxLinkFrom != want[0] || crun.MaxLinkTo != want[1] {
+			t.Fatalf("coarse window %d hottest link %d->%d at %v, children's hottest %v at %v",
+				ci, crun.MaxLinkFrom, crun.MaxLinkTo, crun.MaxLinkUtil, want, best)
 		}
 	}
 }
@@ -214,8 +271,8 @@ func TestCascade(t *testing.T) {
 // wraps) has the identical sampler footprint.
 func TestFootprintIndependence(t *testing.T) {
 	scfg := Config{SampleEvery: 8, Windows: 8, Levels: 3, Factor: 4}
-	_, resShort, sShort, _ := sampledRun(t, 5, 256, core.LowDepth, scfg, nil)
-	_, resLong, sLong, _ := sampledRun(t, 5, 2048, core.LowDepth, scfg, nil)
+	_, resShort, sShort, _ := sampledRun(t, 5, 256, core.LowDepth, scfg, nil, nil)
+	_, resLong, sLong, _ := sampledRun(t, 5, 2048, core.LowDepth, scfg, nil, nil)
 	if resLong.Cycles <= resShort.Cycles {
 		t.Fatalf("long run (%d cycles) not longer than short (%d)", resLong.Cycles, resShort.Cycles)
 	}
@@ -231,6 +288,29 @@ func TestFootprintIndependence(t *testing.T) {
 	}
 }
 
+// TestFootprintPerLink pins what the sampler keeps per link: at a fixed
+// Config, FootprintBytes grows by at most 32 bytes per directed link
+// however many windows and levels the rings hold — the previous
+// cumulative flit count and one window's flit delta, never a ring.
+func TestFootprintPerLink(t *testing.T) {
+	const small, large = 4, 1004
+	for _, cfg := range []Config{
+		{SampleEvery: 4}, // the defaults: 3 levels × 64 windows
+		{SampleEvery: 4, Windows: 1, Levels: 1, Factor: 2},
+		{SampleEvery: 4, Windows: 512, Levels: 6, Factor: 2},
+	} {
+		footprint := func(nlinks int) int {
+			s := newSampler(t, cfg)
+			feedFrames(s, cfg.SampleEvery, nlinks, 3)
+			return s.FootprintBytes()
+		}
+		if grow := footprint(large) - footprint(small); grow > 32*(large-small) {
+			t.Errorf("%+v: footprint grows %d bytes over %d links, want ≤ 32 per link",
+				cfg, grow, large-small)
+		}
+	}
+}
+
 // TestSamplerReset pins run-to-run reuse: resetting and replaying the
 // same spec yields identical series with zero additional footprint.
 func TestSamplerReset(t *testing.T) {
@@ -242,7 +322,7 @@ func TestSamplerReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := MustNew(Config{SampleEvery: 8, Windows: 16, Levels: 2, Factor: 4})
+	s := newSampler(t, Config{SampleEvery: 8, Windows: 16, Levels: 2, Factor: 4})
 	inputs := workload.Vectors(inst.N(), 128, 100, 7)
 	cfg := netsim.Config{LinkLatency: 2, VCDepth: 4, SampleEvery: 8, Sample: s.Sample}
 	if _, err := inst.Allreduce(e, inputs, cfg); err != nil {
@@ -291,7 +371,7 @@ func TestAnalyzerFaultDetection(t *testing.T) {
 		{Kind: faults.LinkDown, U: u, V: v, At: 40},
 	}}
 	scfg := Config{SampleEvery: 8, Windows: 64, Levels: 2, Factor: 4}
-	s := MustNew(scfg)
+	s := newSampler(t, scfg)
 	a := NewAnalyzer(s, AnalyzerConfig{Bounds: Bounds{Nodes: inst.N()}})
 	inputs := workload.Vectors(inst.N(), 256, 100, 5)
 	res, err := inst.Allreduce(e, inputs, netsim.Config{LinkLatency: 2, VCDepth: 4,
@@ -322,6 +402,23 @@ func TestAnalyzerFaultDetection(t *testing.T) {
 			t.Errorf("recovery %d latency %d, want %d", i, r.Latency, wantLat)
 		}
 	}
+	// The fault's drops survive the cascade: every level that retains its
+	// whole history sums to the run's total.
+	if res.DroppedFlits == 0 {
+		t.Fatal("fault dropped no flits")
+	}
+	for l := 0; l < s.Levels(); l++ {
+		if s.TotalWindows(l) > s.Retained(l) {
+			continue
+		}
+		dropped := 0
+		for i := 0; i < s.Retained(l); i++ {
+			dropped += s.Window(l, i).Dropped
+		}
+		if dropped != res.DroppedFlits {
+			t.Errorf("level %d windows drop %d flits, run dropped %d", l, dropped, res.DroppedFlits)
+		}
+	}
 }
 
 // TestBoundsFaultFree is the acceptance criterion: on fault-free runs of
@@ -332,7 +429,7 @@ func TestBoundsFaultFree(t *testing.T) {
 	for _, kind := range []core.EmbeddingKind{core.LowDepth, core.Hamiltonian} {
 		t.Run(kind.String(), func(t *testing.T) {
 			scfg := Config{SampleEvery: 32, Windows: 64, Levels: 3, Factor: 8}
-			e, res, _, a := sampledRun(t, 7, 4096, kind, scfg, nil)
+			e, res, _, a := sampledRun(t, 7, 4096, kind, scfg, nil, nil)
 			rep := a.Report()
 			if rep.ViolationCount != 0 {
 				t.Fatalf("bound violations on a fault-free run: %+v", rep.Violations)
@@ -365,7 +462,7 @@ func TestAnalyzerHotspots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := MustNew(Config{SampleEvery: 16, Windows: 8, Levels: 2, Factor: 4})
+	s := newSampler(t, Config{SampleEvery: 16, Windows: 8, Levels: 2, Factor: 4})
 	a := NewAnalyzer(s, AnalyzerConfig{TopK: 4,
 		Bounds:    Bounds{Nodes: inst.N()},
 		Predicted: core.ModelLinkLoads(e)})
@@ -409,7 +506,7 @@ func TestAnalyzerHotspots(t *testing.T) {
 // markdown rendering.
 func TestSnapshotTimeline(t *testing.T) {
 	scfg := Config{SampleEvery: 16, Windows: 16, Levels: 3, Factor: 4}
-	e, res, s, a := sampledRun(t, 5, 4096, core.Hamiltonian, scfg, nil)
+	e, res, s, a := sampledRun(t, 5, 4096, core.Hamiltonian, scfg, nil, nil)
 	meta := SnapshotMeta{Q: 5, Kind: "hamiltonian", M: 4096, Nodes: len(res.Outputs),
 		Aggregate: e.Model.Aggregate, Optimal: bandwidth.Optimal(5, 1.0),
 		Floor: floorFor(5, core.Hamiltonian, e)}

@@ -74,7 +74,7 @@ rm -rf "$camdir"
 echo "== telemetry timeline smoke (tsdb sampler/analyzer gate + ground-truth cross-check, q=5)"
 tldir=$(mktemp -d)
 go run ./cmd/benchreport timeline -q 5 -m 4096 -sample-every 32 -windows 32 \
-    -fault-at 100 -max-bytes 2000000 -label timeline-smoke -out "$tldir" >/dev/null
+    -fault-at 100 -max-bytes 40000 -label timeline-smoke -out "$tldir" >/dev/null
 rm -rf "$tldir"
 
 echo "verify: OK"
